@@ -4,23 +4,13 @@ starred partitions with shift covers, level sets and exceedance probes."""
 
 from .decompose import (
     HarmonicDecomposition,
-    coarse_field,
     coarse_increments,
     coarse_values,
     decompose,
     harmonic_at,
-    increment_samples,
+    harmonic_measure,
 )
-from .fieldio import (
-    MAGIC,
-    level_set_report,
-    read_field_binary,
-    read_field_csv,
-    write_field_binary,
-    write_field_csv,
-    write_level_set_json,
-)
-from .green import GreenOperator, clear_caches, dirichlet_extend, interior_laplacian
+from .green import GreenOperator, dirichlet_extend, interior_laplacian
 from .grid import (
     Box,
     CoverConstructionError,
@@ -59,14 +49,11 @@ __all__ = [
     "GreenOperator",
     "HarmonicDecomposition",
     "LevelSet",
-    "MAGIC",
     "NestedPartitions",
     "ProbeRefusedError",
     "Schedule",
     "ShiftCover",
-    "clear_caches",
     "coarse_exceedance_probe",
-    "coarse_field",
     "coarse_increments",
     "coarse_values",
     "core_region",
@@ -77,20 +64,14 @@ __all__ = [
     "expected_level_count",
     "flat_partition",
     "harmonic_at",
-    "increment_samples",
+    "harmonic_measure",
     "interior_laplacian",
     "level_set",
-    "level_set_report",
     "level_threshold",
     "nested_partitions",
-    "read_field_binary",
-    "read_field_csv",
     "sample_field",
     "sample_fields",
     "shift_cover",
     "spectral_scale",
     "uniform_schedule",
-    "write_field_binary",
-    "write_field_csv",
-    "write_level_set_json",
 ]

@@ -11,22 +11,24 @@ variances grow linearly in the scale gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .green import _lu, dirichlet_extend
-from .grid import Box, NestedPartitions
+from .green import _lock, _lu, dirichlet_extend
+from .grid import Box
 
 __all__ = [
     "HarmonicDecomposition",
     "decompose",
+    "harmonic_measure",
     "harmonic_at",
     "coarse_values",
     "coarse_increments",
-    "coarse_field",
-    "increment_samples",
 ]
+
+# harmonic-measure rows in box-local coordinates, keyed by (height, width,
+# local site); translation invariance makes one row serve every such box
+_row_cache: dict[tuple[int, int, int, int], tuple[np.ndarray, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,49 @@ def _require_site(box: Box, site: tuple[int, int]) -> tuple[int, int]:
     return r - box.row0, c - box.col0
 
 
+def harmonic_measure(
+    box: Box, site: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row of the harmonic measure of box seen from site.
+
+    The harmonic extension over box at site is sum(weights * field[rows, cols]).
+    rows, cols list every frame site in row-major order; corners get weight 0.
+    Frame sites and boxes of side <= 2 give the delta row (site, 1.0).
+    """
+    lr, lc = _require_site(box, site)
+    height, width = box.height, box.width
+    if height <= 2 or width <= 2 or lr in (0, height - 1) or lc in (0, width - 1):
+        return np.array([site[0]]), np.array([site[1]]), np.ones(1)
+    key = (height, width, lr, lc)
+    with _lock:
+        row = _row_cache.get(key)
+    if row is None:
+        row = _solve_row(height, width, lr, lc)
+        with _lock:
+            row = _row_cache.setdefault(key, row)
+    rows, cols, weights = row
+    return rows + box.row0, cols + box.col0, weights
+
+
+def _solve_row(height: int, width: int, lr: int, lc: int) -> tuple[np.ndarray, ...]:
+    # The interior value at site is e_site' L^-1 b, where b adds each non-corner
+    # frame value to its inward neighbour; so one transposed solve g = L^-T e_site
+    # weights frame site w by g at the inward neighbour of w.
+    nr, nc = height - 2, width - 2
+    e = np.zeros(nr * nc)
+    e[(lr - 1) * nc + (lc - 1)] = 1.0
+    g = _lu(nr, nc).solve(e, trans="T").reshape(nr, nc)
+    r = np.arange(height)[:, None]
+    c = np.arange(width)[None, :]
+    edge_r = (r == 0) | (r == height - 1)
+    edge_c = (c == 0) | (c == width - 1)
+    rows, cols = np.nonzero(edge_r | edge_c)
+    weights = g[np.clip(rows, 1, nr) - 1, np.clip(cols, 1, nc) - 1]
+    weights[(edge_r & edge_c)[rows, cols]] = 0.0
+    weights.setflags(write=False)  # callers share the cached row
+    return rows, cols, weights
+
+
 def harmonic_at(fields: np.ndarray, box: Box, site: tuple[int, int]) -> np.ndarray:
     """Harmonic extension over box evaluated at one site, batched.
 
@@ -63,25 +108,9 @@ def harmonic_at(fields: np.ndarray, box: Box, site: tuple[int, int]) -> np.ndarr
     sites and boxes of side <= 2 reduce to the raw field values.
     """
     fields = np.asarray(fields, dtype=float)
-    squeeze = fields.ndim == 2
-    if squeeze:
-        fields = fields[None]
-    lr, lc = _require_site(box, site)
-    on_frame = lr in (0, box.height - 1) or lc in (0, box.width - 1)
-    if box.height <= 2 or box.width <= 2 or on_frame:
-        vals = fields[:, site[0], site[1]].copy()
-    else:
-        sub = fields[(slice(None), *box.slices())]
-        nr, nc = box.height - 2, box.width - 2
-        k = fields.shape[0]
-        rhs = np.zeros((k, nr, nc))
-        rhs[:, 0, :] += sub[:, 0, 1:-1]
-        rhs[:, -1, :] += sub[:, -1, 1:-1]
-        rhs[:, :, 0] += sub[:, 1:-1, 0]
-        rhs[:, :, -1] += sub[:, 1:-1, -1]
-        solved = _lu(nr, nc).solve(rhs.reshape(k, nr * nc).T)
-        vals = np.atleast_2d(solved.T)[:, (lr - 1) * nc + (lc - 1)].copy()
-    return float(vals[0]) if squeeze else vals
+    rows, cols, weights = harmonic_measure(box, site)
+    vals = fields[..., rows, cols] @ weights
+    return float(vals) if fields.ndim == 2 else vals
 
 
 def coarse_values(fields: np.ndarray, box: Box) -> np.ndarray:
@@ -100,35 +129,3 @@ def coarse_increments(fields: np.ndarray, parent: Box, child: Box) -> np.ndarray
         )
     site = child.center()
     return harmonic_at(fields, child, site) - harmonic_at(fields, parent, site)
-
-
-def coarse_field(field: np.ndarray, boxes: Iterable[Box]) -> dict[Box, float]:
-    """Coarse value of the field on each box, one Dirichlet solve apiece."""
-    return {box: float(coarse_values(field, box)) for box in boxes}
-
-
-def increment_samples(
-    fields: np.ndarray, partitions: NestedPartitions, level: int | None = None
-) -> np.ndarray:
-    """Coarse increments pooled over parent/child pairs of the hierarchy.
-
-    level i restricts to pairs between levels i and i+1; None pools every
-    nesting step. Output is flat, one entry per (field, pair). Increments at
-    different boxes of one field are dependent draws, but pooling them still
-    estimates the common per-step variance without bias.
-    """
-    if level is None:
-        steps = range(partitions.depth)
-    else:
-        if not 0 <= level < partitions.depth:
-            raise ValueError(f"level must lie in [0, {partitions.depth}), got {level}")
-        steps = range(level, level + 1)
-    chunks = []
-    for i in steps:
-        for j, child_idx in enumerate(partitions.children[i]):
-            parent = partitions.levels[i][j]
-            for k in child_idx:
-                chunks.append(coarse_increments(fields, parent, partitions.levels[i + 1][k]))
-    if not chunks:
-        raise ValueError("hierarchy has no parent/child pairs at the requested level")
-    return np.concatenate([np.atleast_1d(c) for c in chunks])

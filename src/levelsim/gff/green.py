@@ -23,7 +23,6 @@ __all__ = [
     "interior_laplacian",
     "GreenOperator",
     "dirichlet_extend",
-    "clear_caches",
 ]
 
 _lock = threading.Lock()
@@ -48,11 +47,6 @@ def _lu(n_rows: int, n_cols: int) -> spla.SuperLU:
             lu = spla.splu(interior_laplacian(n_rows, n_cols))
             _lu_cache[key] = lu
     return lu
-
-
-def clear_caches() -> None:
-    with _lock:
-        _lu_cache.clear()
 
 
 class GreenOperator:

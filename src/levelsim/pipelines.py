@@ -33,7 +33,6 @@ from .bbm import (
 )
 from .gff import (
     GAMMA,
-    Box,
     CoverConstructionError,
     GreenOperator,
     NestedPartitions,
@@ -43,6 +42,7 @@ from .gff import (
     estimate_daviaud_exponent,
     expected_level_count,
     flat_partition,
+    harmonic_measure,
     nested_partitions,
     sample_fields,
     shift_cover,
@@ -1053,37 +1053,6 @@ def run_cover_check(grid_n: int | None = None, delta: float = 0.9) -> Report:
 # decompose-var: harmonic decomposition diagnostics
 
 
-def _frame_sites(box: Box) -> list[tuple[int, int]]:
-    sites = []
-    for c in range(box.col0, box.col_end):
-        sites.append((box.row0, c))
-        sites.append((box.row_end - 1, c))
-    for r in range(box.row0 + 1, box.row_end - 1):
-        sites.append((r, box.col0))
-        sites.append((r, box.col_end - 1))
-    return sorted(set(sites))
-
-
-def _harmonic_weights(box: Box, site: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row of the harmonic measure: h(site) = sum_w weight[w] * field[frame w]."""
-    frame = _frame_sites(box)
-    if box.height <= 2 or box.width <= 2 or site in frame:
-        rows = np.array([site[0]])
-        cols = np.array([site[1]])
-        return rows, cols, np.ones(1)
-    weights = []
-    probe = np.zeros((box.height, box.width))
-    local = (site[0] - box.row0, site[1] - box.col0)
-    shifted = Box(0, 0, box.height, box.width)
-    for r, c in frame:
-        probe[r - box.row0, c - box.col0] = 1.0
-        weights.append(dirichlet_extend(probe, shifted)[local])
-        probe[r - box.row0, c - box.col0] = 0.0
-    rows = np.array([r for r, _ in frame])
-    cols = np.array([c for _, c in frame])
-    return rows, cols, np.array(weights)
-
-
 def run_decompose_var(
     seed: int,
     grid_n: int = tol.DECOMP_N,
@@ -1108,9 +1077,9 @@ def run_decompose_var(
             for k in child_idx:
                 child = parts.levels[lvl + 1][k]
                 site = child.center()
-                cr, cc, cw = _harmonic_weights(child, site)
-                pr, pc, pw = _harmonic_weights(parent, site)
-                pair_weights.append((lvl, (cr, cc, cw), (pr, pc, pw)))
+                pair_weights.append(
+                    (lvl, harmonic_measure(child, site), harmonic_measure(parent, site))
+                )
 
     # exact per-pair variance: Green diagonal of the parent's box minus the
     # child's, both reduced to local coordinates by translation invariance
@@ -1132,10 +1101,8 @@ def run_decompose_var(
 
     corr_box = parts.levels[1][0]
     corr_site = corr_box.center()
-    corr_frame = _frame_sites(corr_box)
-    hr, hc, hw = _harmonic_weights(corr_box, corr_site)
-    fr = np.array([r for r, _ in corr_frame])
-    fc = np.array([c for _, c in corr_frame])
+    # the centre's measure is supported on the whole frame: the boundary set
+    hr, hc, hw = harmonic_measure(corr_box, corr_site)
 
     def task(rng):
         fields = sample_fields(grid_n, chunk, rng)
@@ -1145,7 +1112,7 @@ def run_decompose_var(
         residual = (
             fields[:, corr_site[0], corr_site[1]] - fields[:, hr, hc] @ hw
         )
-        boundary = fields[:, fr, fc]
+        boundary = fields[:, hr, hc]
         stats = (
             residual.sum(),
             (residual * residual).sum(),
@@ -1162,9 +1129,9 @@ def run_decompose_var(
     inc_chunks = []
     r_sum = 0.0
     r_sq = 0.0
-    b_sum = np.zeros(len(corr_frame))
-    b_sq = np.zeros(len(corr_frame))
-    rb_sum = np.zeros(len(corr_frame))
+    b_sum = np.zeros(hr.size)
+    b_sq = np.zeros(hr.size)
+    rb_sum = np.zeros(hr.size)
     for incs, stats in mc.parallel_map(plan, task):
         inc_chunks.append(incs)
         r_sum += stats[0]
@@ -1227,7 +1194,7 @@ def run_decompose_var(
             max_corr,
             corr_limit,
             anchor="Markov independence of the residual from boundary data",
-            detail=f"{len(corr_frame)} boundary sites x {realized} fields",
+            detail=f"{hr.size} boundary sites x {realized} fields",
         ),
     )
     estimates = (

@@ -9,14 +9,10 @@ from levelsim import mc
 from levelsim.gff import (
     Box,
     GreenOperator,
-    coarse_field,
     coarse_increments,
     coarse_values,
     decompose,
-    increment_samples,
-    nested_partitions,
     sample_fields,
-    uniform_schedule,
 )
 
 GAMMA2 = 2.0 / math.pi
@@ -98,14 +94,6 @@ class TestCoarseValues:
             assert abs(emp - exact) < 4.0 * se
             assert abs(exact - GAMMA2 * math.log(grid_n / side)) < 1.0
 
-    def test_coarse_field_maps_each_box(self):
-        field = sample_fields(32, 1, mc.replica_rng(65, 0))[0]
-        boxes = [Box(4, 4, 8, 8), Box(16, 16, 10, 10)]
-        table = coarse_field(field, boxes)
-        assert set(table) == set(boxes)
-        for box in boxes:
-            assert table[box] == pytest.approx(float(coarse_values(field, box)))
-
 
 class TestCoarseIncrements:
     def test_increment_variance_matches_green_difference(self):
@@ -132,23 +120,3 @@ class TestCoarseIncrements:
         parent = Box(0, 0, 16, 16)
         with pytest.raises(ValueError, match="strictly interior"):
             coarse_increments(np.zeros((5, 32, 32)), parent, Box(0, 4, 8, 8))
-
-
-class TestIncrementSamples:
-    def test_pools_every_nesting_step(self):
-        parts = nested_partitions(64, uniform_schedule(64, levels=2))
-        fields = sample_fields(64, 8, mc.replica_rng(68, 0))
-        pooled = increment_samples(fields, parts)
-        # 4 pairs at the first step plus 16 at the second, per field
-        assert pooled.shape == (8 * 20,)
-        first = increment_samples(fields, parts, level=0)
-        second = increment_samples(fields, parts, level=1)
-        assert first.shape == (8 * 4,)
-        assert second.shape == (8 * 16,)
-        assert np.allclose(np.sort(pooled), np.sort(np.concatenate([first, second])))
-
-    def test_level_out_of_range(self):
-        parts = nested_partitions(64, uniform_schedule(64, levels=2))
-        fields = sample_fields(64, 2, mc.replica_rng(69, 0))
-        with pytest.raises(ValueError, match="level"):
-            increment_samples(fields, parts, level=2)

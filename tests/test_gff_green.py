@@ -1,12 +1,28 @@
 """Killed-walk Green's function: LU route against the spectral route."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from levelsim.gff import Box, GreenOperator, dirichlet_extend, harmonic_at
+from levelsim.gff import Box, GreenOperator, dirichlet_extend, harmonic_at, harmonic_measure
 from levelsim.gff.green import interior_laplacian
+
+# the package re-exports the function decompose under the module's name
+DECOMPOSE = importlib.import_module("levelsim.gff.decompose")
+
+# rectangular boxes, including 3 x k and k x 3 boxes with a single interior line
+MEASURE_BOXES = (Box(1, 2, 9, 6), Box(0, 3, 5, 12), Box(2, 1, 3, 7), Box(4, 0, 8, 3))
+
+
+def interior_sites(box):
+    """Every interior site, the ones next to the frame included."""
+    return [
+        (r, c)
+        for r in range(box.row0 + 1, box.row_end - 1)
+        for c in range(box.col0 + 1, box.col_end - 1)
+    ]
 
 
 class TestInteriorLaplacian:
@@ -132,11 +148,12 @@ class TestHarmonicAt:
     def test_matches_full_extension(self):
         rng = np.random.default_rng(34)
         field = rng.normal(size=(16, 16))
-        box = Box(2, 2, 11, 11)
-        ext = dirichlet_extend(field, box)
-        for site in ((5, 7), (3, 3), (10, 12)):
-            expected = ext[site[0] - box.row0, site[1] - box.col0]
-            assert harmonic_at(field, box, site) == pytest.approx(expected, abs=1e-10)
+        for box in (Box(2, 2, 11, 11), *MEASURE_BOXES):
+            ext = dirichlet_extend(field, box)
+            for site in np.ndindex(box.height, box.width):
+                expected = ext[site]
+                site = (site[0] + box.row0, site[1] + box.col0)
+                assert abs(harmonic_at(field, box, site) - expected) <= 1e-12
 
     def test_frame_site_returns_raw_value(self):
         rng = np.random.default_rng(35)
@@ -155,6 +172,39 @@ class TestHarmonicAt:
             assert batched[k] == pytest.approx(
                 harmonic_at(fields[k], box, site), abs=1e-12
             )
+
+    def test_measure_is_a_probability_on_the_frame(self):
+        for box in MEASURE_BOXES:
+            interior = interior_sites(box)
+            frame = [
+                (r, c)
+                for r in range(box.row0, box.row_end)
+                for c in range(box.col0, box.col_end)
+                if (r, c) not in interior
+            ]
+            corners = {
+                (r, c) for r in (box.row0, box.row_end - 1) for c in (box.col0, box.col_end - 1)
+            }
+            for site in interior:
+                rows, cols, weights = harmonic_measure(box, site)
+                assert list(zip(rows.tolist(), cols.tolist())) == frame
+                assert weights.min() >= -1e-15
+                assert abs(weights.sum() - 1.0) <= 1e-12
+                assert all(w == 0.0 for s, w in zip(frame, weights) if s in corners)
+
+    def test_cache_hit_matches_fresh_solve(self, monkeypatch):
+        box, moved = Box(1, 2, 9, 6), Box(4, 0, 9, 6)
+        site, moved_site = (2, 3), (5, 1)
+        rows, cols, weights = harmonic_measure(box, site)
+        hit = harmonic_measure(moved, moved_site)
+        assert hit[2] is weights
+        monkeypatch.setattr(DECOMPOSE, "_row_cache", {})
+        fresh = harmonic_measure(moved, moved_site)
+        assert fresh[2] is not weights
+        for got in (hit, fresh):
+            assert np.array_equal(got[0], rows + 3)
+            assert np.array_equal(got[1], cols - 2)
+            assert np.array_equal(got[2], weights)
 
     def test_site_outside_box_rejected(self):
         field = np.zeros((8, 8))

@@ -1,6 +1,5 @@
-"""High-point counting, exceedance exponents, and field snapshots."""
+"""High-point counting and exceedance exponents."""
 
-import json
 import math
 
 import numpy as np
@@ -14,14 +13,8 @@ from levelsim.gff import (
     estimate_daviaud_exponent,
     expected_level_count,
     level_set,
-    level_set_report,
     level_threshold,
-    read_field_binary,
-    read_field_csv,
     sample_fields,
-    write_field_binary,
-    write_field_csv,
-    write_level_set_json,
 )
 
 
@@ -151,57 +144,3 @@ class TestCoarseTailProbe:
             coarse_exceedance_probe(32, 0.0, 0.0, replicas=10, seed=0)
         with pytest.raises(ValueError, match="replicas"):
             coarse_exceedance_probe(32, 0.0, 0.5, replicas=0, seed=0)
-
-
-class TestFieldIo:
-    def test_csv_round_trip(self, tmp_path):
-        field = sample_fields(12, 1, mc.replica_rng(78, 0))[0]
-        path = tmp_path / "field.csv"
-        write_field_csv(field, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "row,col,value"
-        assert len(lines) == 1 + 12 * 12
-        assert np.array_equal(read_field_csv(path), field)
-
-    def test_csv_rejects_missing_sites(self, tmp_path):
-        path = tmp_path / "partial.csv"
-        path.write_text("row,col,value\n0,0,1.0\n1,1,2.0\n")
-        with pytest.raises(ValueError, match="sites"):
-            read_field_csv(path)
-
-    def test_binary_round_trip(self, tmp_path):
-        field = sample_fields(9, 1, mc.replica_rng(79, 0))[0]
-        path = tmp_path / "field.lsgf"
-        write_field_binary(field, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"LSGF"
-        assert len(raw) == 8 + 8 * 9 * 9
-        assert np.array_equal(read_field_binary(path), field)
-
-    def test_binary_rejects_foreign_bytes(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(ValueError, match="magic"):
-            read_field_binary(path)
-
-    def test_truncated_binary(self, tmp_path):
-        field = np.zeros((5, 5))
-        path = tmp_path / "cut.lsgf"
-        write_field_binary(field, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            read_field_binary(path)
-
-    def test_level_set_json(self, tmp_path):
-        field = np.zeros((16, 16))
-        thr = level_threshold(16, 0.5)
-        field[4, 9] = thr + 2.0
-        field[2, 3] = thr + 1.0
-        out = level_set(field, 0.5)
-        report = level_set_report(out, 16)
-        assert report["grid_n"] == 16
-        assert report["count"] == 2
-        assert report["sites"] == [[2, 3], [4, 9]]
-        path = tmp_path / "level.json"
-        write_level_set_json(out, 16, path)
-        assert json.loads(path.read_text()) == report
