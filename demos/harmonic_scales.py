@@ -18,7 +18,7 @@ from levelsim.gff import (
     GreenOperator,
     coarse_increments,
     coarse_values,
-    decompose,
+    decompose_box,
     sample_fields,
 )
 
@@ -29,7 +29,7 @@ def main() -> None:
     boxes = [Box((grid_n - m) // 2, (grid_n - m) // 2, m, m) for m in (32, 16, 8)]
 
     one = fields[0]
-    parts = decompose(one, boxes[0])
+    parts = decompose_box(one, boxes[0])
     print(f"decomposition over {boxes[0]}:")
     print(f"  harmonic + residual == field: "
           f"{bool(np.allclose(parts.harmonic + parts.residual, one[boxes[0].slices()]))}")

@@ -1,30 +1,26 @@
 """Branching Brownian motion: exact event-driven simulation, capped-system
 coupling, level counting with closed-form oracles, the exact finite-horizon
 laws of the maximum and the level counts from the Fisher-KPP equation, and
-the lattice coarse-graining of ancestral paths."""
+the E1/E2 events on the coarse lattice of the path argument."""
 
 from .engine import (
     DEFAULT_PARTICLE_CAP,
     BbmPopulation,
     BbmRunConfig,
     BbmTree,
-    Lineage,
     NbbmSnapshot,
     NbbmTrajectory,
     PopulationCapError,
-    extract_lineage,
     sample_positions,
     simulate_bbm,
     simulate_nbbm,
 )
 from .estimators import (
     DominanceSweep,
-    LevelCount,
     LevelExponent,
     MaxTail,
     NoDataError,
     check_nbbm_dominance,
-    count_level,
     estimate_level_exponent,
     estimate_max_tail,
     expected_count_oracle,
@@ -33,12 +29,8 @@ from .kpp import log_count_rate, max_tail_probability, solve_kpp
 from .paths import (
     DiscretizationPlan,
     EventReport,
-    GoodnessReport,
-    LatticePath,
     check_events,
-    classify_path,
     default_cutoff,
-    discretize_lineage,
     e2_failure_bound,
 )
 
@@ -50,11 +42,7 @@ __all__ = [
     "DiscretizationPlan",
     "DominanceSweep",
     "EventReport",
-    "GoodnessReport",
-    "LatticePath",
-    "LevelCount",
     "LevelExponent",
-    "Lineage",
     "MaxTail",
     "NbbmSnapshot",
     "NbbmTrajectory",
@@ -62,15 +50,11 @@ __all__ = [
     "PopulationCapError",
     "check_events",
     "check_nbbm_dominance",
-    "classify_path",
-    "count_level",
     "default_cutoff",
-    "discretize_lineage",
     "e2_failure_bound",
     "estimate_level_exponent",
     "estimate_max_tail",
     "expected_count_oracle",
-    "extract_lineage",
     "log_count_rate",
     "max_tail_probability",
     "sample_positions",

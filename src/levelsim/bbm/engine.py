@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator
@@ -24,14 +23,12 @@ __all__ = [
     "BbmRunConfig",
     "BbmTree",
     "BbmPopulation",
-    "Lineage",
     "NbbmSnapshot",
     "NbbmTrajectory",
     "PopulationCapError",
     "simulate_bbm",
     "simulate_nbbm",
     "sample_positions",
-    "extract_lineage",
 ]
 
 DEFAULT_PARTICLE_CAP = 10**7
@@ -109,27 +106,11 @@ class BbmPopulation:
     def count(self) -> int:
         return int(self.node_ids.size)
 
-    @property
-    def max_position(self) -> float:
-        return float(self.positions.max())
-
     def position_of(self, node: int) -> float:
         idx = int(np.searchsorted(self.node_ids, node))
         if idx >= self.node_ids.size or self.node_ids[idx] != node:
             raise KeyError(f"node {node} not alive at time {self.time}")
         return float(self.positions[idx])
-
-
-@dataclass(frozen=True)
-class Lineage:
-    """One ancestral line observed on a fixed time grid."""
-
-    times: np.ndarray
-    positions: np.ndarray
-
-    def __post_init__(self):
-        if self.times.shape != self.positions.shape or self.times.ndim != 1:
-            raise ValueError("times and positions must be matching 1-d arrays")
 
 
 @dataclass(frozen=True)
@@ -284,18 +265,6 @@ def simulate_nbbm(
         raise ValueError(f"cap_n must be >= 1 or inf, got {cap_n}")
     _, culled = _run(cfg, _resolve_rng(cfg, rng), float(cap_n))
     return NbbmTrajectory(float(cap_n), tuple(culled))
-
-
-def extract_lineage(populations: Sequence[BbmPopulation], node: int) -> Lineage:
-    """Ancestral positions of one final-time particle across the snapshots."""
-    if not populations:
-        raise ValueError("no populations given")
-    tree = populations[-1].tree
-    times = np.array([p.time for p in populations])
-    values = np.array(
-        [p.position_of(tree.ancestor_at(node, p.time)) for p in populations]
-    )
-    return Lineage(times, values)
 
 
 def sample_positions(

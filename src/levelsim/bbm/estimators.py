@@ -16,12 +16,10 @@ from scipy import stats as _stats
 
 from .. import mc
 from ..rates import psi
-from .engine import BbmPopulation, BbmRunConfig, simulate_nbbm
+from .engine import BbmRunConfig, simulate_nbbm
 from .engine import DEFAULT_PARTICLE_CAP, sample_positions
 
 __all__ = [
-    "LevelCount",
-    "count_level",
     "expected_count_oracle",
     "NoDataError",
     "LevelExponent",
@@ -31,24 +29,6 @@ __all__ = [
     "DominanceSweep",
     "check_nbbm_dominance",
 ]
-
-
-@dataclass(frozen=True)
-class LevelCount:
-    """Count at level x and the running maximum, from one population."""
-
-    time: float
-    x: float
-    count: int
-    max_position: float
-
-
-def count_level(pop: BbmPopulation, x: float) -> LevelCount:
-    """N(t, x) = number of particles at or above x*t, plus the maximum."""
-    if not pop.time > 0:
-        raise ValueError(f"population must be at positive time, got {pop.time}")
-    count = int((pop.positions >= x * pop.time).sum())
-    return LevelCount(pop.time, x, count, pop.max_position)
 
 
 def expected_count_oracle(t: float, x: float) -> float:
@@ -72,11 +52,6 @@ class LevelExponent:
     counts: mc.Estimate
     dropped: int
     limit: float
-
-    @property
-    def low_confidence(self) -> bool:
-        """Flagged when zero counts removed a quarter or more of the data."""
-        return self.dropped * 4 >= self.counts.replicas
 
 
 def estimate_level_exponent(

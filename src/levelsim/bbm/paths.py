@@ -1,12 +1,9 @@
-"""Time/space lattice coarse-graining of ancestral paths.
+"""The time/space lattice of the path argument and its E1/E2 events.
 
-A run over [0, t] is observed at times s_i = i*t^delta (the last step is
-clipped to t), and ancestor positions snap to multiples of the mesh
-t^delta_prime. A coarse path is good when some interior index i leaves
-enough free energy after the forced displacement: (t - s_i) minus
-(f(s_M) - f(s_i))^2 / (2(t - s_i)) at or above (a - eps)*t. The companion
-events: E1 confines every particle to [-C*t, C*t] at each s_i, E2 caps each
-particle's one-step descendant count at t^2 * e^(t^delta).
+A run over [0, t] is observed at the grid times s_i = i*t^delta (the last
+step is clipped to t); the space mesh is t^delta_prime. E1 confines every
+particle to [-C*t, C*t] at each s_i, E2 caps each particle's one-step
+descendant count at t^2 * e^(t^delta).
 """
 
 from __future__ import annotations
@@ -17,15 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import BbmPopulation, Lineage
+from .engine import BbmPopulation
 
 __all__ = [
     "default_cutoff",
     "DiscretizationPlan",
-    "LatticePath",
-    "discretize_lineage",
-    "GoodnessReport",
-    "classify_path",
     "EventReport",
     "check_events",
     "e2_failure_bound",
@@ -50,7 +43,6 @@ class DiscretizationPlan:
     t: float
     delta: float = 0.75
     delta_prime: float | None = None
-    epsilon: float = 0.1
     cutoff: float | None = None
 
     def __post_init__(self):
@@ -64,8 +56,6 @@ class DiscretizationPlan:
             raise ValueError(
                 f"delta_prime must lie in (0, {2 * self.delta - 1}), got {self.delta_prime}"
             )
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.cutoff is None:
             object.__setattr__(self, "cutoff", default_cutoff(math.sqrt(2.0)))
         if not self.cutoff > 0:
@@ -85,90 +75,6 @@ class DiscretizationPlan:
         grid = [i * coarse for i in range(self.steps)]
         grid.append(self.t)
         return np.array(grid)
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """Mesh-multiples at the plan's grid times; starts pinned at 0."""
-
-    plan: DiscretizationPlan
-    indices: tuple[int, ...]
-    e1_violation: bool = False
-
-    def __post_init__(self):
-        if len(self.indices) != self.plan.steps + 1:
-            raise ValueError(
-                f"need {self.plan.steps + 1} lattice values, got {len(self.indices)}"
-            )
-        if self.indices[0] != 0:
-            raise ValueError(f"paths start at 0, got index {self.indices[0]}")
-
-    def values(self) -> np.ndarray:
-        return np.array(self.indices, dtype=float) * self.plan.mesh
-
-    def meets_target(self, x: float) -> bool:
-        """Endpoint condition f(s_M) >= (x - eps)*t."""
-        end = self.indices[-1] * self.plan.mesh
-        return end >= (x - self.plan.epsilon) * self.plan.t
-
-    def within_cutoff(self) -> bool:
-        bound = self.plan.cutoff * self.plan.t
-        return all(abs(j) * self.plan.mesh <= bound for j in self.indices)
-
-
-def discretize_lineage(lineage: Lineage, plan: DiscretizationPlan) -> LatticePath:
-    """Snap a lineage to the nearest lattice points at the grid times.
-
-    Snapped values sit within half a mesh of the true positions. Leaving the
-    E1 box [-C*t, C*t] at any grid time sets the violation flag rather than
-    raising; the snapped path itself is still returned.
-    """
-    grid = plan.times()
-    if lineage.times.shape != grid.shape or not np.allclose(lineage.times, grid):
-        raise ValueError("lineage is not sampled on the plan's time grid")
-    indices = np.rint(lineage.positions / plan.mesh).astype(int)
-    if indices[0] != 0:
-        raise ValueError(f"lineage must start at 0, got {lineage.positions[0]}")
-    exits = bool((np.abs(lineage.positions) > plan.cutoff * plan.t).any())
-    return LatticePath(plan, tuple(int(j) for j in indices), e1_violation=exits)
-
-
-@dataclass(frozen=True)
-class GoodnessReport:
-    """Verdict with the best interior index and its slack."""
-
-    good: bool
-    witness: int | None
-    margin: float
-
-    def __post_init__(self):
-        if self.good != (self.witness is not None and self.margin >= 0.0):
-            raise ValueError("verdict must match witness/margin")
-
-
-def classify_path(
-    path: LatticePath, a: float, epsilon: float | None = None
-) -> GoodnessReport:
-    """Scan interior indices 1 <= i < M for the goodness criterion.
-
-    The margin is the largest slack over i; the witness attains it. A path
-    with no interior index (M = 1) is bad by convention.
-    """
-    plan = path.plan
-    eps = plan.epsilon if epsilon is None else epsilon
-    t = plan.t
-    times = plan.times()
-    values = path.values()
-    end = values[-1]
-    best: tuple[float, int] | None = None
-    for i in range(1, plan.steps):
-        remaining = t - times[i]
-        slack = remaining - (end - values[i]) ** 2 / (2.0 * remaining) - (a - eps) * t
-        if best is None or slack > best[0]:
-            best = (slack, i)
-    if best is None:
-        return GoodnessReport(False, None, -math.inf)
-    return GoodnessReport(best[0] >= 0.0, best[1], best[0])
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from .decompose import (
     HarmonicDecomposition,
     coarse_increments,
     coarse_values,
-    decompose,
+    decompose_box,
     harmonic_at,
     harmonic_measure,
 )
@@ -37,7 +37,7 @@ from .levels import (
     level_set,
     level_threshold,
 )
-from .sample import sample_field, sample_fields, spectral_scale
+from .sample import sample_fields, spectral_scale
 
 __all__ = [
     "Box",
@@ -58,7 +58,7 @@ __all__ = [
     "coarse_values",
     "core_region",
     "counting_check",
-    "decompose",
+    "decompose_box",
     "dirichlet_extend",
     "estimate_daviaud_exponent",
     "expected_level_count",
@@ -69,7 +69,6 @@ __all__ = [
     "level_set",
     "level_threshold",
     "nested_partitions",
-    "sample_field",
     "sample_fields",
     "shift_cover",
     "spectral_scale",

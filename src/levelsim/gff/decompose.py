@@ -19,7 +19,7 @@ from .grid import Box
 
 __all__ = [
     "HarmonicDecomposition",
-    "decompose",
+    "decompose_box",
     "harmonic_measure",
     "harmonic_at",
     "coarse_values",
@@ -42,7 +42,7 @@ class HarmonicDecomposition:
     center_value: float
 
 
-def decompose(field: np.ndarray, box: Box) -> HarmonicDecomposition:
+def decompose_box(field: np.ndarray, box: Box) -> HarmonicDecomposition:
     """Split field over box; the residual is exactly zero on the box frame."""
     harmonic = dirichlet_extend(field, box)
     residual = field[box.slices()] - harmonic

@@ -17,7 +17,7 @@ from numpy.random import Generator
 
 from .green import GreenOperator
 
-__all__ = ["spectral_scale", "sample_field", "sample_fields"]
+__all__ = ["spectral_scale", "sample_fields"]
 
 _lock = threading.Lock()
 _scale_cache: dict[int, np.ndarray] = {}
@@ -70,8 +70,3 @@ def sample_fields(
     else:
         raise ValueError(f"unknown backend {backend!r}; use 'spectral' or 'dense'")
     return out
-
-
-def sample_field(grid_n: int, rng: Generator, backend: str = "spectral") -> np.ndarray:
-    """One field draw as an (N, N) array."""
-    return sample_fields(grid_n, 1, rng, backend)[0]

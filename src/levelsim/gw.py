@@ -33,7 +33,6 @@ __all__ = [
     "PropBound",
     "prop_bound",
     "GwTrajectory",
-    "simulate_gw",
     "ExceedanceEstimate",
     "empirical_exceedance",
     "exact_exceedance",
@@ -216,9 +215,6 @@ class GwPlan:
 
     def means(self) -> tuple[float, ...]:
         return tuple(law.mean for law in self.laws)
-
-    def mean_final(self) -> float:
-        return self.initial * math.prod(self.means())
 
 
 def b_sequence(

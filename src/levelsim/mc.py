@@ -85,9 +85,6 @@ class ReplicaPlan:
                 f"max_concurrency must be positive, got {self.max_concurrency}"
             )
 
-    def seeds(self) -> list[int]:
-        return [derive_seed(self.master_seed, i) for i in range(self.replicas)]
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -188,9 +185,6 @@ class ExponentFit:
     intercept: float
     slope_stderr: float
     residuals: tuple[float, ...] = field(default_factory=tuple)
-
-    def slope_within(self, target: float, rel_tol: float) -> bool:
-        return abs(self.slope - target) <= rel_tol * abs(target)
 
 
 def fit_exponent(x: Sequence[float], y: Sequence[float]) -> ExponentFit:

@@ -428,8 +428,8 @@ def run_bbm_exponents(
     KPP_GRID_TOL.
 
     Passing path_delta switches on a one-run path-discretization diagnostic:
-    lineages are snapped to the coarse time grid and the spatial-box and
-    descendant-count events are tallied against the analytic tail bound.
+    one run is observed on the coarse time grid and the spatial-box (E1) and
+    descendant-count (E2) events are tallied against the analytic tail bound.
     """
     b_t = tol.BIGGINS_T if biggins_t is None else biggins_t
     b_x = tol.BIGGINS_X if biggins_x is None else biggins_x

@@ -37,7 +37,6 @@ __all__ = [
     "bbm_supremum_problem",
     "gff_supremum_problem",
     "grid_certify",
-    "gaussian_tail_bound",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -359,16 +358,3 @@ def grid_certify(problem: SupremumProblem, cfg: GridOracleConfig | None = None) 
         maximizer=problem.expand(*best_point),
         constraint_residual=problem.residual(*best_point),
     )
-
-
-def gaussian_tail_bound(x: float, y: float, var: float) -> float:
-    """Upper bound exp(-x^2/(2 var) + |x| y / var) for P(|Z - x| <= y).
-
-    Z centered Gaussian with variance var, y >= 0. The bound exceeds 1 (and is
-    trivially valid) whenever y >= |x|/2.
-    """
-    if var <= 0:
-        raise ValueError(f"variance must be positive, got {var}")
-    if y < 0:
-        raise ValueError(f"window half-width y must be >= 0, got {y}")
-    return math.exp(-x * x / (2.0 * var) + abs(x) * y / var)

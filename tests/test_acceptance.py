@@ -23,6 +23,8 @@ import pytest
 from levelsim import pipelines, tolerances as tol
 from levelsim.reports import render_report
 
+pytestmark = pytest.mark.acceptance
+
 RATES_SEED = 7
 GW_SEED = 11
 GFF_COV_SEED = 21

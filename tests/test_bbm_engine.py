@@ -12,11 +12,9 @@ from levelsim.bbm import (
     NoDataError,
     PopulationCapError,
     check_nbbm_dominance,
-    count_level,
     estimate_level_exponent,
     estimate_max_tail,
     expected_count_oracle,
-    extract_lineage,
     sample_positions,
     simulate_bbm,
     simulate_nbbm,
@@ -82,12 +80,13 @@ class TestLineage:
         pops = simulate_bbm(cfg, mc.replica_rng(6, 0))
         final = pops[-1]
         node = int(final.node_ids[int(np.argmax(final.positions))])
-        line = extract_lineage(pops, node)
-        assert np.array_equal(line.times, np.array(cfg.snapshot_times))
-        assert line.positions[-1] == final.max_position
-        # ancestors at successive snapshots are linked by parent pointers
         tree = final.tree
-        chain = [tree.ancestor_at(node, t) for t in cfg.snapshot_times]
+        chain = [tree.ancestor_at(node, pop.time) for pop in pops]
+        # each ancestor is alive in its own snapshot; the line ends at the node
+        positions = [pop.position_of(a) for pop, a in zip(pops, chain)]
+        assert chain[-1] == node
+        assert positions[-1] == final.positions.max()
+        # ancestors at successive snapshots are linked by parent pointers
         for early, late in zip(chain, chain[1:]):
             walk = late
             while walk != early and walk != -1:
@@ -98,10 +97,6 @@ class TestLineage:
         pops = simulate_bbm(BbmRunConfig(0.5), mc.replica_rng(6, 0))
         with pytest.raises(ValueError):
             pops[-1].tree.ancestor_at(10**9, 0.1)
-
-    def test_empty_population_list_rejected(self):
-        with pytest.raises(ValueError):
-            extract_lineage([], 0)
 
 
 class TestVectorizedSweep:
@@ -189,23 +184,6 @@ class TestCappedSystem:
 
 
 class TestLevelCounting:
-    def test_count_matches_brute_force(self):
-        pops = simulate_bbm(BbmRunConfig(4.0), mc.replica_rng(9, 0))
-        pop = pops[-1]
-        for x in (-10.0, 0.0, 0.3, 0.8, 10.0):
-            got = count_level(pop, x)
-            brute = sum(1 for p in pop.positions if p >= x * pop.time)
-            assert got.count == brute
-        assert count_level(pop, -10.0).count == pop.count
-        assert count_level(pop, 10.0).count == 0
-
-    def test_rejects_time_zero_population(self):
-        pops = simulate_bbm(
-            BbmRunConfig(1.0, snapshot_times=(0.0, 1.0)), mc.replica_rng(9, 0)
-        )
-        with pytest.raises(ValueError):
-            count_level(pops[0], 0.5)
-
     def test_oracle_values(self):
         assert expected_count_oracle(2.0, 0.0) == pytest.approx(math.exp(2.0) / 2.0)
         assert expected_count_oracle(1.0, 0.4) == pytest.approx(
@@ -232,7 +210,6 @@ class TestLevelExponent:
         assert result.counts.replicas == 300
         assert result.dropped == result.counts.zero_count
         assert result.exponent.replicas == 300 - result.dropped
-        assert result.low_confidence == (result.dropped * 4 >= 300)
 
     def test_validation(self):
         with pytest.raises(ValueError):

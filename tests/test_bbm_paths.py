@@ -1,4 +1,4 @@
-"""Lattice coarse-graining of ancestral paths and the companion events."""
+"""The coarse lattice of the path argument and its E1/E2 events."""
 
 import math
 
@@ -10,20 +10,11 @@ from levelsim.bbm import (
     BbmRunConfig,
     BbmPopulation,
     DiscretizationPlan,
-    LatticePath,
-    Lineage,
     check_events,
-    classify_path,
     default_cutoff,
-    discretize_lineage,
     e2_failure_bound,
-    extract_lineage,
     simulate_bbm,
 )
-
-# t = 16 with delta = 3/4 puts the single interior grid time at t/2, and
-# delta_prime below makes the mesh exactly 1.2 so test paths land on integers
-HALFWAY = dict(t=16.0, delta=0.75, delta_prime=math.log(1.2) / math.log(16.0))
 
 
 class TestDiscretizationPlan:
@@ -50,8 +41,6 @@ class TestDiscretizationPlan:
         with pytest.raises(ValueError):
             DiscretizationPlan(t=4.0, delta=0.75, delta_prime=0.5)
         with pytest.raises(ValueError):
-            DiscretizationPlan(t=4.0, epsilon=0.0)
-        with pytest.raises(ValueError):
             DiscretizationPlan(t=4.0, cutoff=0.0)
 
     def test_default_cutoff(self):
@@ -59,132 +48,6 @@ class TestDiscretizationPlan:
         assert default_cutoff(1.0) == pytest.approx(2.0 * math.sqrt(2.0) + 1.0)
         plan = DiscretizationPlan(t=4.0)
         assert plan.cutoff == pytest.approx(default_cutoff(math.sqrt(2.0)))
-
-
-class TestLatticePath:
-    def test_values_are_mesh_multiples(self):
-        plan = DiscretizationPlan(**HALFWAY)
-        path = LatticePath(plan, (0, 8, 12))
-        assert np.allclose(path.values(), [0.0, 9.6, 14.4])
-
-    def test_target_and_cutoff_predicates(self):
-        plan = DiscretizationPlan(**HALFWAY, epsilon=0.1)
-        path = LatticePath(plan, (0, 8, 12))
-        # endpoint 14.4 against (x - 0.1) * 16
-        assert path.meets_target(0.9)
-        assert not path.meets_target(1.1)
-        assert path.within_cutoff()
-        far = LatticePath(plan, (0, 8, 60))
-        assert not far.within_cutoff()
-
-    def test_validation(self):
-        plan = DiscretizationPlan(**HALFWAY)
-        with pytest.raises(ValueError):
-            LatticePath(plan, (0, 1))
-        with pytest.raises(ValueError):
-            LatticePath(plan, (1, 2, 3))
-
-
-class TestDiscretizeLineage:
-    def test_flat_lineage_snaps_to_zero(self):
-        plan = DiscretizationPlan(**HALFWAY)
-        grid = plan.times()
-        path = discretize_lineage(Lineage(grid, np.zeros_like(grid)), plan)
-        assert path.indices == (0, 0, 0)
-        assert not path.e1_violation
-
-    def test_straight_line_rounds_to_nearest(self):
-        plan = DiscretizationPlan(t=16.0, delta=0.75)  # mesh 2.0
-        grid = plan.times()
-        path = discretize_lineage(Lineage(grid, 0.9 * grid), plan)
-        assert path.indices == (0, 4, 7)  # 7.2 -> 8.0, 14.4 -> 14.0
-
-    def test_snap_error_stays_within_half_mesh(self):
-        plan = DiscretizationPlan(**HALFWAY)
-        grid = plan.times()
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            positions = np.concatenate(([0.0], rng.uniform(-30.0, 30.0, grid.size - 1)))
-            path = discretize_lineage(Lineage(grid, positions), plan)
-            assert np.max(np.abs(path.values() - positions)) <= plan.mesh / 2 + 1e-12
-
-    def test_flags_box_exit_without_raising(self):
-        plan = DiscretizationPlan(**HALFWAY)
-        grid = plan.times()
-        outside = 2.0 * plan.cutoff * plan.t
-        path = discretize_lineage(
-            Lineage(grid, np.array([0.0, outside, 0.0])), plan
-        )
-        assert path.e1_violation
-
-    def test_rejects_wrong_grid_or_start(self):
-        plan = DiscretizationPlan(**HALFWAY)
-        grid = plan.times()
-        with pytest.raises(ValueError, match="time grid"):
-            discretize_lineage(Lineage(grid + 0.5, np.zeros_like(grid)), plan)
-        with pytest.raises(ValueError, match="start at 0"):
-            discretize_lineage(Lineage(grid, np.array([5.0, 0.0, 0.0])), plan)
-
-
-class TestClassifyPath:
-    def test_interior_index_fails_by_direct_arithmetic(self):
-        # halfway point at 9.6, endpoint 14.4, threshold (a - eps) * t = 8:
-        # slack = 8 - (4.8)^2 / 16 - 8 = -1.44, i.e. 0.41 < 0.5 per unit t
-        plan = DiscretizationPlan(**HALFWAY, epsilon=0.1)
-        path = LatticePath(plan, (0, 8, 12))
-        report = classify_path(path, a=0.6)
-        assert not report.good
-        assert report.witness == 1
-        assert report.margin == pytest.approx(-1.44, abs=1e-9)
-
-    def test_lower_requirement_turns_good(self):
-        plan = DiscretizationPlan(**HALFWAY, epsilon=0.1)
-        path = LatticePath(plan, (0, 8, 12))
-        report = classify_path(path, a=0.4)
-        assert report.good
-        assert report.witness == 1
-        assert report.margin == pytest.approx(1.76, abs=1e-9)
-
-    def test_flat_tail_has_zero_penalty(self):
-        plan = DiscretizationPlan(**HALFWAY, epsilon=0.1)
-        path = LatticePath(plan, (0, 12, 12))
-        report = classify_path(path, a=0.6)
-        assert report.good
-        assert report.margin == pytest.approx(0.0, abs=1e-9)
-
-    def test_epsilon_override(self):
-        plan = DiscretizationPlan(**HALFWAY, epsilon=0.1)
-        path = LatticePath(plan, (0, 8, 12))
-        assert not classify_path(path, a=0.6).good
-        assert classify_path(path, a=0.6, epsilon=0.3).good
-
-    def test_no_interior_index_is_bad(self):
-        plan = DiscretizationPlan(t=1.0, delta=0.9)  # single step
-        assert plan.steps == 1
-        report = classify_path(LatticePath(plan, (0, 3)), a=0.5)
-        assert not report.good
-        assert report.witness is None
-        assert report.margin == -math.inf
-
-    def test_agrees_with_brute_force(self):
-        plan = DiscretizationPlan(t=256.0, delta=0.75)
-        times = plan.times()
-        rng = np.random.default_rng(12)
-        for _ in range(40):
-            indices = (0, *(int(k) for k in rng.integers(-40, 40, plan.steps)))
-            path = LatticePath(plan, indices)
-            a = float(rng.uniform(0.1, 0.9))
-            report = classify_path(path, a)
-            values = path.values()
-            slacks = [
-                (256.0 - times[i])
-                - (values[-1] - values[i]) ** 2 / (2.0 * (256.0 - times[i]))
-                - (a - plan.epsilon) * 256.0
-                for i in range(1, plan.steps)
-            ]
-            assert report.margin == pytest.approx(max(slacks), rel=1e-12)
-            assert report.good == (max(slacks) >= 0.0)
-            assert slacks[report.witness - 1] == pytest.approx(max(slacks))
 
 
 class TestEvents:
@@ -240,17 +103,3 @@ class TestEvents:
             for i in range(len(grid) - 1)
         )
         assert e2_failure_bound(plan) == pytest.approx(min(1.0, expected), rel=1e-12)
-
-
-class TestLineageIntegration:
-    def test_real_lineage_classifies_deterministically(self):
-        plan = DiscretizationPlan(t=4.0, delta=0.75)
-        cfg = BbmRunConfig(4.0, snapshot_times=tuple(plan.times()))
-        pops = simulate_bbm(cfg, mc.replica_rng(33, 0))
-        final = pops[-1]
-        node = int(final.node_ids[int(np.argmax(final.positions))])
-        path = discretize_lineage(extract_lineage(pops, node), plan)
-        first = classify_path(path, a=0.3)
-        second = classify_path(path, a=0.3)
-        assert first == second
-        assert not path.e1_violation

@@ -11,7 +11,7 @@ from levelsim.gff import (
     GreenOperator,
     coarse_increments,
     coarse_values,
-    decompose,
+    decompose_box,
     sample_fields,
 )
 
@@ -35,12 +35,12 @@ class TestDecompose:
     def test_split_reconstructs_field(self):
         field = sample_fields(32, 1, mc.replica_rng(60, 0))[0]
         box = Box(8, 10, 14, 12)
-        parts = decompose(field, box)
+        parts = decompose_box(field, box)
         assert np.allclose(parts.harmonic + parts.residual, field[box.slices()])
 
     def test_residual_vanishes_on_frame(self):
         field = sample_fields(32, 1, mc.replica_rng(61, 0))[0]
-        parts = decompose(field, Box(6, 6, 18, 18))
+        parts = decompose_box(field, Box(6, 6, 18, 18))
         res = parts.residual
         assert np.allclose(res[0, :], 0.0, atol=1e-10)
         assert np.allclose(res[-1, :], 0.0, atol=1e-10)
@@ -50,7 +50,7 @@ class TestDecompose:
     def test_center_value_reads_harmonic_part(self):
         field = sample_fields(32, 1, mc.replica_rng(62, 0))[0]
         box = Box(8, 8, 15, 15)
-        parts = decompose(field, box)
+        parts = decompose_box(field, box)
         assert parts.center_site == box.center()
         r, c = box.center()
         assert parts.center_value == pytest.approx(
@@ -64,7 +64,7 @@ class TestDecompose:
         box = centered_box(grid_n, side)
         fields = draw(grid_n, 1000, seed=63)
         residuals = np.stack(
-            [decompose(field, box).residual for field in fields]
+            [decompose_box(field, box).residual for field in fields]
         )
         g = GreenOperator(side)
         pairs = [((8, 8), (8, 8)), ((8, 8), (8, 9)), ((5, 5), (10, 10)), ((3, 12), (12, 3))]

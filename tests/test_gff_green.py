@@ -1,16 +1,13 @@
 """Killed-walk Green's function: LU route against the spectral route."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import levelsim.gff.decompose
 from levelsim.gff import Box, GreenOperator, dirichlet_extend, harmonic_at, harmonic_measure
 from levelsim.gff.green import interior_laplacian
-
-# the package re-exports the function decompose under the module's name
-DECOMPOSE = importlib.import_module("levelsim.gff.decompose")
 
 # rectangular boxes, including 3 x k and k x 3 boxes with a single interior line
 MEASURE_BOXES = (Box(1, 2, 9, 6), Box(0, 3, 5, 12), Box(2, 1, 3, 7), Box(4, 0, 8, 3))
@@ -198,7 +195,7 @@ class TestHarmonicAt:
         rows, cols, weights = harmonic_measure(box, site)
         hit = harmonic_measure(moved, moved_site)
         assert hit[2] is weights
-        monkeypatch.setattr(DECOMPOSE, "_row_cache", {})
+        monkeypatch.setattr(levelsim.gff.decompose, "_row_cache", {})
         fresh = harmonic_measure(moved, moved_site)
         assert fresh[2] is not weights
         for got in (hit, fresh):

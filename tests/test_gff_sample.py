@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from levelsim import mc
-from levelsim.gff import GreenOperator, sample_field, sample_fields
+from levelsim.gff import GreenOperator, sample_fields
 
 
 def draw_batches(grid_n, total, seed, backend="spectral", batch=1000):
@@ -21,7 +21,7 @@ def draw_batches(grid_n, total, seed, backend="spectral", batch=1000):
 class TestShapes:
     def test_single_field_shape_and_zero_frame(self):
         for backend in ("spectral", "dense"):
-            field = sample_field(16, mc.replica_rng(1, 0), backend=backend)
+            field = sample_fields(16, 1, mc.replica_rng(1, 0), backend=backend)[0]
             assert field.shape == (16, 16)
             assert np.all(field[0, :] == 0.0)
             assert np.all(field[-1, :] == 0.0)

@@ -49,10 +49,6 @@ class TestReplicaPlan:
         with pytest.raises(ValueError):
             mc.ReplicaPlan(5, 1, max_concurrency=0)
 
-    def test_seeds_enumerates_replicas(self):
-        plan = mc.ReplicaPlan(4, 99)
-        assert plan.seeds() == [mc.derive_seed(99, i) for i in range(4)]
-
 
 class TestParallelMap:
     def test_preserves_replica_order(self):
@@ -163,7 +159,7 @@ class TestFitExponent:
         y = -2.0 * x + 0.7 + rng.normal(scale=0.05, size=x.size)
         fit = mc.fit_exponent(x, y)
         assert abs(fit.slope + 2.0) < 4.0 * fit.slope_stderr
-        assert fit.slope_within(-2.0, 0.05)
+        assert abs(fit.slope + 2.0) <= 0.05 * 2.0
 
     def test_two_points_have_nan_stderr(self):
         fit = mc.fit_exponent([0.0, 1.0], [1.0, 2.0])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
 
 from levelsim import rates
 
@@ -178,29 +177,3 @@ class TestGridCertify:
             rates.GridOracleConfig(refinement_levels=0)
         with pytest.raises(ValueError):
             rates.GridOracleConfig(padding=-0.1)
-
-
-class TestGaussianTailBound:
-    def test_zero_center_wide_window(self):
-        assert rates.gaussian_tail_bound(0.0, 5.0, 1.0) == pytest.approx(1.0)
-
-    def test_point_interval_pure_tail(self):
-        assert rates.gaussian_tail_bound(3.0, 0.0, 1.0) == pytest.approx(
-            math.exp(-4.5)
-        )
-
-    def test_dominates_exact_window_probability(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            x = rng.uniform(-4.0, 4.0)
-            y = rng.uniform(0.0, 3.0)
-            var = rng.uniform(0.1, 4.0)
-            sigma = math.sqrt(var)
-            exact = norm.cdf((x + y) / sigma) - norm.cdf((x - y) / sigma)
-            assert rates.gaussian_tail_bound(x, y, var) >= exact - 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rates.gaussian_tail_bound(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            rates.gaussian_tail_bound(1.0, -1.0, 1.0)
