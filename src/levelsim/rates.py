@@ -41,6 +41,9 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
+# Rounding allowance on the lower edge of the admissible region of rate_i.
+_BOUNDARY_SLACK = 1e-14
+
 
 def psi(x: float) -> float:
     """Large-deviation rate of P(max displacement >= xt) for x > sqrt(2).
@@ -59,8 +62,10 @@ def _check_i_domain(a: float, x: float) -> None:
         raise ValueError(f"speed x must be positive, got {x}")
     lower = max(0.0, 1.0 - 0.5 * x * x)
     # Exact lower-boundary queries are accepted (continuous extension);
-    # a = 1 is not (the rate diverges).
-    if a < lower or a >= 1.0:
+    # a = 1 is not (the rate diverges). The slack admits a boundary computed
+    # another way, e.g. rate_j's 1 - eta^2 against 1 - (sqrt(2) eta)^2 / 2,
+    # which can land a few ulps below this one.
+    if a < lower - _BOUNDARY_SLACK or a >= 1.0:
         raise ValueError(
             f"growth exponent a={a} outside admissible [{lower}, 1) for x={x}"
         )
