@@ -1,18 +1,18 @@
-"""Event-driven branching diffusion with exact randomness.
+"""Branching Brownian motion with exact randomness.
 
-Particles carry rate-1 exponential branch clocks and move as standard
-Brownian motions; increments are drawn exactly between events, so the sampler
-itself has no time-discretization bias. Two engines share the same law: the
-chronological engine keeps the full genealogy and supports capped-population
-culling, while sample_positions is a vectorized sweep that returns only the
-time-t positions and is the workhorse for replica-heavy estimators (it
-consumes randomness in a different order, so the two engines match in
-distribution, not draw for draw).
+Particles branch into two at rate 1 and move as standard Brownian motions;
+each Gaussian step is drawn exactly over the time it spans, so neither engine
+has a discretization bias. The chronological engine keeps the genealogy and
+is uniformized: with n live particles the next branch comes Exp(1)/n later,
+at a uniformly picked particle. Positions are settled lazily: a particle's
+when it branches, the capped members' before the leftmost is culled, and all
+at each snapshot. sample_positions is a vectorized sweep that returns only
+the time-t positions, for replica-heavy estimators; it consumes randomness in
+a different order, so the engines match in distribution, not draw for draw.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -145,36 +145,6 @@ class NbbmTrajectory:
         return all(s.dominated for s in self.snapshots)
 
 
-class _DrawBuffer:
-    """Block-buffered scalar draws; refills keep the stream order fixed."""
-
-    __slots__ = ("_rng", "_size", "_norm", "_ni", "_exp", "_ei")
-
-    def __init__(self, rng: Generator, size: int = 4096):
-        self._rng = rng
-        self._size = size
-        self._norm = rng.standard_normal(size)
-        self._ni = 0
-        self._exp = rng.standard_exponential(size)
-        self._ei = 0
-
-    def normal(self) -> float:
-        if self._ni == self._size:
-            self._norm = self._rng.standard_normal(self._size)
-            self._ni = 0
-        v = self._norm[self._ni]
-        self._ni += 1
-        return v
-
-    def exponential(self) -> float:
-        if self._ei == self._size:
-            self._exp = self._rng.standard_exponential(self._size)
-            self._ei = 0
-        v = self._exp[self._ei]
-        self._ei += 1
-        return v
-
-
 def _resolve_rng(cfg: BbmRunConfig, rng: Generator | None) -> Generator:
     if rng is not None:
         return rng
@@ -186,80 +156,80 @@ def _resolve_rng(cfg: BbmRunConfig, rng: Generator | None) -> Generator:
 
 
 def _run(
-    cfg: BbmRunConfig, rng: Generator, cap_n: float | None
+    cfg: BbmRunConfig, rng: Generator, cap_n: float
 ) -> tuple[list[BbmPopulation], list[NbbmSnapshot]]:
-    draws = _DrawBuffer(rng)
     tree = BbmTree()
-    pos: dict[int, float] = {0: 0.0}
-    last: dict[int, float] = {0: 0.0}
-    capped = cap_n is not None and not math.isinf(cap_n)
-    members: set[int] = {0}
-    heap: list[tuple[float, int, int]] = [(float(draws.exponential()), 0, 0)]
-    seq = 1
+    # slot i holds a live particle: node id, position as settled at time
+    # last[i], and whether it belongs to the capped system
+    pos, last = np.zeros(64), np.zeros(64)
+    node, member = np.zeros(64, dtype=np.int64), np.ones(64, dtype=bool)
+    n = members = 1
+    now = 0.0
 
-    def advance(node: int, to_time: float) -> float:
-        dt = to_time - last[node]
-        if dt > 0.0:
-            pos[node] += float(draws.normal()) * math.sqrt(dt)
-            last[node] = to_time
-        return pos[node]
+    def settle(idx, to_time: float) -> None:
+        dt = to_time - last[idx]
+        pos[idx] += rng.standard_normal(dt.size) * np.sqrt(dt)
+        last[idx] = to_time
 
     populations: list[BbmPopulation] = []
     culled_snaps: list[NbbmSnapshot] = []
     for s_time in cfg.snapshot_times:
-        while heap and heap[0][0] <= s_time:
-            branch_time, _, node = heapq.heappop(heap)
-            if len(pos) + 1 > cfg.particle_cap:
-                raise PopulationCapError(branch_time, len(pos), cfg.particle_cap)
-            here = advance(node, branch_time)
-            del pos[node], last[node]
-            was_member = node in members
-            members.discard(node)
-            for _ in range(2):
-                child = len(tree)
-                tree.parent.append(node)
-                tree.birth_time.append(branch_time)
-                pos[child] = here
-                last[child] = branch_time
-                heapq.heappush(heap, (branch_time + float(draws.exponential()), seq, child))
-                seq += 1
-                if was_member:
-                    members.add(child)
-            if capped and len(members) > cap_n:
-                # The capped system sheds its leftmost particle the moment the
-                # branch pushes it over; positions of members are settled at
-                # the branch instant before comparing.
-                for m in sorted(members):
-                    advance(m, branch_time)
-                members.remove(min(members, key=lambda m: (pos[m], m)))
-
-        ids = sorted(pos)
-        values = np.array([advance(n, s_time) for n in ids])
-        id_arr = np.array(ids, dtype=np.int64)
-        populations.append(BbmPopulation(s_time, id_arr, values, tree))
-        member_values = np.array([pos[m] for m in sorted(members)])
+        while True:
+            now += rng.standard_exponential() / n
+            if now > s_time:
+                break
+            if n + 1 > cfg.particle_cap:
+                raise PopulationCapError(now, n, cfg.particle_cap)
+            i = int(rng.random() * n)
+            pos[i] += rng.standard_normal() * math.sqrt(now - last[i])
+            last[i] = now
+            if n == pos.size:
+                pos, last, node, member = (
+                    np.concatenate([a, np.zeros_like(a)]) for a in (pos, last, node, member)
+                )
+            # a binary tree with n leaves has 2n - 1 nodes: the children of
+            # this branch are nodes 2n - 1 and 2n
+            parent = int(node[i])
+            node[i], node[n] = 2 * n - 1, 2 * n
+            tree.parent += [parent, parent]
+            tree.birth_time += [now, now]
+            pos[n], last[n], member[n] = pos[i], now, member[i]
+            n += 1
+            members += int(member[i])
+            if members > cap_n:
+                idx = member[:n].nonzero()[0]
+                settle(idx, now)
+                member[idx[pos[idx].argmin()]] = False
+                members -= 1
+        # the clock is memoryless, so the draw that overshot s_time is dropped
+        now = s_time
+        settle(slice(0, n), s_time)
+        order = np.argsort(node[:n])
+        values = pos[order]
+        populations.append(BbmPopulation(s_time, node[order], values, tree))
         culled_snaps.append(
-            NbbmSnapshot(s_time, member_values, float(values.max()), len(ids))
+            NbbmSnapshot(s_time, values[member[order]], float(values.max()), n)
         )
     return populations, culled_snaps
 
 
 def simulate_bbm(cfg: BbmRunConfig, rng: Generator | None = None) -> list[BbmPopulation]:
     """Exact simulation; one population per snapshot time."""
-    populations, _ = _run(cfg, _resolve_rng(cfg, rng), None)
+    populations, _ = _run(cfg, _resolve_rng(cfg, rng), math.inf)
     return populations
 
 
 def simulate_nbbm(
     cfg: BbmRunConfig, cap_n: float, rng: Generator | None = None
 ) -> NbbmTrajectory:
-    """Capped system coupled to its free run.
+    """Capped system coupled to its free run (the N-BBM).
 
-    The capped population is maintained as a subset of the free one: both
-    children of a member stay members, and an overflow immediately removes
-    the leftmost member. cap_n = inf keeps every particle and consumes draws
-    identically to simulate_bbm. Each snapshot carries the free-run maximum,
-    so dominance of the free maximum is checkable exactly per run.
+    The capped population is a subset of the free one: both children of a
+    member stay members, and when a branch pushes the member count over
+    cap_n, the members are settled to the branch time and the leftmost is
+    dropped. cap_n = inf keeps every particle and consumes draws identically
+    to simulate_bbm. Each snapshot carries the free-run maximum, so dominance
+    of the free maximum is checkable exactly per run.
     """
     if not (math.isinf(cap_n) or cap_n >= 1):
         raise ValueError(f"cap_n must be >= 1 or inf, got {cap_n}")
@@ -273,8 +243,8 @@ def sample_positions(
     """Positions of every particle at time t, by generation-wave sweeps.
 
     Same branching law as the chronological engine. Each sweep settles the
-    whole pending cohort at once: particles whose branch clock outlives t are
-    finished with one Gaussian step, the rest branch in place into two.
+    whole pending cohort at once: particles whose Exp(1) lifetime outlives t
+    are finished with one Gaussian step, the rest branch in place into two.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")

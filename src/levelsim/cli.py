@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -184,7 +185,10 @@ def _validate(sub: str, p: dict[str, int | float | str | None]) -> None:
 
     t = p.get("t")
     if t is not None:
-        _require(t > 0.0, f"t must be positive, got {t}", "t")
+        _require(0.0 < t < math.inf, f"t must be finite and positive, got {t}", "t")
+    x = p.get("x")
+    if x is not None and sub == "bbm-exponents":
+        _require(0.0 < x < math.sqrt(2), f"x must lie in (0, sqrt(2)), got {x}", "x")
     eta = p.get("eta")
     if eta is not None and sub == "daviaud":
         _require(0.0 < eta < 1.0, f"eta must lie in (0, 1), got {eta}", "eta")

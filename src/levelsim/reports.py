@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,11 +29,14 @@ __all__ = [
 
 
 def _plain(value):
-    """Coerce numpy scalars and containers to JSON-native types."""
+    """Coerce numpy scalars and containers to JSON-native types.
+
+    NaN and infinities have no JSON token (RFC 8259), so they become None.
+    """
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return float(value)
+        return float(value) if math.isfinite(value) else None
     if hasattr(value, "item"):
         return _plain(value.item())
     if isinstance(value, dict):
@@ -185,7 +189,7 @@ def _check_row(check: Check) -> list[str]:
 
 def render_report(report: Report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report.as_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

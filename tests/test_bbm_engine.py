@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from levelsim import mc
+from levelsim.bbm import engine
 from levelsim.bbm import (
     BbmRunConfig,
     NoDataError,
@@ -72,6 +73,34 @@ class TestChronologicalEngine:
             simulate_bbm(BbmRunConfig(0.5))
         pops = simulate_bbm(BbmRunConfig(0.5, seed=11))
         assert pops[-1].count >= 1
+
+    def test_population_size_is_geometric(self):
+        # binary splitting at rate 1 makes the count at t=1 geometric(e^-1)
+        counts = np.array(
+            [
+                simulate_bbm(BbmRunConfig(1.0), mc.replica_rng(61, i))[-1].count
+                for i in range(2000)
+            ]
+        )
+        p = math.exp(-1.0)
+        edges = list(range(1, 11))
+        observed = [int((counts == k).sum()) for k in edges]
+        observed.append(int((counts > edges[-1]).sum()))
+        expected = [2000 * p * (1 - p) ** (k - 1) for k in edges]
+        expected.append(2000 * (1 - p) ** edges[-1])
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+
+    def test_tagged_node_is_standard_brownian(self):
+        # a uniformly picked node at t=2, read back by id, is exactly N(0, 2)
+        t = 2.0
+        values = []
+        for i in range(2000):
+            rng = mc.replica_rng(67, i)
+            final = simulate_bbm(BbmRunConfig(t), rng)[-1]
+            node = int(final.node_ids[int(rng.integers(final.count))])
+            values.append(final.position_of(node))
+        ks = stats.kstest(values, stats.norm(scale=math.sqrt(t)).cdf)
+        assert ks.pvalue > 0.001
 
 
 class TestLineage:
@@ -164,6 +193,29 @@ class TestCappedSystem:
         traj = simulate_nbbm(cfg, 1, mc.replica_rng(2, 0))
         assert all(s.count == 1 for s in traj.snapshots)
         assert traj.dominated
+
+    def test_cap_one_survivor_is_standard_brownian(self):
+        # both children start where the parent branched, so culling one of
+        # them leaves the survivor on a single Brownian path: N(0, s) at s
+        times = (0.5, 1.0, 2.0, 3.0)
+        cfg = BbmRunConfig(3.0, snapshot_times=times)
+        runs = [simulate_nbbm(cfg, 1, mc.replica_rng(71, i)) for i in range(1000)]
+        for k, s in enumerate(times):
+            values = [run.snapshots[k].positions[0] for run in runs]
+            ks = stats.kstest(values, stats.norm(scale=math.sqrt(s)).cdf)
+            assert ks.pvalue > 0.001, (s, ks.pvalue)
+
+    def test_capped_positions_are_free_positions(self):
+        # the coupling keeps the capped system inside the free one, float for
+        # float; only _run returns the coupled free populations alongside
+        cfg = BbmRunConfig(4.0, snapshot_times=(1.0, 2.0, 3.0, 4.0))
+        for cap in (1, 3, 10):
+            for seed in range(10):
+                free, capped = engine._run(cfg, mc.replica_rng(seed, cap), cap)
+                for pop, snap in zip(free, capped):
+                    assert snap.count == min(cap, pop.count)
+                    assert set(snap.positions.tolist()) <= set(pop.positions.tolist())
+                    assert snap.bbm_count == pop.count
 
     def test_cap_is_never_exceeded(self):
         cfg = BbmRunConfig(5.0, snapshot_times=(2.5, 5.0))

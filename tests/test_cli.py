@@ -1,11 +1,14 @@
 """Command-line behavior: flags, config files, exit codes, determinism."""
 
+import importlib.resources
 import json
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
+from levelsim import pipelines
 from levelsim.cli import main
 
 
@@ -80,6 +83,20 @@ class TestValidation:
         code, _, err = run_cli(["nbbm", "--seed", "1", "--t", "-2"], capsys)
         assert code == 2
         assert last_stderr_json(err)["field"] == "t"
+
+    def test_bbm_exponents_rejects_x_and_t_before_sampling(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("bad input reached the pipeline")
+
+        monkeypatch.setattr(pipelines, "run_bbm_exponents", never)
+        for flag, value, field in (
+            ("--x", "2", "x"),
+            ("--x", "0", "x"),
+            ("--t", "inf", "t"),
+        ):
+            code, _, err = run_cli(["bbm-exponents", "--seed", "1", flag, value], capsys)
+            assert code == 2
+            assert last_stderr_json(err)["field"] == field
 
 
 class TestPointMode:
@@ -241,6 +258,36 @@ class TestFailingChecks:
         doc = json.loads(out)
         assert doc["passed"] is False
         assert last_stderr_json(err)["passed"] is False
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # one replica per size leaves every exponent stderr undefined (NaN)
+            ["daviaud", "--seed", "1", "--replicas", "1"],
+            # zero hits at a single size make the measured exponent infinite
+            [
+                "coarse-tail", "--seed", "3", "--zeta", "0.5", "--b", "0.6",
+                "--grid-n", "64", "--replicas", "200",
+            ],
+        ],
+    )
+    def test_non_finite_values_render_as_null(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token} in report")
+
+        doc = json.loads(out, parse_constant=reject)
+        schema = json.loads(
+            importlib.resources.files("levelsim").joinpath("report_schema.json").read_text()
+        )
+        jsonschema.validate(doc, schema)
+        nulls = [e for e in doc["estimates"] if e.get("stderr", 0) is None]
+        nulls += [c for c in doc["checks"] if c["kind"] != "flag" and c["value"] is None]
+        assert nulls
 
 
 class TestDeterminism:
