@@ -81,9 +81,6 @@ class BbmTree:
         self.parent: list[int] = [-1]
         self.birth_time: list[float] = [0.0]
 
-    def __len__(self) -> int:
-        return len(self.parent)
-
     def ancestor_at(self, node: int, time: float) -> int:
         """The unique ancestor of node alive at the given time."""
         if not 0 <= node < len(self.parent):

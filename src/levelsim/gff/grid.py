@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .. import tolerances as tol
+
 __all__ = [
     "Box",
     "core_region",
@@ -152,7 +154,7 @@ class Schedule:
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.rho is not None:
-            hi = 1.5 - (self.delta if self.delta is not None else 0.9)
+            hi = 1.5 - (tol.SCHEDULE_DELTA if self.delta is None else self.delta)
             if not 0.5 < self.rho < hi:
                 raise ValueError(f"rho must lie in (1/2, {hi}), got {self.rho}")
 
@@ -162,7 +164,10 @@ class Schedule:
 
 
 def uniform_schedule(
-    grid_n: int, levels: int | None = None, delta: float = 0.9, rho: float = 0.55
+    grid_n: int,
+    levels: int | None = None,
+    delta: float = tol.SCHEDULE_DELTA,
+    rho: float = 0.55,
 ) -> Schedule:
     """Evenly spaced schedule with L = ceil((log N)^(1-delta)) levels by default.
 

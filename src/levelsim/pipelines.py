@@ -434,6 +434,10 @@ def run_bbm_exponents(
     b_t = tol.BIGGINS_T if biggins_t is None else biggins_t
     b_x = tol.BIGGINS_X if biggins_x is None else biggins_x
     b_reps = tol.BIGGINS_REPLICAS if biggins_replicas is None else biggins_replicas
+    # Built before any sampling, so a bad diagnostic input fails at once.
+    dplan = None
+    if path_delta is not None:
+        dplan = DiscretizationPlan(b_t, path_delta, path_delta_prime)
 
     estimates = []
     checks = []
@@ -639,11 +643,7 @@ def run_bbm_exponents(
         )
     )
 
-    if path_delta is not None:
-        plan_kwargs = {"t": b_t, "delta": path_delta}
-        if path_delta_prime is not None:
-            plan_kwargs["delta_prime"] = path_delta_prime
-        dplan = DiscretizationPlan(**plan_kwargs)
+    if dplan is not None:
         cfg = BbmRunConfig(b_t, snapshot_times=tuple(dplan.times()))
         pops = simulate_bbm(cfg, mc.replica_rng(mc.derive_seed(seed, 8), 0))
         events = check_events(pops, dplan)
@@ -978,7 +978,9 @@ def _margin_exhaustive(parts: NestedPartitions) -> bool:
     return True
 
 
-def run_cover_check(grid_n: int | None = None, delta: float = 0.9) -> Report:
+def run_cover_check(
+    grid_n: int | None = None, delta: float = tol.SCHEDULE_DELTA
+) -> Report:
     cases = (
         tol.COVER_CASES if grid_n is None else ((grid_n, 1), (grid_n, 2))
     )
@@ -1057,7 +1059,7 @@ def run_decompose_var(
     seed: int,
     grid_n: int = tol.DECOMP_N,
     samples: int = tol.DECOMP_SAMPLES,
-    delta: float = 0.9,
+    delta: float = tol.SCHEDULE_DELTA,
     max_concurrency: int = 1,
 ) -> Report:
     """Increment variances, the mean-value property, and residual independence."""

@@ -98,6 +98,10 @@ DECOMP_SAMPLES = 800
 DECOMP_VAR_REL_TOL = 0.25
 MEAN_VALUE_TOL = 1e-10
 
+# C10, C11: depth delta of the multiscale schedule, which has
+# L = ceil((log N)^(1 - delta)) levels
+SCHEDULE_DELTA = 0.9
+
 # C12: coarse exceedance tail
 COARSE_ZETA = 0.0
 COARSE_B = 1.05

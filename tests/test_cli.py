@@ -1,6 +1,7 @@
 """Command-line behavior: flags, config files, exit codes, determinism."""
 
 import importlib.resources
+import inspect
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 from levelsim import pipelines
 from levelsim.cli import main
+from levelsim.cli import PIPELINES
+from levelsim.reports import Report
 
 
 def run_cli(argv, capsys):
@@ -97,6 +100,160 @@ class TestValidation:
             code, _, err = run_cli(["bbm-exponents", "--seed", "1", flag, value], capsys)
             assert code == 2
             assert last_stderr_json(err)["field"] == field
+
+
+RUN_FUNCTIONS = [name for name in dir(pipelines) if name.startswith("run_")]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Replace every pipelines.run_* with a recorder of the arguments it got."""
+    record = []
+
+    def recorder(name, real):
+        def run(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            record.append((name, dict(bound.arguments)))
+            return Report(subcommand="stub", inputs={}, estimates=(), checks=())
+
+        return run
+
+    for name in RUN_FUNCTIONS:
+        monkeypatch.setattr(pipelines, name, recorder(name, getattr(pipelines, name)))
+    return record
+
+
+class TestRegistryBounds:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "sub,key",
+        [
+            (pipeline.name, param.key)
+            for pipeline in PIPELINES.values()
+            for param in pipeline.params
+            if param.type is float
+        ],
+    )
+    def test_non_finite_float_exits_2_naming_field(
+        self, sub, key, value, calls, capsys
+    ):
+        takes_seed = any(param.key == "seed" for param in PIPELINES[sub].params)
+        argv = [sub, f"--{key.replace('_', '-')}={value}"]
+        code, _, err = run_cli(argv + (["--seed", "1"] if takes_seed else []), capsys)
+        assert code == 2
+        assert last_stderr_json(err)["field"] == key
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "flags", [["--delta", "0.3"], ["--delta", "0.6", "--delta-prime", "0.5"]]
+    )
+    def test_bbm_path_diagnostic_input_checked_before_sampling(
+        self, flags, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started on a bad diagnostic input")
+
+        monkeypatch.setattr(pipelines, "sample_positions", never)
+        code, _, _ = run_cli(["bbm-exponents", "--seed", "1", *flags], capsys)
+        assert code == 2
+
+
+# argv with every flag of a subcommand set, the run function it reaches and
+# the keyword arguments that function must receive
+WIRING = [
+    (
+        ["rates", "--seed", "5", "--replicas", "3"],
+        "run_rates",
+        {"seed": 5, "queries": 3},
+    ),
+    (
+        ["rates", "--a", "0.8", "--x", "1.5", "--eta", "0.6"],
+        "run_rate_point",
+        {"a": 0.8, "x": 1.5, "eta": 0.6},
+    ),
+    (
+        ["gw-verify", "--seed", "5", "--replicas", "3"],
+        "run_gw_verify",
+        {"seed": 5, "replicas": 3},
+    ),
+    (
+        [
+            "bbm-exponents", "--seed", "5", "--replicas", "3", "--t", "4", "--x",
+            "0.5", "--delta", "0.75", "--delta-prime", "0.2",
+        ],
+        "run_bbm_exponents",
+        {
+            "seed": 5,
+            "biggins_replicas": 3,
+            "biggins_t": 4.0,
+            "biggins_x": 0.5,
+            "path_delta": 0.75,
+            "path_delta_prime": 0.2,
+        },
+    ),
+    (
+        ["nbbm", "--seed", "5", "--replicas", "3", "--t", "4"],
+        "run_nbbm",
+        {"seed": 5, "replicas": 3, "t": 4.0},
+    ),
+    (
+        ["gff-cov", "--seed", "5", "--replicas", "3", "--grid-n", "16"],
+        "run_gff_cov",
+        {"seed": 5, "samples": 3, "grid_n": 16},
+    ),
+    (
+        ["daviaud", "--seed", "5", "--replicas", "3", "--eta", "0.4"],
+        "run_daviaud",
+        {"seed": 5, "replicas": 3, "eta": 0.4},
+    ),
+    (
+        [
+            "coarse-tail", "--seed", "5", "--replicas", "3", "--zeta", "0.5", "--b",
+            "0.9", "--grid-n", "32",
+        ],
+        "run_coarse_tail",
+        {"seed": 5, "replicas": 3, "zeta": 0.5, "b": 0.9, "sizes": (32,)},
+    ),
+    (
+        ["cover-check", "--grid-n", "32", "--delta", "0.8"],
+        "run_cover_check",
+        {"grid_n": 32, "delta": 0.8},
+    ),
+    (
+        [
+            "decompose-var", "--seed", "5", "--replicas", "3", "--grid-n", "64",
+            "--delta", "0.8",
+        ],
+        "run_decompose_var",
+        {"seed": 5, "samples": 3, "grid_n": 64, "delta": 0.8},
+    ),
+]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("sub", list(PIPELINES))
+    def test_defaults_live_in_the_run_functions(self, sub, calls, capsys):
+        seeded = sub != "cover-check"
+        code, _, _ = run_cli([sub] + (["--seed", "1"] if seeded else []), capsys)
+        assert code == 0
+        expected = {"seed": 1} if seeded else {}
+        assert calls == [("run_" + sub.replace("-", "_"), expected)]
+
+    @pytest.mark.parametrize("argv,name,kwargs", WIRING, ids=[w[1] for w in WIRING])
+    def test_each_flag_reaches_its_keyword(self, argv, name, kwargs, calls, capsys):
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert calls == [(name, kwargs)]
+
+    def test_wiring_table_sets_every_registry_flag(self):
+        flags = {
+            (argv[0], arg[2:].replace("-", "_"))
+            for argv, _, _ in WIRING
+            for arg in argv
+            if arg.startswith("--")
+        }
+        declared = {(p.name, q.key) for p in PIPELINES.values() for q in p.params}
+        assert declared <= flags
 
 
 class TestPointMode:
