@@ -14,7 +14,7 @@ byte-identical report files across runs.
 
 Exit codes: 0 when every declared check passes, 1 when a check fails,
 2 for usage or config errors, 3 for runtime failures (refused probes,
-population-cap overflow, unwritable output paths).
+population-cap overflow, oversized field requests, unwritable output paths).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from . import pipelines
 from .bbm import NoDataError, PopulationCapError
-from .gff import ProbeRefusedError
+from .gff import FieldTooLargeError, ProbeRefusedError
 from .reports import Report, emit_report
 
 
@@ -306,7 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             replicas=exc.replicas,
         )
         return 3
-    except (PopulationCapError, NoDataError) as exc:
+    except (PopulationCapError, NoDataError, FieldTooLargeError) as exc:
         _diagnostic(str(exc))
         return 3
     except UsageError as exc:

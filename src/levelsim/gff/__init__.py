@@ -37,7 +37,7 @@ from .levels import (
     level_set,
     level_threshold,
 )
-from .sample import sample_fields, spectral_scale
+from .sample import FieldTooLargeError, sample_fields, spectral_scale
 
 __all__ = [
     "Box",
@@ -45,6 +45,7 @@ __all__ = [
     "CoverConstructionError",
     "DaviaudEstimate",
     "DaviaudPoint",
+    "FieldTooLargeError",
     "GAMMA",
     "GreenOperator",
     "HarmonicDecomposition",

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import stats as _stats
 
 from .. import mc
+from .. import tolerances as tol
 from .decompose import harmonic_at
 from .green import GreenOperator
 from .grid import Box, flat_partition
@@ -120,6 +121,11 @@ class DaviaudEstimate:
         return [p.exponent.mean for p in self.points if p.exponent is not None]
 
 
+def _field_block(grid_n: int) -> int:
+    """Fields per replica block at side N: about FIELD_BLOCK_SITES sites."""
+    return max(1, tol.FIELD_BLOCK_SITES // (grid_n * grid_n))
+
+
 def _replicas_for(replicas: int | Mapping[int, int], grid_n: int) -> int:
     if isinstance(replicas, Mapping):
         count = int(replicas[grid_n])
@@ -156,16 +162,16 @@ def estimate_daviaud_exponent(
     for grid_n in sizes:
         thr = level_threshold(grid_n, eta)
 
-        def task(rng, grid_n=grid_n, thr=thr):
-            field = sample_fields(grid_n, 1, rng, backend=backend)[0]
-            return int((field >= thr).sum())
+        def task(rng, size, grid_n=grid_n, thr=thr):
+            fields = sample_fields(grid_n, size, rng, backend=backend)
+            return (fields >= thr).sum(axis=(1, 2))
 
         plan = mc.ReplicaPlan(
             _replicas_for(replicas, grid_n),
             mc.derive_seed(seed, grid_n),
             max_concurrency=max_concurrency,
         )
-        counts = np.asarray(mc.parallel_map(plan, task), dtype=float)
+        counts = mc.map_blocks(plan, _field_block(grid_n), task).astype(float)
         count_est = mc.summarize(counts)
         nonzero = counts[counts > 0]
         exponent = None
@@ -258,15 +264,18 @@ def coarse_exceedance_probe(
         side = max(1, round(grid_n**zeta))
         boxes = flat_partition(Box(0, 0, grid_n, grid_n), side)
 
-    def task(rng) -> bool:
-        field = sample_fields(grid_n, 1, rng, backend=backend)[0]
+    def task(rng, size) -> np.ndarray:
+        fields = sample_fields(grid_n, size, rng, backend=backend)
         if boxes is None:
-            return bool(field.max() >= thr)
-        return any(harmonic_at(field, box, box.center()) >= thr for box in boxes)
+            return fields.max(axis=(1, 2)) >= thr
+        hits = np.zeros(size, dtype=bool)
+        for box in boxes:
+            hits |= harmonic_at(fields, box, box.center()) >= thr
+        return hits
 
     plan = mc.ReplicaPlan(replicas, seed, max_concurrency=max_concurrency)
-    hits = mc.parallel_map(plan, task)
-    estimate = mc.binomial_estimate(sum(bool(h) for h in hits), replicas)
+    hits = mc.map_blocks(plan, _field_block(grid_n), task)
+    estimate = mc.binomial_estimate(int(hits.sum()), replicas)
     exponent = None
     if estimate.mean > 0:
         exponent = -math.log(estimate.mean) / math.log(grid_n)

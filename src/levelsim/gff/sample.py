@@ -2,9 +2,17 @@
 
 The spectral backend scales white noise by (1 - lam_{jk})^{-1/2} in the
 product-sine eigenbasis of the interior walk kernel and applies an orthonormal
-DST-I in both axes; cost is one FFT-sized transform per field at any N. The
-dense backend draws through a Cholesky factor of the explicitly assembled
-Green matrix and exists to validate the spectral route on small grids.
+DST-I in both axes. Up to N = SINE_MATRIX_MAX_N the transform is the matrix
+product S @ x @ S with the cached n x n orthonormal DST-I matrix S (n = N - 2,
+S symmetric): two BLAS products per field, whose cost does not depend on how
+N - 1 factors, where FFT-based DST-I is slowest at prime N - 1 (N = 128).
+Above the cut the O(n^3) product loses to scipy.fft.dstn, which takes over;
+the route depends on N alone. The dense backend draws through a Cholesky
+factor of the explicitly assembled Green matrix and exists to validate the
+spectral route on small grids.
+
+Before it allocates, sample_fields estimates its working set and refuses a
+request above FIELD_BYTES_MAX with FieldTooLargeError.
 """
 
 from __future__ import annotations
@@ -15,13 +23,20 @@ import numpy as np
 import scipy.fft
 from numpy.random import Generator
 
+from .. import tolerances as tol
 from .green import GreenOperator
 
-__all__ = ["spectral_scale", "sample_fields"]
+__all__ = ["FieldTooLargeError", "spectral_scale", "sample_fields"]
 
 _lock = threading.Lock()
 _scale_cache: dict[int, np.ndarray] = {}
+_sine_cache: dict[int, np.ndarray] = {}
 _chol_cache: dict[int, np.ndarray] = {}
+
+
+class FieldTooLargeError(RuntimeError):
+    """Raised before allocation when a field request's working set exceeds
+    tolerances.FIELD_BYTES_MAX."""
 
 
 def spectral_scale(grid_n: int) -> np.ndarray:
@@ -36,6 +51,18 @@ def spectral_scale(grid_n: int) -> np.ndarray:
             scale = 1.0 / np.sqrt(1.0 - lam)
             _scale_cache[grid_n] = scale
     return scale
+
+
+def _sine_matrix(grid_n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n."""
+    with _lock:
+        sine = _sine_cache.get(grid_n)
+        if sine is None:
+            n = grid_n - 2
+            k = np.arange(1, n + 1)
+            sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+            _sine_cache[grid_n] = sine
+    return sine
 
 
 def _cholesky(grid_n: int) -> np.ndarray:
@@ -57,16 +84,32 @@ def sample_fields(
         raise ValueError(f"grid must have an interior, got N={grid_n}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if backend not in ("spectral", "dense"):
+        raise ValueError(f"unknown backend {backend!r}; use 'spectral' or 'dense'")
     n = grid_n - 2
+    # the output, the noise and the transformed noise, plus the Green matrix
+    # and its Cholesky factor when dense
+    nbytes = 8 * count * (grid_n * grid_n + 2 * n * n)
+    if backend == "dense":
+        nbytes += 2 * 8 * n**4
+    if nbytes > tol.FIELD_BYTES_MAX:
+        raise FieldTooLargeError(
+            f"sampling {count} {backend} field(s) at N={grid_n} needs about "
+            f"{nbytes / 2**30:.3g} GiB, above the {tol.FIELD_BYTES_MAX / 2**30:g} GiB "
+            "field budget; use a smaller grid or fewer replicas"
+        )
     out = np.zeros((count, grid_n, grid_n))
     if backend == "spectral":
         noise = rng.standard_normal((count, n, n))
         noise *= spectral_scale(grid_n)
-        out[:, 1:-1, 1:-1] = scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
-    elif backend == "dense":
+        if grid_n <= tol.SINE_MATRIX_MAX_N:
+            sine = _sine_matrix(grid_n)
+            np.matmul(sine @ noise, sine, out=noise)
+            out[:, 1:-1, 1:-1] = noise
+        else:
+            out[:, 1:-1, 1:-1] = scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
+    else:
         chol = _cholesky(grid_n)
         noise = rng.standard_normal((count, n * n))
         out[:, 1:-1, 1:-1] = (noise @ chol.T).reshape(count, n, n)
-    else:
-        raise ValueError(f"unknown backend {backend!r}; use 'spectral' or 'dense'")
     return out

@@ -5,6 +5,12 @@ a master seed plus a replica index is mapped to an independent Philox
 counter-based stream, replicas are executed by a deterministic parallel map,
 and aggregation runs in replica-index order. Results are therefore
 bit-identical for a fixed (master seed, plan) at any concurrency level.
+
+Vectorized tasks run in replica blocks (``map_blocks``): one stream per block
+of consecutive replicas, keyed like a replica's, as in the counter-based
+design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+(SC'11). Results then depend on the plan and the block size, never on the
+workers.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ __all__ = [
     "derive_seed",
     "replica_rng",
     "parallel_map",
+    "map_blocks",
     "summarize",
     "run_replicas",
     "binomial_estimate",
@@ -102,6 +109,15 @@ class Estimate:
         return abs(self.mean - target) <= multiple * self.stderr
 
 
+def _map_indices(plan: ReplicaPlan, count: int, call: Callable[[int], object]) -> list:
+    """call(i) for i in range(count), serially or on plan.max_concurrency
+    threads, returned in index order. Exceptions in workers propagate."""
+    if plan.max_concurrency == 1:
+        return [call(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=plan.max_concurrency) as pool:
+        return list(pool.map(call, range(count)))
+
+
 def parallel_map(plan: ReplicaPlan, task: Callable[[Generator], object]) -> list:
     """Run task once per replica, each with its own derived stream.
 
@@ -109,12 +125,35 @@ def parallel_map(plan: ReplicaPlan, task: Callable[[Generator], object]) -> list
     any aggregation applied to the returned list is concurrency-independent.
     Exceptions in workers propagate.
     """
-    indices = range(plan.replicas)
-    if plan.max_concurrency == 1:
-        return [task(replica_rng(plan.master_seed, i)) for i in indices]
-    with ThreadPoolExecutor(max_workers=plan.max_concurrency) as pool:
-        futures = [pool.submit(task, replica_rng(plan.master_seed, i)) for i in indices]
-        return [f.result() for f in futures]
+    return _map_indices(
+        plan, plan.replicas, lambda i: task(replica_rng(plan.master_seed, i))
+    )
+
+
+def map_blocks(
+    plan: ReplicaPlan, block: int, task: Callable[[Generator, int], np.ndarray]
+) -> np.ndarray:
+    """Run task(rng, size) once per block of `block` consecutive replicas.
+
+    Block b holds replicas b*block onward, `size` of them (the last block may
+    be short), and draws from its own stream replica_rng(master_seed, b), so
+    block=1 reproduces parallel_map's streams. The task returns one value per
+    replica along its first axis; the blocks' values are concatenated in
+    replica order. Exceptions in workers propagate.
+    """
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+
+    def run(b: int) -> np.ndarray:
+        size = min(block, plan.replicas - b * block)
+        values = np.asarray(task(replica_rng(plan.master_seed, b), size))
+        if values.shape[:1] != (size,):
+            raise ValueError(
+                f"block task returned shape {values.shape} for a block of {size}"
+            )
+        return values
+
+    return np.concatenate(_map_indices(plan, -(-plan.replicas // block), run))
 
 
 def _normal_ci(mean: float, stderr: float) -> tuple[float, float]:

@@ -758,9 +758,6 @@ def run_gff_cov(
     max_concurrency: int = 1,
 ) -> Report:
     """Empirical covariance vs the linear-solve oracle, plus diagonal growth."""
-    chunk = 100
-    chunks = max(1, -(-samples // chunk))
-    realized = chunks * chunk
     pair_rng = mc.replica_rng(seed, 0)
     center = _center_site(grid_n)
     xs = [center]
@@ -773,33 +770,28 @@ def run_gff_cov(
     yr = np.array([s[0] for s in ys])
     yc = np.array([s[1] for s in ys])
 
-    def task(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        fields = sample_fields(grid_n, chunk, rng)
+    def task(rng, size) -> np.ndarray:
+        # per field: the pair products, then the center value
+        fields = sample_fields(grid_n, size, rng)
         prods = fields[:, xr, xc] * fields[:, yr, yc]
-        return prods.sum(axis=0), (prods * prods).sum(axis=0), fields[:, center[0], center[1]]
+        return np.column_stack((prods, fields[:, center[0], center[1]]))
 
     plan = mc.ReplicaPlan(
-        chunks, mc.derive_seed(seed, 1), max_concurrency=max_concurrency
+        samples, mc.derive_seed(seed, 1), max_concurrency=max_concurrency
     )
-    sums = np.zeros(tol.COV_PAIRS)
-    sq_sums = np.zeros(tol.COV_PAIRS)
-    center_chunks = []
-    for part_sum, part_sq, part_center in mc.parallel_map(plan, task):
-        sums += part_sum
-        sq_sums += part_sq
-        center_chunks.append(part_center)
-    means = sums / realized
-    variances = np.maximum(sq_sums / realized - means * means, 0.0)
-    stderrs = np.sqrt(variances / realized)
+    values = mc.map_blocks(plan, tol.COV_BLOCK, task)
+    prods, spectral_center = values[:, :-1], values[:, -1]
+    means = prods.mean(axis=0)
+    variances = np.maximum((prods * prods).mean(axis=0) - means * means, 0.0)
+    stderrs = np.sqrt(variances / samples)
 
     op = GreenOperator(grid_n)
     oracle = np.array([op.entry(x, y) for x, y in zip(xs, ys)])
     z = np.abs(means - oracle) / np.where(stderrs > 0, stderrs, np.inf)
     worst = int(np.argmax(z))
 
-    spectral_center = np.concatenate(center_chunks)
     dense_rng = mc.replica_rng(mc.derive_seed(seed, 2), 0)
-    dense_center = sample_fields(grid_n, realized, dense_rng, backend="dense")[
+    dense_center = sample_fields(grid_n, samples, dense_rng, backend="dense")[
         :, center[0], center[1]
     ]
     ks = ks_2samp(spectral_center, dense_center)
@@ -817,14 +809,14 @@ def run_gff_cov(
             anchor="killed-walk Green's function, entrywise",
             detail=(
                 f"worst pair {xs[worst]}x{ys[worst]}: mean {float(means[worst])!r} "
-                f"vs oracle {float(oracle[worst])!r} over {realized} samples"
+                f"vs oracle {float(oracle[worst])!r} over {samples} samples"
             ),
         ),
         flag_check(
             "backends_agree_ks",
             bool(ks.pvalue >= tol.KS_LEVEL),
             anchor=f"two-sample KS on the center marginal at the {tol.KS_LEVEL:.0%} level",
-            detail=f"p-value {float(ks.pvalue)!r} on {realized} draws per backend",
+            detail=f"p-value {float(ks.pvalue)!r} on {samples} draws per backend",
         ),
         rel_check(
             "green_diagonal_slope",
@@ -841,7 +833,7 @@ def run_gff_cov(
                 "name": "covariance_max_z",
                 "value": float(z[worst]),
                 "pairs": tol.COV_PAIRS,
-                "samples": realized,
+                "samples": samples,
             },
             {"name": "ks_pvalue", "value": float(ks.pvalue)},
             {
@@ -861,7 +853,7 @@ def run_gff_cov(
         inputs={
             "seed": seed,
             "grid_n": grid_n,
-            "samples": realized,
+            "samples": samples,
             "pairs": tol.COV_PAIRS,
             "green_sizes": list(tol.GREEN_SIZES),
         },
@@ -1064,9 +1056,6 @@ def run_decompose_var(
 ) -> Report:
     """Increment variances, the mean-value property, and residual independence."""
     parts = nested_partitions(grid_n, uniform_schedule(grid_n, delta=delta))
-    chunk = 50
-    chunks = max(1, -(-samples // chunk))
-    realized = chunks * chunk
     step = parts.schedule.exponents[0] - parts.schedule.exponents[1]
     anchor_var = GAMMA * GAMMA * step * math.log(grid_n)
 
@@ -1106,56 +1095,39 @@ def run_decompose_var(
     # the centre's measure is supported on the whole frame: the boundary set
     hr, hc, hw = harmonic_measure(corr_box, corr_site)
 
-    def task(rng):
-        fields = sample_fields(grid_n, chunk, rng)
-        incs = []
-        for _, (cr, cc, cw), (pr, pc, pw) in pair_weights:
-            incs.append(fields[:, cr, cc] @ cw - fields[:, pr, pc] @ pw)
-        residual = (
-            fields[:, corr_site[0], corr_site[1]] - fields[:, hr, hc] @ hw
-        )
+    def task(rng, size) -> np.ndarray:
+        # per field: each pair's increment, the residual at the box centre,
+        # then the field on the box's frame
+        fields = sample_fields(grid_n, size, rng)
+        incs = [
+            fields[:, cr, cc] @ cw - fields[:, pr, pc] @ pw
+            for _, (cr, cc, cw), (pr, pc, pw) in pair_weights
+        ]
         boundary = fields[:, hr, hc]
-        stats = (
-            residual.sum(),
-            (residual * residual).sum(),
-            boundary.sum(axis=0),
-            (boundary * boundary).sum(axis=0),
-            boundary.T @ residual,
-        )
-        return np.stack(incs), stats
+        residual = fields[:, corr_site[0], corr_site[1]] - boundary @ hw
+        return np.column_stack((*incs, residual, boundary))
 
     plan = mc.ReplicaPlan(
-        chunks, mc.derive_seed(seed, 1), max_concurrency=max_concurrency
+        samples, mc.derive_seed(seed, 1), max_concurrency=max_concurrency
     )
+    values = mc.map_blocks(plan, tol.DECOMP_BLOCK, task)
+    pairs = len(pair_weights)
+    increments = values[:, :pairs]  # (samples, pairs)
     levels_of_pair = np.array([lvl for lvl, _, _ in pair_weights])
-    inc_chunks = []
-    r_sum = 0.0
-    r_sq = 0.0
-    b_sum = np.zeros(hr.size)
-    b_sq = np.zeros(hr.size)
-    rb_sum = np.zeros(hr.size)
-    for incs, stats in mc.parallel_map(plan, task):
-        inc_chunks.append(incs)
-        r_sum += stats[0]
-        r_sq += stats[1]
-        b_sum += stats[2]
-        b_sq += stats[3]
-        rb_sum += stats[4]
-    increments = np.concatenate(inc_chunks, axis=1)  # (pairs, realized)
 
     pooled_var = float(increments.var(ddof=1))
     level_vars = [
-        float(increments[levels_of_pair == lvl].var(ddof=1))
+        float(increments[:, levels_of_pair == lvl].var(ddof=1))
         for lvl in range(parts.depth)
     ]
 
-    n = float(realized)
-    r_var = r_sq / n - (r_sum / n) ** 2
-    b_var = b_sq / n - (b_sum / n) ** 2
-    covs = rb_sum / n - (b_sum / n) * (r_sum / n)
-    denom = np.sqrt(np.maximum(r_var * b_var, 1e-300))
-    max_corr = float(np.max(np.abs(covs / denom)))
-    corr_limit = 4.0 / math.sqrt(realized)
+    centered = values[:, pairs:] - values[:, pairs:].mean(axis=0)
+    residual, boundary = centered[:, 0], centered[:, 1:]
+    denom = np.sqrt(
+        np.maximum((residual @ residual) * (boundary * boundary).sum(axis=0), 1e-300)
+    )
+    max_corr = float(np.max(np.abs((residual @ boundary) / denom)))
+    corr_limit = 4.0 / math.sqrt(samples)
 
     first_field = sample_fields(grid_n, 1, mc.replica_rng(mc.derive_seed(seed, 2), 0))[0]
     harmonic = dirichlet_extend(first_field, corr_box)
@@ -1173,14 +1145,14 @@ def run_decompose_var(
             tol.DECOMP_VAR_REL_TOL,
             anchor=f"gamma^2 * {step:g} * log N at N={grid_n}",
             detail=(
-                f"{increments.shape[0]} pairs x {realized} fields; per-level "
+                f"{pairs} pairs x {samples} fields; per-level "
                 f"{[round(v, 4) for v in level_vars]}; exact pooled {exact_pooled!r}"
             ),
         ),
         flag_check(
             "increment_variance_oracle",
             abs(pooled_var - exact_pooled)
-            <= 4.0 * exact_pooled * math.sqrt(2.0 / realized),
+            <= 4.0 * exact_pooled * math.sqrt(2.0 / samples),
             anchor="exact local Green diagonals (parent minus child)",
             detail=f"empirical {pooled_var!r} vs exact {exact_pooled!r}",
         ),
@@ -1196,7 +1168,7 @@ def run_decompose_var(
             max_corr,
             corr_limit,
             anchor="Markov independence of the residual from boundary data",
-            detail=f"{hr.size} boundary sites x {realized} fields",
+            detail=f"{hr.size} boundary sites x {samples} fields",
         ),
     )
     estimates = (
@@ -1205,8 +1177,8 @@ def run_decompose_var(
             "value": pooled_var,
             "anchor": anchor_var,
             "exact": exact_pooled,
-            "pairs": len(pair_weights),
-            "fields": realized,
+            "pairs": pairs,
+            "fields": samples,
         },
         *(
             {
@@ -1224,7 +1196,7 @@ def run_decompose_var(
     )
     return Report(
         subcommand="decompose-var",
-        inputs={"seed": seed, "grid_n": grid_n, "samples": realized, "delta": delta},
+        inputs={"seed": seed, "grid_n": grid_n, "samples": samples, "delta": delta},
         estimates=estimates,
         checks=checks,
     )

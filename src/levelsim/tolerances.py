@@ -75,6 +75,8 @@ COV_GRID_N = 32
 COV_SAMPLES = 20_000
 COV_PAIRS = 200
 COV_SIGMA = 4.0
+# fields per replica block; each block draws from its own stream
+COV_BLOCK = 100
 KS_LEVEL = 0.01
 
 # C8: log growth of the on-diagonal Green's function
@@ -96,6 +98,7 @@ COVER_CASES = ((64, 1), (64, 2), (256, 1), (256, 2))
 DECOMP_N = 256
 DECOMP_SAMPLES = 800
 DECOMP_VAR_REL_TOL = 0.25
+DECOMP_BLOCK = 50
 MEAN_VALUE_TOL = 1e-10
 
 # C10, C11: depth delta of the multiscale schedule, which has
@@ -108,6 +111,16 @@ COARSE_B = 1.05
 COARSE_SIZES = (64, 128)
 COARSE_REPLICAS = 100_000
 COARSE_TOL = 0.15
+
+# Field sampling (C7, C9, C11, C12). The spectral sampler takes the sine-matrix
+# product route up to this N (the largest shipped size; its measured crossover
+# with scipy.fft.dstn is near N = 1024) and dstn above it.
+SINE_MATRIX_MAX_N = 512
+# Replica blocks of vectorized field tasks hold about this many sites:
+# max(1, FIELD_BLOCK_SITES // N**2) fields, so 64 at N = 64 and 1 at N = 512.
+FIELD_BLOCK_SITES = 512**2
+# Largest working set one sample_fields call may allocate.
+FIELD_BYTES_MAX = 2**30
 
 # C13: determinism
 DETERMINISM_CONCURRENCY = 4

@@ -390,6 +390,35 @@ class TestRuntimeFailures:
         assert diag["predicted_probability"] < 1e-6
         assert "increase replicas" in diag["error"]
 
+    def test_oversized_field_request_exits_3(self, capsys):
+        # about 900 GiB for one field: refused before anything is allocated
+        code, out, err = run_cli(
+            ["coarse-tail", "--seed", "1", "--grid-n", "200000", "--replicas", "1000"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "field budget" in last_stderr_json(err)["error"]
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize(
+        "argv, count, field",
+        [
+            # 150 fields: one block of 100 and a short one of 50
+            (["gff-cov", "--grid-n", "16"], 150, "samples"),
+            # 130 fields: two blocks of 50 and a short one of 30
+            (["decompose-var", "--grid-n", "64"], 130, "fields"),
+        ],
+        ids=["gff-cov", "decompose-var"],
+    )
+    def test_reported_sample_count_is_the_requested_one(self, argv, count, field, capsys):
+        code, out, _ = run_cli([*argv, "--seed", "5", "--replicas", str(count)], capsys)
+        assert code in (0, 1)
+        doc = json.loads(out)
+        assert doc["inputs"]["samples"] == count
+        assert any(e.get(field) == count for e in doc["estimates"])
+
 
 class TestFailingChecks:
     def test_failed_check_exits_1_with_report(self, capsys):
@@ -425,7 +454,7 @@ class TestStrictJson:
             ["daviaud", "--seed", "1", "--replicas", "1"],
             # zero hits at a single size make the measured exponent infinite
             [
-                "coarse-tail", "--seed", "3", "--zeta", "0.5", "--b", "0.6",
+                "coarse-tail", "--seed", "4", "--zeta", "0.5", "--b", "0.6",
                 "--grid-n", "64", "--replicas", "200",
             ],
         ],

@@ -1,13 +1,16 @@
 """Field samplers: spectral backend validated against the dense backend."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import stats
 
 from levelsim import mc
-from levelsim.gff import GreenOperator, sample_fields
+from levelsim import tolerances as tol
+from levelsim.gff import FieldTooLargeError, GreenOperator, sample_fields, spectral_scale
 
 
 def draw_batches(grid_n, total, seed, backend="spectral", batch=1000):
@@ -40,6 +43,36 @@ class TestShapes:
             sample_fields(16, 0, rng)
         with pytest.raises(ValueError, match="backend"):
             sample_fields(16, 1, rng, backend="fft")
+
+    def test_oversized_request_is_refused_before_allocation(self):
+        rng = mc.replica_rng(4, 0)
+        with pytest.raises(FieldTooLargeError, match="GiB"):
+            sample_fields(200_000, 1, rng)
+        with pytest.raises(FieldTooLargeError):
+            sample_fields(64, tol.FIELD_BYTES_MAX // (8 * 64 * 64), rng)
+
+
+class TestSpectralTransform:
+    @pytest.mark.parametrize("grid_n", [16, 64, 128, 512])
+    def test_sine_product_matches_dstn(self, grid_n):
+        assert grid_n <= tol.SINE_MATRIX_MAX_N
+        count = 2 if grid_n < 512 else 1
+        fields = sample_fields(grid_n, count, mc.replica_rng(31, grid_n))
+        n = grid_n - 2
+        noise = mc.replica_rng(31, grid_n).standard_normal((count, n, n))
+        noise *= spectral_scale(grid_n)
+        expected = scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
+        assert np.max(np.abs(fields[:, 1:-1, 1:-1] - expected)) <= 1e-12
+
+    def test_threaded_blocks_are_byte_identical(self):
+        # BLAS products inside worker threads must not change a single bit
+        def draw(index):
+            return sample_fields(128, 16, mc.replica_rng(32, index))
+
+        serial = [draw(i) for i in range(4)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(draw, range(4)))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(serial, threaded))
 
 
 class TestMarginals:

@@ -72,6 +72,44 @@ class TestParallelMap:
             mc.parallel_map(mc.ReplicaPlan(3, 1, max_concurrency=2), task)
 
 
+class TestMapBlocks:
+    @staticmethod
+    def draw(rng, size):
+        return rng.standard_normal((size, 3))
+
+    def test_block_of_one_is_parallel_map(self):
+        plan = mc.ReplicaPlan(37, 11)
+        blocks = mc.map_blocks(plan, 1, lambda rng, size: rng.random(size))
+        assert blocks.tolist() == mc.parallel_map(plan, lambda rng: rng.random())
+
+    def test_concurrency_does_not_change_results(self):
+        runs = [
+            mc.map_blocks(mc.ReplicaPlan(103, 42, max_concurrency=c), 8, self.draw)
+            for c in (1, 4)
+        ]
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_short_last_block(self):
+        sizes = []
+
+        def task(rng, size):
+            sizes.append(size)
+            return self.draw(rng, size)
+
+        values = mc.map_blocks(mc.ReplicaPlan(23, 9), 10, task)
+        assert sizes == [10, 10, 3]
+        assert values.shape == (23, 3)
+        # block b draws from replica_rng(master, b)
+        assert np.array_equal(values[20:], self.draw(mc.replica_rng(9, 2), 3))
+
+    def test_validation(self):
+        plan = mc.ReplicaPlan(5, 1)
+        with pytest.raises(ValueError, match="block"):
+            mc.map_blocks(plan, 0, self.draw)
+        with pytest.raises(ValueError, match="shape"):
+            mc.map_blocks(plan, 2, lambda rng, size: self.draw(rng, 1))
+
+
 class TestSummarize:
     def test_known_values(self):
         est = mc.summarize([1.0, 2.0, 3.0, 4.0])

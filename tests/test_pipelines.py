@@ -110,10 +110,6 @@ class TestGffCov:
         slope = check_by_name(report, "green_diagonal_slope")
         assert slope.target == pytest.approx(2.0 / 3.141592653589793)
 
-    def test_sample_count_rounds_up_to_chunks(self):
-        report = pipelines.run_gff_cov(seed=21, grid_n=16, samples=150)
-        assert report.inputs["samples"] == 200
-
 
 class TestCoarseTail:
     def test_single_size_uses_abs_check(self):
