@@ -16,8 +16,7 @@ from scipy import stats as _stats
 
 from .. import mc
 from ..rates import psi
-from .engine import BbmRunConfig, simulate_nbbm
-from .engine import DEFAULT_PARTICLE_CAP, sample_positions
+from .engine import BbmRunConfig, sample_positions, simulate_nbbm
 
 __all__ = [
     "expected_count_oracle",
@@ -59,8 +58,6 @@ def estimate_level_exponent(
     x: float,
     replicas: int,
     seed: int,
-    max_concurrency: int = 1,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
 ) -> LevelExponent:
     if not 0 < x < math.sqrt(2):
         raise ValueError(f"x must lie in (0, sqrt(2)), got {x}")
@@ -68,10 +65,10 @@ def estimate_level_exponent(
         raise ValueError(f"t must be positive, got {t}")
 
     def task(rng) -> int:
-        positions = sample_positions(t, rng, particle_cap)
+        positions = sample_positions(t, rng)
         return int((positions >= x * t).sum())
 
-    plan = mc.ReplicaPlan(replicas, seed, max_concurrency=max_concurrency)
+    plan = mc.ReplicaPlan(replicas, seed)
     counts = np.asarray(mc.parallel_map(plan, task), dtype=float)
     nonzero = counts[counts > 0]
     if nonzero.size == 0:
@@ -101,26 +98,12 @@ class MaxTail:
     decay_upper: float
     limit: float
 
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "x": self.x,
-            "p_hat": self.estimate.mean,
-            "stderr": self.estimate.stderr,
-            "replicas": self.estimate.replicas,
-            "decay": self.decay,
-            "decay_upper": self.decay_upper,
-            "limit": self.limit,
-        }
-
 
 def estimate_max_tail(
     t: float,
     x: float,
     replicas: int,
     seed: int,
-    max_concurrency: int = 1,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
 ) -> MaxTail:
     """Estimate P(max >= x*t); -log(p)/t approaches x^2/2 - 1 above the front.
 
@@ -131,10 +114,10 @@ def estimate_max_tail(
         raise ValueError(f"t must be positive, got {t}")
 
     def task(rng) -> bool:
-        positions = sample_positions(t, rng, particle_cap)
+        positions = sample_positions(t, rng)
         return bool(positions.max() >= x * t)
 
-    plan = mc.ReplicaPlan(replicas, seed, max_concurrency=max_concurrency)
+    plan = mc.ReplicaPlan(replicas, seed)
     hits = mc.parallel_map(plan, task)
     estimate = mc.binomial_estimate(sum(bool(h) for h in hits), replicas)
     decay = None if estimate.mean == 0 else -math.log(estimate.mean) / t
@@ -162,17 +145,15 @@ def check_nbbm_dominance(
     replicas: int,
     seed: int,
     snapshot_times: tuple[float, ...] | None = None,
-    max_concurrency: int = 1,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
 ) -> DominanceSweep:
     """Run coupled pairs over derived seeds; report (replica, time) breaches."""
-    cfg = BbmRunConfig(t, snapshot_times, particle_cap=particle_cap)
+    cfg = BbmRunConfig(t, snapshot_times)
 
     def task(rng) -> list[float]:
         trajectory = simulate_nbbm(cfg, cap_n, rng)
         return [s.time for s in trajectory.snapshots if not s.dominated]
 
-    plan = mc.ReplicaPlan(replicas, seed, max_concurrency=max_concurrency)
+    plan = mc.ReplicaPlan(replicas, seed)
     violations = []
     for index, bad_times in enumerate(mc.parallel_map(plan, task)):
         violations.extend((index, bt) for bt in bad_times)

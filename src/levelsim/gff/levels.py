@@ -95,18 +95,6 @@ class DaviaudPoint:
     exponent: mc.Estimate | None
     dropped: int
 
-    def as_dict(self) -> dict:
-        exp = self.exponent
-        return {
-            "grid_n": self.grid_n,
-            "mean_count": self.counts.mean,
-            "count_stderr": self.counts.stderr,
-            "exponent": None if exp is None else exp.mean,
-            "exponent_stderr": None if exp is None else exp.stderr,
-            "replicas": self.counts.replicas,
-            "dropped_zero_counts": self.dropped,
-        }
-
 
 @dataclass(frozen=True)
 class DaviaudEstimate:
@@ -116,9 +104,6 @@ class DaviaudEstimate:
     limit: float
     points: tuple[DaviaudPoint, ...]
     fit: mc.ExponentFit
-
-    def exponents(self) -> list[float]:
-        return [p.exponent.mean for p in self.points if p.exponent is not None]
 
 
 def _field_block(grid_n: int) -> int:
@@ -141,8 +126,6 @@ def estimate_daviaud_exponent(
     eta: float,
     replicas: int | Mapping[int, int],
     seed: int,
-    backend: str = "spectral",
-    max_concurrency: int = 1,
 ) -> DaviaudEstimate:
     """Measure log(#level set)/log N across grid sizes.
 
@@ -163,13 +146,11 @@ def estimate_daviaud_exponent(
         thr = level_threshold(grid_n, eta)
 
         def task(rng, size, grid_n=grid_n, thr=thr):
-            fields = sample_fields(grid_n, size, rng, backend=backend)
+            fields = sample_fields(grid_n, size, rng)
             return (fields >= thr).sum(axis=(1, 2))
 
         plan = mc.ReplicaPlan(
-            _replicas_for(replicas, grid_n),
-            mc.derive_seed(seed, grid_n),
-            max_concurrency=max_concurrency,
+            _replicas_for(replicas, grid_n), mc.derive_seed(seed, grid_n)
         )
         counts = mc.map_blocks(plan, _field_block(grid_n), task).astype(float)
         count_est = mc.summarize(counts)
@@ -216,19 +197,6 @@ class CoarseTailProbe:
     predicted_exponent: float
     predicted_probability: float
 
-    def as_dict(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "zeta": self.zeta,
-            "b": self.b,
-            "threshold": self.threshold,
-            "p_hat": self.estimate.mean,
-            "stderr": self.estimate.stderr,
-            "replicas": self.estimate.replicas,
-            "exponent": self.exponent,
-            "predicted_exponent": self.predicted_exponent,
-        }
-
 
 def coarse_exceedance_probe(
     grid_n: int,
@@ -236,8 +204,6 @@ def coarse_exceedance_probe(
     b: float,
     replicas: int,
     seed: int,
-    backend: str = "spectral",
-    max_concurrency: int = 1,
 ) -> CoarseTailProbe:
     """Estimate P(some scale-zeta box has coarse value >= 2*gamma*b*log N).
 
@@ -265,7 +231,7 @@ def coarse_exceedance_probe(
         boxes = flat_partition(Box(0, 0, grid_n, grid_n), side)
 
     def task(rng, size) -> np.ndarray:
-        fields = sample_fields(grid_n, size, rng, backend=backend)
+        fields = sample_fields(grid_n, size, rng)
         if boxes is None:
             return fields.max(axis=(1, 2)) >= thr
         hits = np.zeros(size, dtype=bool)
@@ -273,7 +239,7 @@ def coarse_exceedance_probe(
             hits |= harmonic_at(fields, box, box.center()) >= thr
         return hits
 
-    plan = mc.ReplicaPlan(replicas, seed, max_concurrency=max_concurrency)
+    plan = mc.ReplicaPlan(replicas, seed)
     hits = mc.map_blocks(plan, _field_block(grid_n), task)
     estimate = mc.binomial_estimate(int(hits.sum()), replicas)
     exponent = None

@@ -4,7 +4,11 @@ Every estimator in this package draws its randomness through this module:
 a master seed plus a replica index is mapped to an independent Philox
 counter-based stream, replicas are executed by a deterministic parallel map,
 and aggregation runs in replica-index order. Results are therefore
-bit-identical for a fixed (master seed, plan) at any concurrency level.
+bit-identical for a fixed (master seed, plan) at any worker count.
+
+The worker count is one scoped setting, ``with workers(n):``, read by every
+map in this module; the default is 1 (serial). Pool threads start with a
+fresh context, so a map nested inside a pool task runs serially.
 
 Vectorized tasks run in replica blocks (``map_blocks``): one stream per block
 of consecutive replicas, keyed like a replica's, as in the counter-based
@@ -15,10 +19,12 @@ workers.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -28,6 +34,7 @@ __all__ = [
     "ReplicaPlan",
     "Estimate",
     "ExponentFit",
+    "workers",
     "derive_seed",
     "replica_rng",
     "parallel_map",
@@ -77,20 +84,17 @@ class ReplicaPlan:
 
     replicas: number of independent replicas.
     master_seed: explicit seed; no entropy is ever pulled from the OS.
-    max_concurrency: worker threads; results do not depend on this.
+
+    The worker count is not part of the plan: results do not depend on it,
+    and it is set for a whole run by ``with workers(n):``.
     """
 
     replicas: int
     master_seed: int
-    max_concurrency: int = 1
 
     def __post_init__(self):
         if self.replicas <= 0:
             raise ValueError(f"replicas must be positive, got {self.replicas}")
-        if self.max_concurrency <= 0:
-            raise ValueError(
-                f"max_concurrency must be positive, got {self.max_concurrency}"
-            )
 
 
 @dataclass(frozen=True)
@@ -109,12 +113,32 @@ class Estimate:
         return abs(self.mean - target) <= multiple * self.stderr
 
 
-def _map_indices(plan: ReplicaPlan, count: int, call: Callable[[int], object]) -> list:
-    """call(i) for i in range(count), serially or on plan.max_concurrency
+_WORKERS: contextvars.ContextVar[int] = contextvars.ContextVar("workers", default=1)
+
+
+@contextlib.contextmanager
+def workers(n: int) -> Iterator[None]:
+    """Run the maps inside the block on n threads; the default is 1 (serial).
+
+    Results do not depend on n. The previous value comes back when the block
+    exits, also by an exception.
+    """
+    if n < 1:
+        raise ValueError(f"workers must be >= 1, got {n}")
+    token = _WORKERS.set(n)
+    try:
+        yield
+    finally:
+        _WORKERS.reset(token)
+
+
+def _map_indices(count: int, call: Callable[[int], object]) -> list:
+    """call(i) for i in range(count), serially or on the current workers(n)
     threads, returned in index order. Exceptions in workers propagate."""
-    if plan.max_concurrency == 1:
+    n = _WORKERS.get()
+    if n == 1:
         return [call(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=plan.max_concurrency) as pool:
+    with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(call, range(count)))
 
 
@@ -125,9 +149,7 @@ def parallel_map(plan: ReplicaPlan, task: Callable[[Generator], object]) -> list
     any aggregation applied to the returned list is concurrency-independent.
     Exceptions in workers propagate.
     """
-    return _map_indices(
-        plan, plan.replicas, lambda i: task(replica_rng(plan.master_seed, i))
-    )
+    return _map_indices(plan.replicas, lambda i: task(replica_rng(plan.master_seed, i)))
 
 
 def map_blocks(
@@ -153,7 +175,7 @@ def map_blocks(
             )
         return values
 
-    return np.concatenate(_map_indices(plan, -(-plan.replicas // block), run))
+    return np.concatenate(_map_indices(-(-plan.replicas // block), run))
 
 
 def _normal_ci(mean: float, stderr: float) -> tuple[float, float]:

@@ -3,8 +3,8 @@
 Each run_* function executes one shipped check at its declared workload
 (see tolerances.py), wires estimates against their analytic anchors, and
 returns a Report. Results are a pure function of the seed: replica streams
-are derived per stage, aggregation is replica-ordered, and concurrency
-never enters the document.
+are derived per stage, aggregation is replica-ordered, and the worker count
+(``mc.workers``) never enters the document.
 """
 
 from __future__ import annotations
@@ -317,7 +317,6 @@ def _exact_eligible(plan: gw.GwPlan) -> bool:
 def run_gw_verify(
     seed: int,
     replicas: int = tol.GW_SWEEP_REPLICAS,
-    max_concurrency: int = 1,
 ) -> Report:
     """Sweep the exceedance bound against simulation and exact convolution."""
     estimates = []
@@ -333,9 +332,7 @@ def run_gw_verify(
             spec["delta"],
             [spec["lam"]] * plan.generations,
         )
-        rplan = mc.ReplicaPlan(
-            replicas, mc.derive_seed(seed, 100 + index), max_concurrency=max_concurrency
-        )
+        rplan = mc.ReplicaPlan(replicas, mc.derive_seed(seed, 100 + index))
         emp = gw.empirical_exceedance(plan, bound.threshold, rplan)
         margin = bound.probability - (
             emp.estimate.mean - tol.GW_SIGMA * emp.estimate.stderr
@@ -414,7 +411,6 @@ def run_bbm_exponents(
     biggins_replicas: int | None = None,
     path_delta: float | None = None,
     path_delta_prime: float | None = None,
-    max_concurrency: int = 1,
 ) -> Report:
     """First moments, the level-count growth exponent, and the max tail.
 
@@ -442,9 +438,7 @@ def run_bbm_exponents(
     estimates = []
     checks = []
 
-    pop_plan = mc.ReplicaPlan(
-        tol.BBM_MEAN_REPLICAS, mc.derive_seed(seed, 1), max_concurrency=max_concurrency
-    )
+    pop_plan = mc.ReplicaPlan(tol.BBM_MEAN_REPLICAS, mc.derive_seed(seed, 1))
     pop = mc.run_replicas(
         pop_plan, lambda rng: float(sample_positions(tol.BBM_MEAN_T, rng).size)
     )
@@ -462,11 +456,7 @@ def run_bbm_exponents(
     )
 
     for k, x in enumerate(tol.BBM_COUNT_XS):
-        count_plan = mc.ReplicaPlan(
-            tol.BBM_COUNT_REPLICAS,
-            mc.derive_seed(seed, 2 + k),
-            max_concurrency=max_concurrency,
-        )
+        count_plan = mc.ReplicaPlan(tol.BBM_COUNT_REPLICAS, mc.derive_seed(seed, 2 + k))
         t = tol.BBM_COUNT_T
         est = mc.run_replicas(
             count_plan,
@@ -490,9 +480,7 @@ def run_bbm_exponents(
     trunc = tol.KPP_TRUNCATION
     fine_grid = tol.KPP_GRIDS[-1]
 
-    level = estimate_level_exponent(
-        b_t, b_x, b_reps, mc.derive_seed(seed, 4), max_concurrency=max_concurrency
-    )
+    level = estimate_level_exponent(b_t, b_x, b_reps, mc.derive_seed(seed, 4))
     level_exact = log_count_rate(b_t, b_x, *fine_grid, trunc)
     estimates.append(
         _estimate_row(
@@ -558,11 +546,7 @@ def run_bbm_exponents(
     decays = []
     for k, t in enumerate(tol.MAX_TAIL_TS):
         tail = estimate_max_tail(
-            t,
-            x,
-            tol.MAX_TAIL_REPLICAS,
-            mc.derive_seed(seed, 5 + k),
-            max_concurrency=max_concurrency,
+            t, x, tol.MAX_TAIL_REPLICAS, mc.derive_seed(seed, 5 + k)
         )
         decays.append(tail.decay)
         p = float(tail_exact[k])
@@ -697,7 +681,6 @@ def run_nbbm(
     t: float = tol.NBBM_T,
     caps: Sequence[int] = tol.NBBM_CAPS,
     replicas: int = tol.NBBM_REPLICAS,
-    max_concurrency: int = 1,
 ) -> Report:
     estimates = []
     checks = []
@@ -709,7 +692,6 @@ def run_nbbm(
             replicas,
             mc.derive_seed(seed, 10 + index),
             snapshot_times=snapshots,
-            max_concurrency=max_concurrency,
         )
         estimates.append(
             {
@@ -755,11 +737,16 @@ def run_gff_cov(
     seed: int,
     grid_n: int = tol.COV_GRID_N,
     samples: int = tol.COV_SAMPLES,
-    max_concurrency: int = 1,
 ) -> Report:
     """Empirical covariance vs the linear-solve oracle, plus diagonal growth."""
-    pair_rng = mc.replica_rng(seed, 0)
     center = _center_site(grid_n)
+    # Drawn first, on its own stream: the one-call dense oracle is the
+    # largest field request here, so an oversized one fails before any work.
+    dense_rng = mc.replica_rng(mc.derive_seed(seed, 2), 0)
+    dense_center = sample_fields(grid_n, samples, dense_rng, backend="dense")[
+        :, center[0], center[1]
+    ]
+    pair_rng = mc.replica_rng(seed, 0)
     xs = [center]
     ys = [center]
     for _ in range(tol.COV_PAIRS - 1):
@@ -776,9 +763,7 @@ def run_gff_cov(
         prods = fields[:, xr, xc] * fields[:, yr, yc]
         return np.column_stack((prods, fields[:, center[0], center[1]]))
 
-    plan = mc.ReplicaPlan(
-        samples, mc.derive_seed(seed, 1), max_concurrency=max_concurrency
-    )
+    plan = mc.ReplicaPlan(samples, mc.derive_seed(seed, 1))
     values = mc.map_blocks(plan, tol.COV_BLOCK, task)
     prods, spectral_center = values[:, :-1], values[:, -1]
     means = prods.mean(axis=0)
@@ -789,11 +774,6 @@ def run_gff_cov(
     oracle = np.array([op.entry(x, y) for x, y in zip(xs, ys)])
     z = np.abs(means - oracle) / np.where(stderrs > 0, stderrs, np.inf)
     worst = int(np.argmax(z))
-
-    dense_rng = mc.replica_rng(mc.derive_seed(seed, 2), 0)
-    dense_center = sample_fields(grid_n, samples, dense_rng, backend="dense")[
-        :, center[0], center[1]
-    ]
     ks = ks_2samp(spectral_center, dense_center)
 
     greens = [
@@ -871,13 +851,10 @@ def run_daviaud(
     eta: float = tol.DAVIAUD_ETA,
     sizes: Sequence[int] = tol.DAVIAUD_SIZES,
     replicas: int | Mapping[int, int] | None = None,
-    max_concurrency: int = 1,
 ) -> Report:
     if replicas is None:
         replicas = dict(tol.DAVIAUD_REPLICAS)
-    est = estimate_daviaud_exponent(
-        tuple(sizes), eta, replicas, seed, max_concurrency=max_concurrency
-    )
+    est = estimate_daviaud_exponent(tuple(sizes), eta, replicas, seed)
 
     estimates = []
     for point in est.points:
@@ -1052,28 +1029,17 @@ def run_decompose_var(
     grid_n: int = tol.DECOMP_N,
     samples: int = tol.DECOMP_SAMPLES,
     delta: float = tol.SCHEDULE_DELTA,
-    max_concurrency: int = 1,
 ) -> Report:
     """Increment variances, the mean-value property, and residual independence."""
     parts = nested_partitions(grid_n, uniform_schedule(grid_n, delta=delta))
     step = parts.schedule.exponents[0] - parts.schedule.exponents[1]
     anchor_var = GAMMA * GAMMA * step * math.log(grid_n)
 
-    # linear functionals for every parent/child increment: child coarse value
-    # minus the parent's harmonic extension at the child's center
+    # per parent/child increment: its linear functionals (child coarse value
+    # minus the parent's harmonic extension at the child's center) and its
+    # exact variance (Green diagonal of the parent's box minus the child's,
+    # both reduced to local coordinates by translation invariance)
     pair_weights = []
-    for lvl in range(parts.depth):
-        for j, child_idx in enumerate(parts.children[lvl]):
-            parent = parts.levels[lvl][j]
-            for k in child_idx:
-                child = parts.levels[lvl + 1][k]
-                site = child.center()
-                pair_weights.append(
-                    (lvl, harmonic_measure(child, site), harmonic_measure(parent, site))
-                )
-
-    # exact per-pair variance: Green diagonal of the parent's box minus the
-    # child's, both reduced to local coordinates by translation invariance
     exact_values = []
     for lvl in range(parts.depth):
         for j, child_idx in enumerate(parts.children[lvl]):
@@ -1082,6 +1048,9 @@ def run_decompose_var(
             for k in child_idx:
                 child = parts.levels[lvl + 1][k]
                 site = child.center()
+                pair_weights.append(
+                    (lvl, harmonic_measure(child, site), harmonic_measure(parent, site))
+                )
                 local_parent = (site[0] - parent.row0, site[1] - parent.col0)
                 var = g_parent.variance(local_parent)
                 if not child.is_singleton:
@@ -1107,9 +1076,7 @@ def run_decompose_var(
         residual = fields[:, corr_site[0], corr_site[1]] - boundary @ hw
         return np.column_stack((*incs, residual, boundary))
 
-    plan = mc.ReplicaPlan(
-        samples, mc.derive_seed(seed, 1), max_concurrency=max_concurrency
-    )
+    plan = mc.ReplicaPlan(samples, mc.derive_seed(seed, 1))
     values = mc.map_blocks(plan, tol.DECOMP_BLOCK, task)
     pairs = len(pair_weights)
     increments = values[:, :pairs]  # (samples, pairs)
@@ -1212,18 +1179,12 @@ def run_coarse_tail(
     b: float = tol.COARSE_B,
     sizes: Sequence[int] = tol.COARSE_SIZES,
     replicas: int = tol.COARSE_REPLICAS,
-    max_concurrency: int = 1,
 ) -> Report:
     probes = []
     for index, n in enumerate(sizes):
         probes.append(
             coarse_exceedance_probe(
-                n,
-                zeta,
-                b,
-                replicas,
-                mc.derive_seed(seed, 20 + index),
-                max_concurrency=max_concurrency,
+                n, zeta, b, replicas, mc.derive_seed(seed, 20 + index)
             )
         )
 

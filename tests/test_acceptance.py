@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from levelsim import pipelines, tolerances as tol
+from levelsim import mc, pipelines, tolerances as tol
 from levelsim.reports import render_report
 
 pytestmark = pytest.mark.acceptance
@@ -360,35 +360,18 @@ def test_c13_determinism(
     announce,
 ):
     conc = tol.DETERMINISM_CONCURRENCY
-    reruns = {
-        "rates": (rates_run[0], pipelines.run_rates(RATES_SEED)),
-        "gw-verify": (
-            gw_run[0],
-            pipelines.run_gw_verify(GW_SEED, max_concurrency=conc),
-        ),
-        "bbm-exponents": (
-            bbm_run[0],
-            pipelines.run_bbm_exponents(BBM_SEED, max_concurrency=conc),
-        ),
-        "nbbm": (nbbm_run[0], pipelines.run_nbbm(NBBM_SEED, max_concurrency=conc)),
-        "gff-cov": (
-            cov_run[0],
-            pipelines.run_gff_cov(GFF_COV_SEED, max_concurrency=conc),
-        ),
-        "daviaud": (
-            daviaud_run[0],
-            pipelines.run_daviaud(DAVIAUD_SEED, max_concurrency=conc),
-        ),
-        "cover-check": (cover_run[0], pipelines.run_cover_check()),
-        "decompose-var": (
-            decomp_run[0],
-            pipelines.run_decompose_var(DECOMP_SEED, max_concurrency=conc),
-        ),
-        "coarse-tail": (
-            coarse_run[0],
-            pipelines.run_coarse_tail(COARSE_SEED, max_concurrency=conc),
-        ),
-    }
+    with mc.workers(conc):
+        reruns = {
+            "rates": (rates_run[0], pipelines.run_rates(RATES_SEED)),
+            "gw-verify": (gw_run[0], pipelines.run_gw_verify(GW_SEED)),
+            "bbm-exponents": (bbm_run[0], pipelines.run_bbm_exponents(BBM_SEED)),
+            "nbbm": (nbbm_run[0], pipelines.run_nbbm(NBBM_SEED)),
+            "gff-cov": (cov_run[0], pipelines.run_gff_cov(GFF_COV_SEED)),
+            "daviaud": (daviaud_run[0], pipelines.run_daviaud(DAVIAUD_SEED)),
+            "cover-check": (cover_run[0], pipelines.run_cover_check()),
+            "decompose-var": (decomp_run[0], pipelines.run_decompose_var(DECOMP_SEED)),
+            "coarse-tail": (coarse_run[0], pipelines.run_coarse_tail(COARSE_SEED)),
+        }
     mismatched = [
         name
         for name, (base, redo) in sorted(reruns.items())

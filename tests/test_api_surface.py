@@ -3,10 +3,12 @@ re-exports only what its submodules define.
 
 A deletion that leaves a name behind in an ``__all__`` list, or a re-export
 that hides a submodule behind a function of the same name, then fails here
-rather than at import time in a demo or a benchmark pass.
+rather than at import time in a demo or a benchmark pass. The worker count is
+set only by ``mc.workers``, so no exported callable takes it as a parameter.
 """
 
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -73,3 +75,23 @@ def test_no_reexport_shadows_a_submodule():
         if getattr(package, name) is not sub
     ]
     assert shadowed == []
+
+
+def parameters(obj):
+    """Parameter names of a callable; builtin signatures (an exception class
+    that keeps BaseException's __init__) have none to inspect."""
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:
+        return {}
+
+
+def test_no_exported_callable_takes_a_worker_count():
+    takers = [
+        (module.__name__, name)
+        for module in modules()
+        for name in getattr(module, "__all__", ())
+        if callable(obj := getattr(module, name))
+        and "max_concurrency" in parameters(obj)
+    ]
+    assert takers == []

@@ -400,6 +400,17 @@ class TestRuntimeFailures:
         assert out == ""
         assert "field budget" in last_stderr_json(err)["error"]
 
+    def test_oversized_dense_oracle_exits_3_before_sampling(self, capsys, monkeypatch):
+        # the default 20000 dense samples at N=64 need about 2 GiB
+        def never(*args, **kwargs):
+            raise AssertionError("spectral blocks ran before the budget check")
+
+        monkeypatch.setattr(pipelines.mc, "map_blocks", never)
+        code, out, err = run_cli(["gff-cov", "--seed", "1", "--grid-n", "64"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "field budget" in last_stderr_json(err)["error"]
+
 
 class TestSampleCounts:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Seed derivation, deterministic parallel execution, and aggregation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -46,30 +47,57 @@ class TestReplicaPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
             mc.ReplicaPlan(0, 1)
-        with pytest.raises(ValueError):
-            mc.ReplicaPlan(5, 1, max_concurrency=0)
+
+
+class TestWorkers:
+    @staticmethod
+    def thread_ids(plan):
+        return set(mc.parallel_map(plan, lambda rng: threading.get_ident()))
+
+    def test_rejects_counts_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                with mc.workers(n):
+                    pass
+
+    def test_previous_value_returns_after_an_exception(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with mc.workers(4):
+                raise RuntimeError("boom")
+        assert self.thread_ids(mc.ReplicaPlan(20, 1)) == {threading.get_ident()}
+
+    def test_map_nested_in_a_task_stays_on_its_worker(self):
+        def task(rng):
+            worker = threading.get_ident()
+            return worker, TestWorkers.thread_ids(mc.ReplicaPlan(5, 2)) == {worker}
+
+        with mc.workers(4):
+            results = mc.parallel_map(mc.ReplicaPlan(8, 1), task)
+        assert threading.get_ident() not in {worker for worker, _ in results}
+        assert all(serial for _, serial in results)
 
 
 class TestParallelMap:
     def test_preserves_replica_order(self):
-        plan = mc.ReplicaPlan(100, 5, max_concurrency=8)
+        plan = mc.ReplicaPlan(100, 5)
         sequential = [mc.replica_rng(5, i).random() for i in range(100)]
-        assert mc.parallel_map(plan, lambda rng: rng.random()) == sequential
+        with mc.workers(8):
+            assert mc.parallel_map(plan, lambda rng: rng.random()) == sequential
 
     def test_concurrency_does_not_change_results(self):
         task = lambda rng: float(rng.random() < 0.5)
-        runs = [
-            mc.parallel_map(mc.ReplicaPlan(200, 42, max_concurrency=c), task)
-            for c in (1, 2, 8)
-        ]
+        runs = []
+        for c in (1, 2, 8):
+            with mc.workers(c):
+                runs.append(mc.parallel_map(mc.ReplicaPlan(200, 42), task))
         assert runs[0] == runs[1] == runs[2]
 
     def test_worker_exceptions_propagate(self):
         def task(rng):
             raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match="boom"):
-            mc.parallel_map(mc.ReplicaPlan(3, 1, max_concurrency=2), task)
+        with mc.workers(2), pytest.raises(RuntimeError, match="boom"):
+            mc.parallel_map(mc.ReplicaPlan(3, 1), task)
 
 
 class TestMapBlocks:
@@ -83,10 +111,10 @@ class TestMapBlocks:
         assert blocks.tolist() == mc.parallel_map(plan, lambda rng: rng.random())
 
     def test_concurrency_does_not_change_results(self):
-        runs = [
-            mc.map_blocks(mc.ReplicaPlan(103, 42, max_concurrency=c), 8, self.draw)
-            for c in (1, 4)
-        ]
+        runs = []
+        for c in (1, 4):
+            with mc.workers(c):
+                runs.append(mc.map_blocks(mc.ReplicaPlan(103, 42), 8, self.draw))
         assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_short_last_block(self):

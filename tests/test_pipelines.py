@@ -11,7 +11,7 @@ import json
 import jsonschema
 import pytest
 
-from levelsim import pipelines, tolerances as tol
+from levelsim import mc, pipelines, tolerances as tol
 from levelsim.reports import render_report
 
 
@@ -216,7 +216,8 @@ class TestNbbm:
 class TestDeterminism:
     def test_concurrency_does_not_change_reports(self):
         base = pipelines.run_gw_verify(seed=11, replicas=100)
-        threaded = pipelines.run_gw_verify(seed=11, replicas=100, max_concurrency=4)
+        with mc.workers(4):
+            threaded = pipelines.run_gw_verify(seed=11, replicas=100)
         assert render_report(base, "json") == render_report(threaded, "json")
         assert render_report(base, "csv") == render_report(threaded, "csv")
 
