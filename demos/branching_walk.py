@@ -22,8 +22,8 @@ from levelsim.bbm import (
 
 def main() -> None:
     t = 4.0
-    cfg = BbmRunConfig(t_end=t, snapshot_times=(1.0, 2.0, 3.0, 4.0), seed=7)
-    pops = simulate_bbm(cfg)
+    cfg = BbmRunConfig(t_end=t, snapshot_times=(1.0, 2.0, 3.0, 4.0))
+    pops = simulate_bbm(cfg, mc.replica_rng(7, 0))
     final = pops[-1]
     print(f"population at t={t}: {final.count} particles (mean e^t = {math.exp(t):.1f})")
 

@@ -53,7 +53,6 @@ class BbmRunConfig:
     t_end: float
     snapshot_times: tuple[float, ...] | None = None
     particle_cap: int = DEFAULT_PARTICLE_CAP
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.t_end > 0:
@@ -142,16 +141,6 @@ class NbbmTrajectory:
         return all(s.dominated for s in self.snapshots)
 
 
-def _resolve_rng(cfg: BbmRunConfig, rng: Generator | None) -> Generator:
-    if rng is not None:
-        return rng
-    if cfg.seed is None:
-        raise ValueError("pass a Generator or set cfg.seed")
-    from .. import mc
-
-    return mc.replica_rng(cfg.seed, 0)
-
-
 def _run(
     cfg: BbmRunConfig, rng: Generator, cap_n: float
 ) -> tuple[list[BbmPopulation], list[NbbmSnapshot]]:
@@ -210,15 +199,13 @@ def _run(
     return populations, culled_snaps
 
 
-def simulate_bbm(cfg: BbmRunConfig, rng: Generator | None = None) -> list[BbmPopulation]:
+def simulate_bbm(cfg: BbmRunConfig, rng: Generator) -> list[BbmPopulation]:
     """Exact simulation; one population per snapshot time."""
-    populations, _ = _run(cfg, _resolve_rng(cfg, rng), math.inf)
+    populations, _ = _run(cfg, rng, math.inf)
     return populations
 
 
-def simulate_nbbm(
-    cfg: BbmRunConfig, cap_n: float, rng: Generator | None = None
-) -> NbbmTrajectory:
+def simulate_nbbm(cfg: BbmRunConfig, cap_n: float, rng: Generator) -> NbbmTrajectory:
     """Capped system coupled to its free run (the N-BBM).
 
     The capped population is a subset of the free one: both children of a
@@ -230,7 +217,7 @@ def simulate_nbbm(
     """
     if not (math.isinf(cap_n) or cap_n >= 1):
         raise ValueError(f"cap_n must be >= 1 or inf, got {cap_n}")
-    _, culled = _run(cfg, _resolve_rng(cfg, rng), float(cap_n))
+    _, culled = _run(cfg, rng, float(cap_n))
     return NbbmTrajectory(float(cap_n), tuple(culled))
 
 

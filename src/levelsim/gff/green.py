@@ -5,7 +5,8 @@ visits to y of a simple random walk from x killed on the boundary frame,
 i.e. G = (I - P)^{-1} = 4 (4I - A)^{-1} on the (N-2)^2 interior. Two
 independent routes are exposed: sparse LU solves (columns of G, Dirichlet
 extensions) and the product-sine spectral form (full diagonal); tests play
-them against each other.
+them against each other. The spectral basis, the sine matrix (cached once
+per N) and the mode gaps, lives here and is shared with the field sampler.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
 
 _lock = threading.Lock()
 _lu_cache: dict[tuple[int, int], spla.SuperLU] = {}
+_sine_cache: dict[int, np.ndarray] = {}
 
 
 def interior_laplacian(n_rows: int, n_cols: int) -> sp.csc_matrix:
@@ -37,6 +39,28 @@ def interior_laplacian(n_rows: int, n_cols: int) -> sp.csc_matrix:
     # kron of the row tridiagonal already carries the diagonal 4; the column
     # part contributes the remaining two neighbor couplings.
     return mat.tocsc()
+
+
+def _sine_matrix(grid_n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n,
+    n = N - 2: the product-sine eigenbasis of the interior walk (symmetric)."""
+    with _lock:
+        sine = _sine_cache.get(grid_n)
+        if sine is None:
+            n = grid_n - 2
+            k = np.arange(1, n + 1)
+            sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+            _sine_cache[grid_n] = sine
+    return sine
+
+
+def _mode_gaps(grid_n: int) -> np.ndarray:
+    """Spectral gaps 1 - lam_{jk} of the interior walk on the mode grid,
+    lam_{jk} = (cos(pi j/(N-1)) + cos(pi k/(N-1)))/2 for j, k = 1..N-2.
+    Not cached: the sampler caches its own scale (1 - lam)^{-1/2}."""
+    n = grid_n - 2
+    theta = np.pi * np.arange(1, n + 1) / (n + 1)
+    return 1.0 - 0.5 * (np.cos(theta)[:, None] + np.cos(theta)[None, :])
 
 
 def _lu(n_rows: int, n_cols: int) -> spla.SuperLU:
@@ -98,16 +122,10 @@ class GreenOperator:
         G(x, x) = sum_{jk} (S_{xj} S_{xk})^2 / (1 - lam_{jk}) which evaluates
         as T sigma T' with T = S*S elementwise.
         """
-        n = self.n
-        theta = np.pi * np.arange(1, n + 1) / (n + 1)
-        lam = 0.5 * (np.cos(theta)[:, None] + np.cos(theta)[None, :])
-        sine = np.sqrt(2.0 / (n + 1)) * np.sin(
-            np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) * np.pi / (n + 1)
-        )
+        sine = _sine_matrix(self.grid_n)
         t = sine * sine
-        diag = t @ (1.0 / (1.0 - lam)) @ t.T
         out = np.zeros((self.grid_n, self.grid_n))
-        out[1:-1, 1:-1] = diag
+        out[1:-1, 1:-1] = t @ (1.0 / _mode_gaps(self.grid_n)) @ t.T
         return out
 
     def dense_matrix(self) -> np.ndarray:

@@ -3,9 +3,10 @@
 The spectral backend scales white noise by (1 - lam_{jk})^{-1/2} in the
 product-sine eigenbasis of the interior walk kernel and applies an orthonormal
 DST-I in both axes. Up to N = SINE_MATRIX_MAX_N the transform is the matrix
-product S @ x @ S with the cached n x n orthonormal DST-I matrix S (n = N - 2,
-S symmetric): two BLAS products per field, whose cost does not depend on how
-N - 1 factors, where FFT-based DST-I is slowest at prime N - 1 (N = 128).
+product S @ x @ S with the n x n orthonormal DST-I matrix S (n = N - 2,
+S symmetric; green.py caches it and owns the mode gaps): two BLAS products per
+field, whose cost does not depend on how N - 1 factors, where FFT-based DST-I
+is slowest at prime N - 1 (N = 128).
 Above the cut the O(n^3) product loses to scipy.fft.dstn, which takes over;
 the route depends on N alone. The dense backend draws through a Cholesky
 factor of the explicitly assembled Green matrix and exists to validate the
@@ -24,13 +25,12 @@ import scipy.fft
 from numpy.random import Generator
 
 from .. import tolerances as tol
-from .green import GreenOperator
+from .green import GreenOperator, _mode_gaps, _sine_matrix
 
 __all__ = ["FieldTooLargeError", "spectral_scale", "sample_fields"]
 
 _lock = threading.Lock()
 _scale_cache: dict[int, np.ndarray] = {}
-_sine_cache: dict[int, np.ndarray] = {}
 _chol_cache: dict[int, np.ndarray] = {}
 
 
@@ -45,24 +45,9 @@ def spectral_scale(grid_n: int) -> np.ndarray:
     with _lock:
         scale = _scale_cache.get(grid_n)
         if scale is None:
-            n = grid_n - 2
-            theta = np.pi * np.arange(1, n + 1) / (n + 1)
-            lam = 0.5 * (np.cos(theta)[:, None] + np.cos(theta)[None, :])
-            scale = 1.0 / np.sqrt(1.0 - lam)
+            scale = 1.0 / np.sqrt(_mode_gaps(grid_n))
             _scale_cache[grid_n] = scale
     return scale
-
-
-def _sine_matrix(grid_n: int) -> np.ndarray:
-    """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n."""
-    with _lock:
-        sine = _sine_cache.get(grid_n)
-        if sine is None:
-            n = grid_n - 2
-            k = np.arange(1, n + 1)
-            sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-            _sine_cache[grid_n] = sine
-    return sine
 
 
 def _cholesky(grid_n: int) -> np.ndarray:

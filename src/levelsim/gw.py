@@ -5,9 +5,10 @@ own offspring law with mean m_i. Under a per-generation moment condition
 E[e^{lam_i nu_i}] <= e^{alpha lam_i m_i} (alpha > 1), the population stays
 below max(ell, (alpha+delta)^n * ell * max_i prod_{j>=i} m_j) except with
 probability at most n * exp(-delta*ell*min(lam)/(alpha+delta) + max(lam)).
-`prop_bound` evaluates that cap and bound; `simulate_gw` and the exceedance
-estimators probe it empirically; `exact_exceedance` convolves tiny cases
-exactly so the bound can be checked with zero statistical tolerance.
+`prop_bound` evaluates that cap and bound; `empirical_exceedance` probes it
+in replica blocks, `simulate_gw` on `mc.map_blocks` with one draw per
+generation per block; `exact_exceedance` convolves tiny cases exactly so the
+bound can be checked with zero statistical tolerance.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from numpy.random import Generator
 
 from . import mc
+from . import tolerances as tol
 
 __all__ = [
     "OffspringLaw",
@@ -32,7 +34,6 @@ __all__ = [
     "growth_cap",
     "PropBound",
     "prop_bound",
-    "GwTrajectory",
     "ExceedanceEstimate",
     "empirical_exceedance",
     "exact_exceedance",
@@ -127,36 +128,38 @@ class OffspringLaw:
         peak = max(terms)
         return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
 
-    def sample_total(self, count: int, rng: Generator) -> int:
-        """Exact draw of the sum of `count` i.i.d. offspring numbers.
+    def sample_totals(self, counts: np.ndarray, rng: Generator) -> np.ndarray:
+        """Exact draws of the sum of counts[r] i.i.d. offspring numbers, one per
+        entry of the int64 array `counts`.
 
         Uses the closed form of the convolution (Poisson sums are Poisson,
         geometric sums are shifted negative binomials, table laws thin
-        sequentially through binomials), so one generation costs O(1) RNG
-        calls regardless of population size.
+        sequentially through binomials), so one call draws every entry in
+        O(1) vectorized RNG calls regardless of population sizes.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return 0
+        counts = np.asarray(counts, dtype=np.int64)
+        if (counts < 0).any():
+            raise ValueError("counts must be >= 0")
         if self.kind == "deterministic":
-            return count * int(self.param)
+            return counts * int(self.param)
         if self.kind == "poisson":
-            return int(rng.poisson(self.param * count))
+            return rng.poisson(self.param * counts)
         if self.kind == "geometric":
-            return count + int(rng.negative_binomial(count, self.param))
-        total = 0
-        remaining = count
+            # negative_binomial rejects n = 0, so extinct entries draw nothing
+            totals = counts.copy()
+            live = counts > 0
+            totals[live] += rng.negative_binomial(counts[live], self.param)
+            return totals
+        totals = np.zeros_like(counts)
+        remaining = counts.copy()
         mass_left = 1.0
         for k, p in self.pmf[:-1]:
-            if remaining == 0:
-                break
-            draw = int(rng.binomial(remaining, min(1.0, p / mass_left)))
-            total += k * draw
+            draw = rng.binomial(remaining, min(1.0, p / mass_left))
+            totals += k * draw
             remaining -= draw
             mass_left -= p
-        total += self.pmf[-1][0] * remaining
-        return total
+        totals += self.pmf[-1][0] * remaining
+        return totals
 
     def pmf_array(self) -> np.ndarray:
         """Dense pmf over 0..max_support; finite-support laws only."""
@@ -316,36 +319,33 @@ def prop_bound(
     )
 
 
-@dataclass(frozen=True)
-class GwTrajectory:
-    """Counts Z_0..Z_n; censored marks a run stopped at the population cap."""
-
-    counts: tuple[int, ...]
-    censored: bool = False
-    censored_at: int | None = None
-
-    @property
-    def final(self) -> int:
-        return self.counts[-1]
-
-
 def simulate_gw(
     plan: GwPlan,
     rng: Generator,
+    size: int,
     population_cap: int = DEFAULT_POPULATION_CAP,
-) -> GwTrajectory:
-    """One trajectory; stops early (censored) if a generation exceeds the cap."""
-    counts = [plan.initial]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`size` independent trajectories and the replicas censored at the cap.
+
+    Returns the counts Z_0..Z_n as a (size, n+1) int64 array, drawn by one
+    `sample_totals` call per generation, and a boolean mask of the replicas
+    whose count passed population_cap. A censored replica draws no more, and
+    its later generations read 0. Extinction is absorbing.
+    """
+    top = max(law.max_support or 0 for law in plan.laws)
+    if population_cap * top >= 2**63:
+        raise ValueError(
+            f"population_cap {population_cap} times offspring count {top} "
+            "overflows int64"
+        )
+    counts = np.zeros((size, plan.generations + 1), dtype=np.int64)
+    counts[:, 0] = plan.initial
+    censored = np.zeros(size, dtype=bool)
     for i, law in enumerate(plan.laws):
-        z = law.sample_total(counts[-1], rng)
-        counts.append(z)
-        if z > population_cap:
-            return GwTrajectory(tuple(counts), censored=True, censored_at=i + 1)
-        if z == 0:
-            # Extinction is absorbing; remaining generations stay at 0.
-            counts.extend([0] * (plan.generations - i - 1))
-            break
-    return GwTrajectory(tuple(counts))
+        live = ~censored
+        counts[live, i + 1] = law.sample_totals(counts[live, i], rng)
+        censored |= counts[:, i + 1] > population_cap
+    return counts, censored
 
 
 @dataclass(frozen=True)
@@ -366,17 +366,15 @@ def empirical_exceedance(
     """Monte Carlo exceedance probability at ceil(threshold)."""
     k = math.ceil(threshold)
 
-    def task(rng: Generator) -> tuple[bool, bool]:
-        traj = simulate_gw(plan, rng, population_cap)
-        return (traj.censored or traj.final >= k, traj.censored)
+    def task(rng: Generator, size: int) -> np.ndarray:
+        counts, censored = simulate_gw(plan, rng, size, population_cap)
+        return np.stack([censored | (counts[:, -1] >= k), censored], axis=1)
 
-    outcomes = mc.parallel_map(replica_plan, task)
-    hits = sum(1 for hit, _ in outcomes if hit)
-    censored = sum(1 for _, cens in outcomes if cens)
+    hits, censored = mc.map_blocks(replica_plan, tol.GW_BLOCK, task).sum(axis=0)
     return ExceedanceEstimate(
-        estimate=mc.binomial_estimate(hits, replica_plan.replicas),
+        estimate=mc.binomial_estimate(int(hits), replica_plan.replicas),
         count_threshold=k,
-        censored=censored,
+        censored=int(censored),
     )
 
 

@@ -14,7 +14,9 @@ Vectorized tasks run in replica blocks (``map_blocks``): one stream per block
 of consecutive replicas, keyed like a replica's, as in the counter-based
 design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 (SC'11). Results then depend on the plan and the block size, never on the
-workers.
+workers. The field samplers and the Galton-Watson sweep run in blocks;
+``parallel_map``, one stream per replica, now serves only the branching
+Brownian motion estimators.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ RATE_RESIDUAL_TOL = 1e-9
 # C2: branching-bound sweep
 GW_SWEEP_REPLICAS = 10_000
 GW_SIGMA = 2.0
+# replicas per Galton-Watson block (one stream and one draw per generation
+# each), so a sweep's memory stays bounded at any replica count
+GW_BLOCK = 1000
 
 # C3: first moments of the branching diffusion
 BBM_MEAN_T = 5.0

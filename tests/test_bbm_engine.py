@@ -68,12 +68,6 @@ class TestChronologicalEngine:
         with pytest.raises(KeyError):
             pops[-1].position_of(10**9)
 
-    def test_needs_rng_or_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            simulate_bbm(BbmRunConfig(0.5))
-        pops = simulate_bbm(BbmRunConfig(0.5, seed=11))
-        assert pops[-1].count >= 1
-
     def test_population_size_is_geometric(self):
         # binary splitting at rate 1 makes the count at t=1 geometric(e^-1)
         counts = np.array(

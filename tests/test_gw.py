@@ -1,11 +1,14 @@
-"""Branching-process growth caps, tail bounds, and exact convolution."""
+"""Branching-process growth caps, tail bounds, block simulation, exact convolution."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from levelsim import gw, mc
+from levelsim import gw, mc, pipelines
+from levelsim import tolerances as tol
 
 
 def plan_of(laws, initial):
@@ -151,25 +154,24 @@ class TestPropBound:
 class TestSimulation:
     def test_deterministic_doubling(self):
         laws = [gw.OffspringLaw.deterministic(2)] * 10
-        plan = plan_of(laws, 1)
-        for seed in range(10):
-            traj = gw.simulate_gw(plan, mc.replica_rng(seed, 0))
-            assert traj.final == 1024
-            assert not traj.censored
+        counts, censored = gw.simulate_gw(plan_of(laws, 1), mc.replica_rng(0, 0), 10)
+        assert (counts[:, -1] == 1024).all()
+        assert not censored.any()
 
     def test_extinction_is_absorbing(self):
         laws = [gw.OffspringLaw.table({0: 1.0})] + [gw.OffspringLaw.poisson(2.0)] * 3
-        traj = gw.simulate_gw(plan_of(laws, 5), mc.replica_rng(1, 0))
-        assert traj.counts == (5, 0, 0, 0, 0)
+        counts, _ = gw.simulate_gw(plan_of(laws, 5), mc.replica_rng(1, 0), 4)
+        assert (counts == [5, 0, 0, 0, 0]).all()
 
     def test_critical_poisson_mean_matches_initial(self):
         laws = [gw.OffspringLaw.poisson(1.0)] * 5
         plan = plan_of(laws, 100)
-        est = mc.run_replicas(
+        finals = mc.map_blocks(
             mc.ReplicaPlan(10_000, 1234),
-            lambda rng: float(gw.simulate_gw(plan, rng).final),
+            tol.GW_BLOCK,
+            lambda rng, size: gw.simulate_gw(plan, rng, size)[0][:, -1],
         )
-        assert est.within(100.0, 3.0)
+        assert mc.summarize(finals).within(100.0, 3.0)
 
     def test_mixed_laws_run(self):
         laws = [
@@ -177,9 +179,73 @@ class TestSimulation:
             gw.OffspringLaw.poisson(1.2),
             gw.OffspringLaw.table({0: 0.3, 1: 0.4, 2: 0.3}),
         ]
-        traj = gw.simulate_gw(plan_of(laws, 50), mc.replica_rng(3, 0))
-        assert len(traj.counts) == 4
-        assert all(z >= 0 for z in traj.counts)
+        counts, _ = gw.simulate_gw(plan_of(laws, 50), mc.replica_rng(3, 0), 8)
+        assert counts.shape == (8, 4)
+        assert (counts >= 0).all()
+
+
+class TestBlockLaws:
+    @pytest.mark.parametrize(
+        "law",
+        [
+            gw.OffspringLaw.deterministic(2),
+            gw.OffspringLaw.geometric(0.5),
+            gw.OffspringLaw.poisson(1.5),
+            gw.OffspringLaw.table({0: 0.2, 1: 0.3, 2: 0.5}),
+        ],
+        ids=lambda law: law.kind,
+    )
+    def test_block_mixes_extinct_and_live_replicas(self, law):
+        counts = np.array([0, 1000, 0, 1, 0, 40_000], dtype=np.int64)
+        totals = law.sample_totals(counts, mc.replica_rng(12, 0))
+        assert totals.dtype == np.int64
+        assert (totals[counts == 0] == 0).all()
+        for c, z in zip(counts[1::2], totals[1::2]):
+            # sums of c i.i.d. offspring numbers stay within 6 sd of c * mean
+            sd = math.sqrt(c * 2.0)  # every law here has variance <= 2
+            assert abs(z - c * law.mean) <= 6.0 * sd + 1e-9
+
+    def test_geometric_after_extinct_generation(self):
+        laws = [gw.OffspringLaw.table({0: 1.0}), gw.OffspringLaw.geometric(0.5)]
+        counts, censored = gw.simulate_gw(plan_of(laws, 3), mc.replica_rng(2, 0), 50)
+        assert (counts[:, 1:] == 0).all()
+        assert not censored.any()
+
+    def test_table_law_generation_two_matches_exact_pmf(self):
+        plan = plan_of([gw.OffspringLaw.table({0: 0.2, 1: 0.3, 2: 0.5})] * 2, 4)
+        finals = mc.map_blocks(
+            mc.ReplicaPlan(20_000, 13),
+            tol.GW_BLOCK,
+            lambda rng, size: gw.simulate_gw(plan, rng, size)[0][:, -1],
+        )
+        tail = np.array([gw.exact_exceedance(plan, j) for j in range(18)])
+        pmf = tail[:-1] - tail[1:]
+        observed = np.bincount(finals, minlength=pmf.size)
+        assert observed.size == pmf.size
+        # pool the sparse upper and lower tails so every expected count is >= 5
+        expected = pmf * finals.size
+        keep = expected >= 5.0
+        obs = np.append(observed[keep], observed[~keep].sum())
+        exp = np.append(expected[keep], expected[~keep].sum())
+        assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+    def test_deterministic_growth_censors_without_overflow(self):
+        # Z_5 = 10**15 passes the cap; Z_7 would be 10**21 and wrap int64
+        laws = [gw.OffspringLaw.deterministic(1000)] * 8
+        plan = plan_of(laws, 1)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            counts, censored = gw.simulate_gw(plan, mc.replica_rng(4, 0), 3, 10**12)
+            est = gw.empirical_exceedance(plan, 1e30, mc.ReplicaPlan(5, 4), 10**12)
+        assert (counts[:, :6] == [10**i for i in range(0, 18, 3)]).all()
+        assert (counts[:, 6:] == 0).all()
+        assert censored.all()
+        assert est.censored == 5 and est.estimate.mean == 1.0
+
+    def test_cap_that_could_overflow_is_refused(self):
+        plan = plan_of([gw.OffspringLaw.deterministic(10**7)], 1)
+        with pytest.raises(ValueError, match="overflows int64"):
+            gw.simulate_gw(plan, mc.replica_rng(4, 0), 1)
 
 
 class TestExceedance:
@@ -220,3 +286,15 @@ class TestExceedance:
         plan = plan_of([gw.OffspringLaw.deterministic(500)], 1000)
         with pytest.raises(ValueError, match="state space"):
             gw.exact_exceedance(plan, 1e6)
+
+    def test_gw_verify_draws_one_stream_per_block(self, monkeypatch):
+        calls = []
+        real = mc.replica_rng
+
+        def counting(master_seed, index):
+            calls.append(index)
+            return real(master_seed, index)
+
+        monkeypatch.setattr(mc, "replica_rng", counting)
+        report = pipelines.run_gw_verify(5, replicas=2 * tol.GW_BLOCK + 1)
+        assert calls == [0, 1, 2] * len(report.estimates)
