@@ -13,8 +13,8 @@ import numpy as np
 from levelsim import mc
 from levelsim.bbm import (
     BbmRunConfig,
+    count_at_or_above,
     expected_count_oracle,
-    sample_positions,
     simulate_bbm,
     simulate_nbbm,
 )
@@ -35,13 +35,12 @@ def main() -> None:
         ancestor = final.tree.ancestor_at(node, pop.time)
         print(f"  ancestor at t={pop.time:.1f}: position {pop.position_of(ancestor):+.4f}")
 
-    # level counts vs the exact first moment e^t P(N(0,t) >= xt)
+    # level counts vs the exact first moment e^t P(N(0,t) >= xt), all 2000
+    # replicas in one block: one stream, one wave sweep, counts reduced per wave
     print("\nlevel counts at t=4 over 2000 replicas:")
     for x in (0.3, 0.7):
-        plan = mc.ReplicaPlan(2000, mc.derive_seed(11, int(10 * x)))
-        est = mc.run_replicas(
-            plan, lambda rng: float((sample_positions(t, rng) >= x * t).sum())
-        )
+        rng = mc.replica_rng(11, int(10 * x))
+        est = mc.summarize(count_at_or_above(t, x * t, rng, 2000))
         oracle = expected_count_oracle(t, x)
         print(f"  x={x}: mean {est.mean:8.3f} +/- {est.stderr:.3f}   oracle {oracle:8.3f}")
 

@@ -11,6 +11,8 @@ from .engine import (
     NbbmSnapshot,
     NbbmTrajectory,
     PopulationCapError,
+    count_at_or_above,
+    refuse_doomed_horizon,
     sample_positions,
     simulate_bbm,
     simulate_nbbm,
@@ -24,6 +26,7 @@ from .estimators import (
     estimate_level_exponent,
     estimate_max_tail,
     expected_count_oracle,
+    replica_counts,
 )
 from .kpp import log_count_rate, max_tail_probability, solve_kpp
 from .paths import (
@@ -50,6 +53,7 @@ __all__ = [
     "PopulationCapError",
     "check_events",
     "check_nbbm_dominance",
+    "count_at_or_above",
     "default_cutoff",
     "e2_failure_bound",
     "estimate_level_exponent",
@@ -57,6 +61,8 @@ __all__ = [
     "expected_count_oracle",
     "log_count_rate",
     "max_tail_probability",
+    "refuse_doomed_horizon",
+    "replica_counts",
     "sample_positions",
     "simulate_bbm",
     "simulate_nbbm",

@@ -6,9 +6,17 @@ has a discretization bias. The chronological engine keeps the genealogy and
 is uniformized: with n live particles the next branch comes Exp(1)/n later,
 at a uniformly picked particle. Positions are settled lazily: a particle's
 when it branches, the capped members' before the leftmost is culled, and all
-at each snapshot. sample_positions is a vectorized sweep that returns only
-the time-t positions, for replica-heavy estimators; it consumes randomness in
-a different order, so the engines match in distribution, not draw for draw.
+at each snapshot.
+
+The generation-wave sweep keeps no genealogy: it settles a block of
+independent replicas at once, each started by one particle at the origin,
+and hands each wave's finished particles with their replica ids to one of
+two consumers. sample_positions returns one replica's time-t positions;
+count_at_or_above reduces every wave to per-replica counts at a level, so a
+block's memory stays at its live cohort, and the counting estimators run on
+it in replica blocks. The sweep consumes randomness in a different order
+from the chronological engine, so the two match in distribution, not draw
+for draw.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ __all__ = [
     "simulate_bbm",
     "simulate_nbbm",
     "sample_positions",
+    "count_at_or_above",
+    "refuse_doomed_horizon",
 ]
 
 DEFAULT_PARTICLE_CAP = 10**7
@@ -37,12 +47,15 @@ DEFAULT_PARTICLE_CAP = 10**7
 class PopulationCapError(RuntimeError):
     """Population guard tripped; carries how far the run got."""
 
-    def __init__(self, time_reached: float, population: int, cap: int):
+    def __init__(
+        self, time_reached: float, population: int, cap: int, message: str | None = None
+    ):
         self.time_reached = time_reached
         self.population = population
         self.cap = cap
         super().__init__(
-            f"population {population} exceeded cap {cap} at time {time_reached:.6g}"
+            message
+            or f"population {population} exceeded cap {cap} at time {time_reached:.6g}"
         )
 
 
@@ -221,33 +234,81 @@ def simulate_nbbm(cfg: BbmRunConfig, cap_n: float, rng: Generator) -> NbbmTrajec
     return NbbmTrajectory(float(cap_n), tuple(culled))
 
 
-def sample_positions(
-    t: float, rng: Generator, particle_cap: int = DEFAULT_PARTICLE_CAP
-) -> np.ndarray:
-    """Positions of every particle at time t, by generation-wave sweeps.
+def refuse_doomed_horizon(t: float, replicas: int) -> None:
+    """Raise PopulationCapError, before any draw, when the guard must trip.
 
-    Same branching law as the chronological engine. Each sweep settles the
-    whole pending cohort at once: particles whose Exp(1) lifetime outlives t
-    are finished with one Gaussian step, the rest branch in place into two.
+    One replica's population at time t is Geometric(e^-t), so it exceeds the
+    default cap with probability (1 - e^-t)^cap. Runs that expect at least
+    one such replica among theirs are refused; time_reached 0 says nothing
+    was drawn.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    birth_t = np.zeros(1)
-    birth_x = np.zeros(1)
-    finished: list[np.ndarray] = []
+    cap = DEFAULT_PARTICLE_CAP
+    tail = math.exp(cap * math.log1p(-math.exp(-t)))
+    if replicas * tail >= 1.0:
+        raise PopulationCapError(
+            0.0,
+            0,
+            cap,
+            f"t={t:g} expects {replicas * tail:.3g} of {replicas} replicas to exceed "
+            f"the population cap {cap}; refused before sampling",
+        )
+
+
+def _waves(t: float, rng: Generator, size: int, particle_cap: int):
+    """Generation waves of `size` replicas; yields each wave's finished
+    (positions, replica ids).
+
+    Each wave settles the whole pending cohort at once: particles whose Exp(1)
+    lifetime outlives t are finished with one Gaussian step to time t, the
+    rest take the step to their branch time and split in place into two. The
+    guard counts the block's particles, finished and pending.
+    """
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    birth_t = np.zeros(size)
+    birth_x = np.zeros(size)
+    rep = np.arange(size)
     done_count = 0
     while birth_t.size:
         life = rng.standard_exponential(birth_t.size)
         step = rng.standard_normal(birth_t.size)
+        x = birth_x + step * np.sqrt(np.minimum(life, t - birth_t))
         branch_t = birth_t + life
-        done = branch_t >= t
-        finished.append(birth_x[done] + step[done] * np.sqrt(t - birth_t[done]))
-        done_count += int(done.sum())
-        cont_t = branch_t[~done]
-        cont_x = birth_x[~done] + step[~done] * np.sqrt(life[~done])
-        birth_t = np.repeat(cont_t, 2)
-        birth_x = np.repeat(cont_x, 2)
-        if done_count + birth_t.size > particle_cap:
-            reached = float(cont_t.min()) if cont_t.size else t
-            raise PopulationCapError(reached, done_count + birth_t.size, particle_cap)
-    return np.concatenate(finished)
+        live = branch_t < t
+        keep = live.nonzero()[0]
+        done = ~live
+        yield x[done], rep[done]
+        done_count += x.size - keep.size
+        if done_count + 2 * keep.size > particle_cap:
+            reached = float(branch_t[keep].min()) if keep.size else t
+            raise PopulationCapError(reached, done_count + 2 * keep.size, particle_cap)
+        birth_t = np.repeat(branch_t[keep], 2)
+        birth_x = np.repeat(x[keep], 2)
+        rep = np.repeat(rep[keep], 2)
+
+
+def sample_positions(
+    t: float, rng: Generator, particle_cap: int = DEFAULT_PARTICLE_CAP
+) -> np.ndarray:
+    """Positions of every particle of one replica at time t.
+
+    Same branching law as the chronological engine, by the generation-wave
+    sweep at a block of one.
+    """
+    return np.concatenate([x for x, _ in _waves(t, rng, 1, particle_cap)])
+
+
+def count_at_or_above(t: float, level: float, rng: Generator, size: int) -> np.ndarray:
+    """Per-replica int64 counts of particles at or above level at time t.
+
+    One generation-wave sweep over a block of `size` replicas, reduced wave by
+    wave, so the block never holds all its final positions. At size 1 it
+    consumes the same draws as sample_positions; level -inf counts the
+    population.
+    """
+    counts = np.zeros(size, dtype=np.int64)
+    for x, rep in _waves(t, rng, size, DEFAULT_PARTICLE_CAP):
+        counts += np.bincount(rep[x >= level], minlength=size)
+    return counts

@@ -4,6 +4,10 @@ The mean population at time t is e^t exactly, and the mean count at or above
 level x*t is e^t times a Gaussian upper tail, because a uniformly tagged line
 of descent is a standard Brownian path independent of the branching. Those
 two closed forms are the oracles every estimator here is tested against.
+
+The counting estimators draw their replicas in blocks of about
+BBM_BLOCK_PARTICLES particles, one stream per block, each block one
+generation-wave sweep reduced to per-replica counts (replica_counts).
 """
 
 from __future__ import annotations
@@ -14,12 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as _stats
 
-from .. import mc
+from .. import mc, tolerances as tol
 from ..rates import psi
-from .engine import BbmRunConfig, sample_positions, simulate_nbbm
+from .engine import (
+    BbmRunConfig,
+    count_at_or_above,
+    refuse_doomed_horizon,
+    sample_positions,  # kept for perfbench/spans.py, which rebinds it here
+    simulate_nbbm,
+)
 
 __all__ = [
     "expected_count_oracle",
+    "replica_counts",
     "NoDataError",
     "LevelExponent",
     "estimate_level_exponent",
@@ -35,6 +46,23 @@ def expected_count_oracle(t: float, x: float) -> float:
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     return math.exp(t) * float(_stats.norm.sf(x * math.sqrt(t)))
+
+
+def replica_counts(t: float, level: float, replicas: int, seed: int) -> np.ndarray:
+    """N(t, level) for each replica, as int64, by blocks of count_at_or_above.
+
+    A block holds max(1, BBM_BLOCK_PARTICLES // ceil(e^t)) replicas, about
+    that many particles at the mean population e^t, and block b draws from
+    mc.replica_rng(seed, b). Level -inf counts the population. A horizon that
+    must trip the population guard is refused before any draw.
+    """
+    refuse_doomed_horizon(t, replicas)
+    block = max(1, tol.BBM_BLOCK_PARTICLES // math.ceil(math.exp(t)))
+    return mc.map_blocks(
+        mc.ReplicaPlan(replicas, seed),
+        block,
+        lambda rng, size: count_at_or_above(t, level, rng, size),
+    )
 
 
 class NoDataError(RuntimeError):
@@ -61,15 +89,7 @@ def estimate_level_exponent(
 ) -> LevelExponent:
     if not 0 < x < math.sqrt(2):
         raise ValueError(f"x must lie in (0, sqrt(2)), got {x}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-
-    def task(rng) -> int:
-        positions = sample_positions(t, rng)
-        return int((positions >= x * t).sum())
-
-    plan = mc.ReplicaPlan(replicas, seed)
-    counts = np.asarray(mc.parallel_map(plan, task), dtype=float)
+    counts = replica_counts(t, x * t, replicas, seed).astype(float)
     nonzero = counts[counts > 0]
     if nonzero.size == 0:
         raise NoDataError(
@@ -110,16 +130,8 @@ def estimate_max_tail(
     With zero successes the point decay is undefined and the reported lower
     bound on it comes from the exact upper confidence limit.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-
-    def task(rng) -> bool:
-        positions = sample_positions(t, rng)
-        return bool(positions.max() >= x * t)
-
-    plan = mc.ReplicaPlan(replicas, seed)
-    hits = mc.parallel_map(plan, task)
-    estimate = mc.binomial_estimate(sum(bool(h) for h in hits), replicas)
+    hits = int(np.count_nonzero(replica_counts(t, x * t, replicas, seed)))
+    estimate = mc.binomial_estimate(hits, replicas)
     decay = None if estimate.mean == 0 else -math.log(estimate.mean) / t
     decay_upper = -math.log(estimate.ci_high) / t
     return MaxTail(t, x, estimate, decay, decay_upper, psi(x))
@@ -146,8 +158,12 @@ def check_nbbm_dominance(
     seed: int,
     snapshot_times: tuple[float, ...] | None = None,
 ) -> DominanceSweep:
-    """Run coupled pairs over derived seeds; report (replica, time) breaches."""
+    """Run coupled pairs over derived seeds; report (replica, time) breaches.
+
+    The chronological engine runs one replica at a time, one stream each.
+    """
     cfg = BbmRunConfig(t, snapshot_times)
+    refuse_doomed_horizon(t, replicas)
 
     def task(rng) -> list[float]:
         trajectory = simulate_nbbm(cfg, cap_n, rng)

@@ -28,7 +28,9 @@ from .bbm import (
     expected_count_oracle,
     log_count_rate,
     max_tail_probability,
-    sample_positions,
+    refuse_doomed_horizon,
+    replica_counts,
+    sample_positions,  # kept for perfbench/spans.py, which rebinds it here
     simulate_bbm,
 )
 from .gff import (
@@ -434,13 +436,15 @@ def run_bbm_exponents(
     dplan = None
     if path_delta is not None:
         dplan = DiscretizationPlan(b_t, path_delta, path_delta_prime)
+    refuse_doomed_horizon(b_t, b_reps)
 
     estimates = []
     checks = []
 
-    pop_plan = mc.ReplicaPlan(tol.BBM_MEAN_REPLICAS, mc.derive_seed(seed, 1))
-    pop = mc.run_replicas(
-        pop_plan, lambda rng: float(sample_positions(tol.BBM_MEAN_T, rng).size)
+    pop = mc.summarize(
+        replica_counts(
+            tol.BBM_MEAN_T, -math.inf, tol.BBM_MEAN_REPLICAS, mc.derive_seed(seed, 1)
+        )
     )
     pop_target = math.exp(tol.BBM_MEAN_T)
     estimates.append(_estimate_row("population_mean", pop, t=tol.BBM_MEAN_T))
@@ -456,11 +460,9 @@ def run_bbm_exponents(
     )
 
     for k, x in enumerate(tol.BBM_COUNT_XS):
-        count_plan = mc.ReplicaPlan(tol.BBM_COUNT_REPLICAS, mc.derive_seed(seed, 2 + k))
         t = tol.BBM_COUNT_T
-        est = mc.run_replicas(
-            count_plan,
-            lambda rng: float((sample_positions(t, rng) >= x * t).sum()),
+        est = mc.summarize(
+            replica_counts(t, x * t, tol.BBM_COUNT_REPLICAS, mc.derive_seed(seed, 2 + k))
         )
         target = expected_count_oracle(t, x)
         estimates.append(

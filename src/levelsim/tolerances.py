@@ -125,6 +125,11 @@ FIELD_BLOCK_SITES = 512**2
 # Largest working set one sample_fields call may allocate.
 FIELD_BYTES_MAX = 2**30
 
+# Branching diffusion (C3-C5). Replica blocks of the counting estimators hold
+# about this many particles: max(1, BBM_BLOCK_PARTICLES // ceil(e^t))
+# replicas, so 1191 at t = 4, 21 at t = 8 and 1 at t = 12.
+BBM_BLOCK_PARTICLES = 2**16
+
 # C13: determinism
 DETERMINISM_CONCURRENCY = 4
 

@@ -7,15 +7,19 @@ import pytest
 from scipy import stats
 
 from levelsim import mc
-from levelsim.bbm import engine
+from levelsim import tolerances as tol
+from levelsim.bbm import engine, estimators
 from levelsim.bbm import (
     BbmRunConfig,
     NoDataError,
     PopulationCapError,
     check_nbbm_dominance,
+    count_at_or_above,
     estimate_level_exponent,
     estimate_max_tail,
     expected_count_oracle,
+    refuse_doomed_horizon,
+    replica_counts,
     sample_positions,
     simulate_bbm,
     simulate_nbbm,
@@ -170,6 +174,108 @@ class TestVectorizedSweep:
     def test_particle_cap(self):
         with pytest.raises(PopulationCapError):
             sample_positions(12.0, mc.replica_rng(1, 0), particle_cap=100)
+
+
+class TestBlockSweep:
+    @pytest.mark.parametrize("t", [1.0, 5.0, 8.0])
+    def test_size_one_counts_match_sample_positions_draw_for_draw(self, t):
+        for i in range(10):
+            xs = sample_positions(t, mc.replica_rng(83, i))
+            for level in (-math.inf, 0.0, 0.8 * t):
+                counts = count_at_or_above(t, level, mc.replica_rng(83, i), 1)
+                assert counts.dtype == np.int64
+                assert counts.tolist() == [int((xs >= level).sum())]
+
+    def test_block_counts_reduce_the_waves(self):
+        t, size, level = 3.0, 40, 1.0
+        waves = list(engine._waves(t, mc.replica_rng(89, 0), size, 10**6))
+        xs = np.concatenate([x for x, _ in waves])
+        ids = np.concatenate([rep for _, rep in waves])
+        assert set(ids.tolist()) == set(range(size))
+        brute = [int((xs[ids == r] >= level).sum()) for r in range(size)]
+        counts = count_at_or_above(t, level, mc.replica_rng(89, 0), size)
+        assert counts.tolist() == brute
+        population = count_at_or_above(t, -math.inf, mc.replica_rng(89, 0), size)
+        assert population.tolist() == np.bincount(ids, minlength=size).tolist()
+
+    def test_counts_do_not_depend_on_workers(self):
+        # t=4 takes blocks of 1191 replicas: two full blocks and a short one
+        with mc.workers(1):
+            serial = replica_counts(4.0, 2.0, 3000, 97)
+        with mc.workers(4):
+            threaded = replica_counts(4.0, 2.0, 3000, 97)
+        assert serial.shape == (3000,)
+        assert np.array_equal(serial, threaded)
+
+    @pytest.mark.parametrize("t, replicas, streams", [(4.0, 2500, 3), (8.0, 43, 3)])
+    def test_one_stream_per_block(self, t, replicas, streams, monkeypatch):
+        block = max(1, tol.BBM_BLOCK_PARTICLES // math.ceil(math.exp(t)))
+        assert -(-replicas // block) == streams
+        keys = []
+        real = mc.replica_rng
+
+        def counted(master, index):
+            keys.append(index)
+            return real(master, index)
+
+        monkeypatch.setattr(mc, "replica_rng", counted)
+        assert replica_counts(t, 0.0, replicas, 5).shape == (replicas,)
+        assert keys == list(range(streams))
+
+    def test_block_population_is_geometric(self):
+        # each replica of a block grows its own Yule tree: Geometric(e^-t).
+        # At t=2 a sweep that mixes up the children's replica ids fails this.
+        t, size = 2.0, 2000
+        counts = count_at_or_above(t, -math.inf, mc.replica_rng(101, 0), size)
+        p = math.exp(-t)
+        edges = list(range(1, 21))
+        observed = [int((counts == k).sum()) for k in edges]
+        observed.append(int((counts > edges[-1]).sum()))
+        expected = [size * p * (1 - p) ** (k - 1) for k in edges]
+        expected.append(size * (1 - p) ** edges[-1])
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+
+    def test_block_mean_count_matches_oracle(self):
+        t, x = 3.0, 0.5
+        counts = count_at_or_above(t, x * t, mc.replica_rng(103, 0), 2000)
+        assert mc.summarize(counts).within(expected_count_oracle(t, x), 3.5)
+
+    def test_particle_cap_trips_inside_a_block(self):
+        with pytest.raises(PopulationCapError) as info:
+            list(engine._waves(6.0, mc.replica_rng(107, 0), 8, 100))
+        err = info.value
+        assert err.cap == 100
+        assert err.population > 100
+        assert 0.0 < err.time_reached < 6.0
+
+
+class TestDoomedHorizon:
+    def test_threshold_is_the_geometric_tail(self):
+        # P(N_16 > 10^7) = (1 - e^-16)^(10^7) = 0.3246: three replicas expect
+        # 0.97 over the guard and pass, four expect 1.30 and are refused
+        refuse_doomed_horizon(16.0, 3)
+        with pytest.raises(PopulationCapError) as info:
+            refuse_doomed_horizon(16.0, 4)
+        assert info.value.time_reached == 0.0
+        assert info.value.cap == engine.DEFAULT_PARTICLE_CAP
+        assert "refused before sampling" in str(info.value)
+
+    def test_shipped_horizons_pass(self):
+        refuse_doomed_horizon(tol.BIGGINS_T, tol.BIGGINS_REPLICAS)
+        refuse_doomed_horizon(tol.NBBM_T, tol.NBBM_REPLICAS)
+
+    def test_estimators_refuse_before_any_draw(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started at a doomed horizon")
+
+        monkeypatch.setattr(estimators, "count_at_or_above", never)
+        monkeypatch.setattr(estimators, "simulate_nbbm", never)
+        with pytest.raises(PopulationCapError):
+            estimate_level_exponent(20.0, 0.5, replicas=200, seed=1)
+        with pytest.raises(PopulationCapError):
+            estimate_max_tail(20.0, 1.6, replicas=200, seed=1)
+        with pytest.raises(PopulationCapError):
+            check_nbbm_dominance(20.0, 10, replicas=1000, seed=1)
 
 
 class TestCappedSystem:

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from levelsim import pipelines
+from levelsim.bbm import estimators
 from levelsim.cli import main
 from levelsim.cli import PIPELINES
 from levelsim.reports import Report
@@ -153,6 +154,7 @@ class TestRegistryBounds:
         def never(*args, **kwargs):
             raise AssertionError("sampling started on a bad diagnostic input")
 
+        monkeypatch.setattr(pipelines, "replica_counts", never)
         monkeypatch.setattr(pipelines, "sample_positions", never)
         code, _, _ = run_cli(["bbm-exponents", "--seed", "1", *flags], capsys)
         assert code == 2
@@ -410,6 +412,20 @@ class TestRuntimeFailures:
         assert code == 3
         assert out == ""
         assert "field budget" in last_stderr_json(err)["error"]
+
+    @pytest.mark.parametrize("sub", ["bbm-exponents", "nbbm"])
+    def test_doomed_horizon_exits_3_before_sampling(self, sub, capsys, monkeypatch):
+        # at t=20 a replica exceeds the 10^7 particle guard with probability 0.98
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started at a horizon that must trip the guard")
+
+        monkeypatch.setattr(pipelines, "replica_counts", never)
+        monkeypatch.setattr(estimators, "count_at_or_above", never)
+        monkeypatch.setattr(estimators, "simulate_nbbm", never)
+        code, out, err = run_cli([sub, "--seed", "1", "--t", "20"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "refused before sampling" in last_stderr_json(err)["error"]
 
 
 class TestSampleCounts:
