@@ -18,9 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .. import tolerances as tol
 from .grid import Box
 
 __all__ = [
+    "FieldTooLargeError",
     "interior_laplacian",
     "GreenOperator",
     "dirichlet_extend",
@@ -28,7 +30,13 @@ __all__ = [
 
 _lock = threading.Lock()
 _lu_cache: dict[tuple[int, int], spla.SuperLU] = {}
-_sine_cache: dict[int, np.ndarray] = {}
+# keyed by (N, dtype): the float32 copy serves the sampler's threshold route
+_sine_cache: dict[tuple[int, np.dtype], np.ndarray] = {}
+
+
+class FieldTooLargeError(RuntimeError):
+    """Raised before allocation when the working set of a field request, or
+    of the Green diagonal, exceeds tolerances.FIELD_BYTES_MAX."""
 
 
 def interior_laplacian(n_rows: int, n_cols: int) -> sp.csc_matrix:
@@ -41,16 +49,19 @@ def interior_laplacian(n_rows: int, n_cols: int) -> sp.csc_matrix:
     return mat.tocsc()
 
 
-def _sine_matrix(grid_n: int) -> np.ndarray:
+def _sine_matrix(grid_n: int, dtype=np.float64) -> np.ndarray:
     """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n,
-    n = N - 2: the product-sine eigenbasis of the interior walk (symmetric)."""
+    n = N - 2: the product-sine eigenbasis of the interior walk (symmetric).
+    Computed in float64 and cast once to dtype."""
+    key = (grid_n, np.dtype(dtype))
     with _lock:
-        sine = _sine_cache.get(grid_n)
+        sine = _sine_cache.get(key)
         if sine is None:
             n = grid_n - 2
             k = np.arange(1, n + 1)
             sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-            _sine_cache[grid_n] = sine
+            sine = sine.astype(dtype, copy=False)
+            _sine_cache[key] = sine
     return sine
 
 
@@ -120,8 +131,17 @@ class GreenOperator:
         With S the orthogonal sine basis and walk eigenvalues
         lam_{jk} = (cos(pi j/(N-1)) + cos(pi k/(N-1)))/2,
         G(x, x) = sum_{jk} (S_{xj} S_{xk})^2 / (1 - lam_{jk}) which evaluates
-        as T sigma T' with T = S*S elementwise.
+        as T sigma T' with T = S*S elementwise. Refused with
+        FieldTooLargeError before allocation above the field budget.
         """
+        # the cached sine matrix, T, the inverse gaps, T sigma and the output
+        nbytes = 5 * 8 * self.n * self.n
+        if nbytes > tol.FIELD_BYTES_MAX:
+            raise FieldTooLargeError(
+                f"the Green diagonal at N={self.grid_n} needs about "
+                f"{nbytes / 2**30:.3g} GiB, above the "
+                f"{tol.FIELD_BYTES_MAX / 2**30:g} GiB field budget; use a smaller grid"
+            )
         sine = _sine_matrix(self.grid_n)
         t = sine * sine
         out = np.zeros((self.grid_n, self.grid_n))

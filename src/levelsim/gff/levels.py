@@ -6,6 +6,16 @@ coarse-tail probe estimates the chance that some box at scale zeta carries a
 coarse value above 2*gamma*b*log N, which decays like
 N**(-2(b**2/(1-zeta) - (1-zeta))). Both are slow-convergence exponents, so
 estimators report per-size values and trends rather than a single number.
+
+The daviaud level counts and the coarse probe at zeta = 0 only ask whether a
+site is at or above the threshold, so they read float32 interiors from
+sample_interiors_float32: the same float64 normals as sample_fields, with the
+transform in float32. A hit or a count can then differ from its float64 twin
+only where a value lies within FIELD_FLOAT32_DELTA of the threshold, and
+rounding_flip_bound, reported beside each such estimate, bounds how often
+that happens. Their thresholds are compared exactly: each is replaced by the
+smallest float32 not below it, whatever numpy's promotion rules. The zeta > 0
+probe averages field values in harmonic_at and stays on float64.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .. import tolerances as tol
 from .decompose import harmonic_at
 from .green import GreenOperator
 from .grid import Box, flat_partition
-from .sample import sample_fields
+from .sample import sample_fields, sample_interiors_float32
 
 __all__ = [
     "GAMMA",
@@ -30,6 +40,7 @@ __all__ = [
     "LevelSet",
     "level_set",
     "expected_level_count",
+    "rounding_flip_bound",
     "DaviaudPoint",
     "DaviaudEstimate",
     "estimate_daviaud_exponent",
@@ -86,14 +97,42 @@ def expected_level_count(grid_n: int, eta: float) -> float:
         return float(_stats.norm.sf(thr / np.sqrt(variances)).sum())
 
 
+def rounding_flip_bound(grid_n: int, threshold: float) -> float:
+    """Bound on the chance that a float32 field's maximum falls on the other
+    side of threshold u than its float64 twin's, and on the expected change
+    of its count at or above u: sum over interior sites s of
+    P(|X_s - u| < delta) <= 2 delta phi((u - delta)/sigma_s)/sigma_s, with
+    delta = FIELD_FLOAT32_DELTA and sigma_s^2 = G(s, s). The density is taken
+    at u - delta, its largest value on the window for u > delta."""
+    delta = tol.FIELD_FLOAT32_DELTA
+    variances = GreenOperator(grid_n).diagonal()[1:-1, 1:-1]
+    # the normal density in closed form: scipy's pdf holds several copies of
+    # the (N-2)^2 sites, which set the peak memory of a daviaud run
+    density = np.exp(-0.5 * (threshold - delta) ** 2 / variances)
+    density /= np.sqrt(2.0 * math.pi * variances)
+    return float(2.0 * delta * density.sum())
+
+
+def _float32_threshold(threshold: float) -> np.float32:
+    """The smallest float32 not below threshold: a float32 value x has
+    x >= threshold exactly when x >= this, under any promotion rule."""
+    thr32 = np.float32(threshold)
+    # compared in float64: numpy 2 would round threshold to float32 here too
+    if float(thr32) < threshold:
+        thr32 = np.nextafter(thr32, np.float32(np.inf))
+    return thr32
+
+
 @dataclass(frozen=True)
 class DaviaudPoint:
-    """Level-set statistics at one grid size."""
+    """Level-set statistics at one grid size; rounding_flip_bound bounds the
+    expected change of one replica's count from the float32 transform."""
 
     grid_n: int
     counts: mc.Estimate
     exponent: mc.Estimate | None
     dropped: int
+    rounding_flip_bound: float
 
 
 @dataclass(frozen=True)
@@ -144,10 +183,11 @@ def estimate_daviaud_exponent(
     points = []
     for grid_n in sizes:
         thr = level_threshold(grid_n, eta)
+        flip_bound = rounding_flip_bound(grid_n, thr)
 
-        def task(rng, size, grid_n=grid_n, thr=thr):
-            fields = sample_fields(grid_n, size, rng)
-            return (fields >= thr).sum(axis=(1, 2))
+        def task(rng, size, grid_n=grid_n, thr32=_float32_threshold(thr)):
+            interiors = sample_interiors_float32(grid_n, size, rng)
+            return (interiors >= thr32).sum(axis=(1, 2))
 
         plan = mc.ReplicaPlan(
             _replicas_for(replicas, grid_n), mc.derive_seed(seed, grid_n)
@@ -158,7 +198,11 @@ def estimate_daviaud_exponent(
         exponent = None
         if nonzero.size > 0:
             exponent = mc.summarize(np.log(nonzero) / math.log(grid_n))
-        points.append(DaviaudPoint(grid_n, count_est, exponent, int((counts == 0).sum())))
+        points.append(
+            DaviaudPoint(
+                grid_n, count_est, exponent, int((counts == 0).sum()), flip_bound
+            )
+        )
 
     usable = [(p.grid_n, p.counts.mean) for p in points if p.counts.mean > 0]
     if len(usable) >= 2:
@@ -186,7 +230,9 @@ class ProbeRefusedError(ValueError):
 
 @dataclass(frozen=True)
 class CoarseTailProbe:
-    """One-size estimate of the coarse exceedance probability."""
+    """One-size estimate of the coarse exceedance probability. At zeta = 0,
+    rounding_flip_bound bounds the chance that one replica's hit flips from
+    the float32 transform; at zeta > 0 the probe is float64 and it is None."""
 
     grid_n: int
     zeta: float
@@ -196,6 +242,7 @@ class CoarseTailProbe:
     exponent: float | None
     predicted_exponent: float
     predicted_probability: float
+    rounding_flip_bound: float | None
 
 
 def coarse_exceedance_probe(
@@ -226,14 +273,17 @@ def coarse_exceedance_probe(
     thr = level_threshold(grid_n, b)
     if zeta == 0.0:
         boxes: tuple[Box, ...] | None = None
+        flip_bound: float | None = rounding_flip_bound(grid_n, thr)
+        thr32 = _float32_threshold(thr)
     else:
         side = max(1, round(grid_n**zeta))
         boxes = flat_partition(Box(0, 0, grid_n, grid_n), side)
+        flip_bound = None
 
     def task(rng, size) -> np.ndarray:
-        fields = sample_fields(grid_n, size, rng)
         if boxes is None:
-            return fields.max(axis=(1, 2)) >= thr
+            return sample_interiors_float32(grid_n, size, rng).max(axis=(1, 2)) >= thr32
+        fields = sample_fields(grid_n, size, rng)
         hits = np.zeros(size, dtype=bool)
         for box in boxes:
             hits |= harmonic_at(fields, box, box.center()) >= thr
@@ -254,4 +304,5 @@ def coarse_exceedance_probe(
         exponent,
         predicted_exponent,
         predicted_probability,
+        flip_bound,
     )

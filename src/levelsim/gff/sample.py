@@ -12,7 +12,18 @@ the route depends on N alone. The dense backend draws through a Cholesky
 factor of the explicitly assembled Green matrix and exists to validate the
 spectral route on small grids.
 
-Before it allocates, sample_fields estimates its working set and refuses a
+Code that only asks whether a site is at or above a threshold takes
+sample_interiors_float32: the daviaud level counts and the coarse-tail probe
+at zeta = 0, which reads the field maximum. It draws exactly the float64
+normals sample_fields draws from the same stream and scales them in float64;
+only the transform runs in float32, on one cast of the scaled noise, with a
+float32 copy of the sine matrix (or dstn above the cut). The draws do not
+move, so a hit or a count can differ from its float64 twin only where a value
+lies within FIELD_FLOAT32_DELTA, the float32 error of a field, of the
+threshold. Every other consumer (covariance, decomposition, harmonic values,
+the dense backend) stays on float64.
+
+Before it allocates, each route estimates its working set and refuses a
 request above FIELD_BYTES_MAX with FieldTooLargeError.
 """
 
@@ -25,18 +36,17 @@ import scipy.fft
 from numpy.random import Generator
 
 from .. import tolerances as tol
-from .green import GreenOperator, _mode_gaps, _sine_matrix
+from .green import FieldTooLargeError, GreenOperator, _mode_gaps, _sine_matrix
 
-__all__ = ["FieldTooLargeError", "spectral_scale", "sample_fields"]
+__all__ = [
+    "spectral_scale",
+    "sample_fields",
+    "sample_interiors_float32",
+]
 
 _lock = threading.Lock()
 _scale_cache: dict[int, np.ndarray] = {}
 _chol_cache: dict[int, np.ndarray] = {}
-
-
-class FieldTooLargeError(RuntimeError):
-    """Raised before allocation when a field request's working set exceeds
-    tolerances.FIELD_BYTES_MAX."""
 
 
 def spectral_scale(grid_n: int) -> np.ndarray:
@@ -61,14 +71,38 @@ def _cholesky(grid_n: int) -> np.ndarray:
     return chol
 
 
-def sample_fields(
-    grid_n: int, count: int, rng: Generator, backend: str = "spectral"
-) -> np.ndarray:
-    """Draw `count` independent fields as a (count, N, N) array, zero frame."""
+def _check_request(grid_n: int, count: int, nbytes: int, what: str) -> None:
+    """Validate a field request and refuse it, before any allocation, when its
+    working set of nbytes exceeds the field budget."""
     if grid_n < 3:
         raise ValueError(f"grid must have an interior, got N={grid_n}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if nbytes > tol.FIELD_BYTES_MAX:
+        raise FieldTooLargeError(
+            f"sampling {count} {what} field(s) at N={grid_n} needs about "
+            f"{nbytes / 2**30:.3g} GiB, above the {tol.FIELD_BYTES_MAX / 2**30:g} GiB "
+            "field budget; use a smaller grid or fewer replicas"
+        )
+
+
+def _spectral_interior(grid_n: int, count: int, rng: Generator, dtype) -> np.ndarray:
+    """The (count, n, n) interiors of the spectral route in dtype: float64
+    normals scaled in float64, cast once to dtype, then the DST-I in dtype."""
+    n = grid_n - 2
+    noise = rng.standard_normal((count, n, n))
+    noise *= spectral_scale(grid_n)
+    noise = noise.astype(dtype, copy=False)
+    if grid_n <= tol.SINE_MATRIX_MAX_N:
+        sine = _sine_matrix(grid_n, dtype)
+        return np.matmul(sine @ noise, sine, out=noise)
+    return scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
+
+
+def sample_fields(
+    grid_n: int, count: int, rng: Generator, backend: str = "spectral"
+) -> np.ndarray:
+    """Draw `count` independent fields as a (count, N, N) array, zero frame."""
     if backend not in ("spectral", "dense"):
         raise ValueError(f"unknown backend {backend!r}; use 'spectral' or 'dense'")
     n = grid_n - 2
@@ -77,24 +111,23 @@ def sample_fields(
     nbytes = 8 * count * (grid_n * grid_n + 2 * n * n)
     if backend == "dense":
         nbytes += 2 * 8 * n**4
-    if nbytes > tol.FIELD_BYTES_MAX:
-        raise FieldTooLargeError(
-            f"sampling {count} {backend} field(s) at N={grid_n} needs about "
-            f"{nbytes / 2**30:.3g} GiB, above the {tol.FIELD_BYTES_MAX / 2**30:g} GiB "
-            "field budget; use a smaller grid or fewer replicas"
-        )
+    _check_request(grid_n, count, nbytes, backend)
     out = np.zeros((count, grid_n, grid_n))
     if backend == "spectral":
-        noise = rng.standard_normal((count, n, n))
-        noise *= spectral_scale(grid_n)
-        if grid_n <= tol.SINE_MATRIX_MAX_N:
-            sine = _sine_matrix(grid_n)
-            np.matmul(sine @ noise, sine, out=noise)
-            out[:, 1:-1, 1:-1] = noise
-        else:
-            out[:, 1:-1, 1:-1] = scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
+        out[:, 1:-1, 1:-1] = _spectral_interior(grid_n, count, rng, np.float64)
     else:
         chol = _cholesky(grid_n)
         noise = rng.standard_normal((count, n * n))
         out[:, 1:-1, 1:-1] = (noise @ chol.T).reshape(count, n, n)
     return out
+
+
+def sample_interiors_float32(grid_n: int, count: int, rng: Generator) -> np.ndarray:
+    """The (count, n, n) float32 interiors of the fields sample_fields draws
+    from the same stream, within FIELD_FLOAT32_DELTA of them; for code that
+    only compares values with a threshold (compare exactly: a float32 array
+    against a float64 threshold rounds the threshold to float32)."""
+    n = grid_n - 2
+    # the float64 noise, its float32 copy and the float32 product
+    _check_request(grid_n, count, (8 + 4 + 4) * count * n * n, "float32")
+    return _spectral_interior(grid_n, count, rng, np.float32)

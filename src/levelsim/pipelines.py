@@ -861,7 +861,10 @@ def run_daviaud(
     estimates = []
     for point in est.points:
         row = _estimate_row(
-            f"count_n{point.grid_n}", point.counts, grid_n=point.grid_n
+            f"count_n{point.grid_n}",
+            point.counts,
+            grid_n=point.grid_n,
+            rounding_flip_bound=point.rounding_flip_bound,
         )
         row["dropped"] = point.dropped
         if point.exponent is not None:
@@ -1190,8 +1193,9 @@ def run_coarse_tail(
             )
         )
 
-    estimates = tuple(
-        _estimate_row(
+    estimates = []
+    for p in probes:
+        row = _estimate_row(
             f"exceedance_n{p.grid_n}",
             p.estimate,
             grid_n=p.grid_n,
@@ -1200,8 +1204,9 @@ def run_coarse_tail(
             predicted_exponent=p.predicted_exponent,
             predicted_probability=p.predicted_probability,
         )
-        for p in probes
-    )
+        if p.rounding_flip_bound is not None:
+            row["rounding_flip_bound"] = p.rounding_flip_bound
+        estimates.append(row)
 
     predicted = probes[-1].predicted_exponent
     last = probes[-1].exponent
@@ -1248,6 +1253,6 @@ def run_coarse_tail(
             "grid_sizes": list(sizes),
             "replicas": replicas,
         },
-        estimates=estimates,
+        estimates=tuple(estimates),
         checks=checks,
     )

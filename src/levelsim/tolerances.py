@@ -122,8 +122,14 @@ SINE_MATRIX_MAX_N = 512
 # Replica blocks of vectorized field tasks hold about this many sites:
 # max(1, FIELD_BLOCK_SITES // N**2) fields, so 64 at N = 64 and 1 at N = 512.
 FIELD_BLOCK_SITES = 512**2
-# Largest working set one sample_fields call may allocate.
+# Largest working set one field request (or one Green diagonal) may allocate.
 FIELD_BYTES_MAX = 2**30
+# Float32 error of a field from the threshold route, sample_interiors_float32:
+# max |float32 - float64| on the same normals measured 4.5e-6 at N = 64,
+# 6.4e-6 at N = 128, 9.3e-6 at N = 256 and 1.5e-5 at N = 512 (the dstn route
+# above the cut: about 2e-6 at N = 768 and 1024). Set near 7x the largest.
+# It feeds only the reported rounding_flip_bound; no check gates on it.
+FIELD_FLOAT32_DELTA = 1e-4
 
 # Branching diffusion (C3-C5). Replica blocks of the counting estimators hold
 # about this many particles: max(1, BBM_BLOCK_PARTICLES // ceil(e^t))

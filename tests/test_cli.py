@@ -392,8 +392,12 @@ class TestRuntimeFailures:
         assert diag["predicted_probability"] < 1e-6
         assert "increase replicas" in diag["error"]
 
-    def test_oversized_field_request_exits_3(self, capsys):
+    def test_oversized_field_request_exits_3(self, capsys, monkeypatch):
         # about 900 GiB for one field: refused before anything is allocated
+        def never(*args, **kwargs):
+            raise AssertionError("field blocks ran before the budget check")
+
+        monkeypatch.setattr(pipelines.mc, "map_blocks", never)
         code, out, err = run_cli(
             ["coarse-tail", "--seed", "1", "--grid-n", "200000", "--replicas", "1000"],
             capsys,

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import levelsim.gff.decompose
-from levelsim.gff import Box, GreenOperator, dirichlet_extend, harmonic_at, harmonic_measure
+from levelsim.gff import (
+    Box,
+    FieldTooLargeError,
+    GreenOperator,
+    dirichlet_extend,
+    harmonic_at,
+    harmonic_measure,
+)
 from levelsim.gff.green import interior_laplacian
 
 # rectangular boxes, including 3 x k and k x 3 boxes with a single interior line
@@ -93,6 +100,11 @@ class TestGreenOperator:
     def test_dense_matrix_size_limit(self):
         with pytest.raises(ValueError):
             GreenOperator(128).dense_matrix()
+
+    def test_oversized_diagonal_is_refused_before_allocation(self):
+        # about 1.5 TiB of sine matrices: refused, not allocated
+        with pytest.raises(FieldTooLargeError, match="field budget"):
+            GreenOperator(200_000).diagonal()
 
     def test_center_variance_growth_is_logarithmic(self):
         # slope of G(center) against log N approaches 2/pi

@@ -4,16 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from levelsim import mc
+from levelsim import tolerances as tol
 from levelsim.gff import (
     GAMMA,
+    FieldTooLargeError,
+    GreenOperator,
     ProbeRefusedError,
     coarse_exceedance_probe,
     estimate_daviaud_exponent,
     expected_level_count,
     level_set,
     level_threshold,
+    levels,
+    rounding_flip_bound,
     sample_fields,
 )
 
@@ -144,3 +150,118 @@ class TestCoarseTailProbe:
             coarse_exceedance_probe(32, 0.0, 0.0, replicas=10, seed=0)
         with pytest.raises(ValueError, match="replicas"):
             coarse_exceedance_probe(32, 0.0, 0.5, replicas=0, seed=0)
+
+
+def largest_float32_below(thr):
+    """The largest float32 strictly below thr; where float32 rounds thr down
+    this is np.float32(thr) itself."""
+    x = np.float32(thr)
+    return x if float(x) < thr else np.nextafter(x, np.float32(-np.inf))
+
+
+class TestFloat32Consumers:
+    """Level counts and the zeta = 0 probe read float32 interiors and compare
+    them with the threshold exactly."""
+
+    def crafted(self, monkeypatch, grid_n, thr, above_sites):
+        """Stub the float32 route: every interior site just below thr, except
+        the first `above_sites` sites of each field, just above it."""
+        below = largest_float32_below(thr)
+        above = np.nextafter(below, np.float32(np.inf))
+        assert float(below) < thr <= float(above)
+
+        def crafted(n, size, rng):
+            assert n == grid_n
+            out = np.full((size, n - 2, n - 2), below, dtype=np.float32)
+            out.reshape(size, -1)[:, :above_sites] = above
+            return out
+
+        monkeypatch.setattr(levels, "sample_interiors_float32", crafted)
+
+    def test_counts_compare_exactly(self, monkeypatch):
+        grid_n, eta = 64, 0.3
+        thr = level_threshold(grid_n, eta)
+        # float32 rounds this threshold down, so a comparison against the
+        # rounded threshold would count every site below it
+        assert float(np.float32(thr)) < thr
+        self.crafted(monkeypatch, grid_n, thr, above_sites=3)
+        est = estimate_daviaud_exponent([grid_n], eta, replicas=5, seed=80)
+        assert est.points[0].counts.mean == 3.0
+        assert est.points[0].counts.stderr == 0.0
+
+    def test_probe_compares_exactly(self, monkeypatch):
+        grid_n, b = 64, 0.5
+        thr = level_threshold(grid_n, b)
+        assert float(np.float32(thr)) < thr
+        self.crafted(monkeypatch, grid_n, thr, above_sites=0)
+        probe = coarse_exceedance_probe(grid_n, 0.0, b, replicas=20, seed=81)
+        assert probe.estimate.mean == 0.0
+        self.crafted(monkeypatch, grid_n, thr, above_sites=1)
+        probe = coarse_exceedance_probe(grid_n, 0.0, b, replicas=20, seed=81)
+        assert probe.estimate.mean == 1.0
+
+    def test_consumers_match_float64_on_their_own_streams(self):
+        grid_n, eta, b, replicas = 64, 0.3, 0.9, 100
+        block = levels._field_block(grid_n)
+        delta = tol.FIELD_FLOAT32_DELTA
+
+        def double(seed):
+            return np.concatenate(
+                [
+                    sample_fields(grid_n, min(block, replicas - k), mc.replica_rng(seed, i))
+                    for i, k in enumerate(range(0, replicas, block))
+                ]
+            )
+
+        est = estimate_daviaud_exponent([grid_n], eta, replicas=replicas, seed=82)
+        fields = double(mc.derive_seed(82, grid_n))
+        thr = level_threshold(grid_n, eta)
+        counts = (fields >= thr).sum(axis=(1, 2))
+        near = (np.abs(fields - thr) < delta).sum()
+        assert abs(round(est.points[0].counts.mean * replicas) - counts.sum()) <= near
+
+        probe = coarse_exceedance_probe(grid_n, 0.0, b, replicas=replicas, seed=83)
+        maxima = double(83).max(axis=(1, 2))
+        hits = (maxima >= probe.threshold).sum()
+        near = (np.abs(maxima - probe.threshold) < delta).sum()
+        assert abs(round(probe.estimate.mean * replicas) - hits) <= near
+
+    def test_oversized_requests_are_refused_before_sampling(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started before the budget check")
+
+        monkeypatch.setattr(levels.mc, "map_blocks", never)
+        with pytest.raises(FieldTooLargeError, match="field budget"):
+            estimate_daviaud_exponent([200_000], 0.3, replicas=1, seed=0)
+        with pytest.raises(FieldTooLargeError, match="field budget"):
+            coarse_exceedance_probe(200_000, 0.0, 1.0, replicas=10, seed=0)
+
+
+class TestRoundingFlipBound:
+    def test_matches_per_site_sum(self):
+        grid_n, delta = 16, tol.FIELD_FLOAT32_DELTA
+        thr = level_threshold(grid_n, 0.6)
+        green = GreenOperator(grid_n)
+        sites = [(r, c) for r in range(1, grid_n - 1) for c in range(1, grid_n - 1)]
+        sigmas = [math.sqrt(green.variance(site)) for site in sites]
+        brute = sum(
+            2.0 * delta * stats.norm.pdf((thr - delta) / s) / s for s in sigmas
+        )
+        exact = sum(
+            stats.norm.cdf((thr + delta) / s) - stats.norm.cdf((thr - delta) / s)
+            for s in sigmas
+        )
+        bound = rounding_flip_bound(grid_n, thr)
+        assert bound == pytest.approx(brute, rel=1e-9)
+        # a bound on sum_s P(|X_s - u| < delta), and a tight one
+        assert exact <= bound <= exact * (1.0 + 1e-3)
+
+    def test_only_float32_estimates_carry_it(self):
+        flat = coarse_exceedance_probe(32, 0.0, 0.3, replicas=20, seed=84)
+        assert flat.rounding_flip_bound == rounding_flip_bound(32, flat.threshold)
+        boxes = coarse_exceedance_probe(32, 0.5, 0.3, replicas=20, seed=84)
+        assert boxes.rounding_flip_bound is None
+        est = estimate_daviaud_exponent([16, 32], 0.3, replicas=5, seed=85)
+        assert [p.rounding_flip_bound for p in est.points] == [
+            rounding_flip_bound(n, level_threshold(n, 0.3)) for n in (16, 32)
+        ]

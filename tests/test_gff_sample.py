@@ -10,7 +10,14 @@ from scipy import stats
 
 from levelsim import mc
 from levelsim import tolerances as tol
-from levelsim.gff import FieldTooLargeError, GreenOperator, sample_fields, spectral_scale
+from levelsim.gff import (
+    FieldTooLargeError,
+    GreenOperator,
+    sample_fields,
+    sample_interiors_float32,
+    spectral_scale,
+)
+from levelsim.gff.levels import _float32_threshold
 
 
 def draw_batches(grid_n, total, seed, backend="spectral", batch=1000):
@@ -50,6 +57,11 @@ class TestShapes:
             sample_fields(200_000, 1, rng)
         with pytest.raises(FieldTooLargeError):
             sample_fields(64, tol.FIELD_BYTES_MAX // (8 * 64 * 64), rng)
+        with pytest.raises(FieldTooLargeError, match="float32"):
+            sample_interiors_float32(200_000, 1, rng)
+        # the float64 noise, its float32 copy and the float32 product: 16 B a site
+        with pytest.raises(FieldTooLargeError):
+            sample_interiors_float32(64, tol.FIELD_BYTES_MAX // (16 * 62 * 62) + 1, rng)
 
 
 class TestSpectralTransform:
@@ -65,14 +77,58 @@ class TestSpectralTransform:
         assert np.max(np.abs(fields[:, 1:-1, 1:-1] - expected)) <= 1e-12
 
     def test_threaded_blocks_are_byte_identical(self):
-        # BLAS products inside worker threads must not change a single bit
-        def draw(index):
-            return sample_fields(128, 16, mc.replica_rng(32, index))
+        # BLAS products inside worker threads must not change a single bit,
+        # in float64 or on the float32 threshold route
+        for sampler in (sample_fields, sample_interiors_float32):
 
-        serial = [draw(i) for i in range(4)]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(draw, range(4)))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(serial, threaded))
+            def draw(index):
+                return sampler(128, 16, mc.replica_rng(32, index))
+
+            serial = [draw(i) for i in range(4)]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(draw, range(4)))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(serial, threaded))
+
+
+class TestFloat32Route:
+    """The threshold route transforms the float64 draws of sample_fields in
+    float32, so it tracks them site by site within FIELD_FLOAT32_DELTA."""
+
+    DELTA = tol.FIELD_FLOAT32_DELTA
+
+    @pytest.mark.parametrize(
+        "grid_n, count",
+        [(64, 8), (128, 4), (256, 2), (512, 1), (tol.SINE_MATRIX_MAX_N + 128, 1)],
+    )
+    def test_same_stream_interiors_agree(self, grid_n, count):
+        single = sample_interiors_float32(grid_n, count, mc.replica_rng(33, grid_n))
+        double = sample_fields(grid_n, count, mc.replica_rng(33, grid_n))
+        n = grid_n - 2
+        assert single.dtype == np.float32
+        assert single.shape == (count, n, n)
+        error = np.max(np.abs(single.astype(np.float64) - double[:, 1:-1, 1:-1]))
+        assert error <= self.DELTA / 5
+
+    def test_hits_and_counts_differ_only_near_the_threshold(self):
+        grid_n, count = 64, 64
+        single = sample_interiors_float32(grid_n, count, mc.replica_rng(34, 0))
+        double = sample_fields(grid_n, count, mc.replica_rng(34, 0))[:, 1:-1, 1:-1]
+        maxima = double.max(axis=(1, 2))
+        # thresholds on top of float64 maxima, and of sites, stress the ties
+        thresholds = np.concatenate(
+            [maxima + 1e-7, maxima - 1e-7, double[0, 30, ::7] + 1e-7, [2.0, 4.0]]
+        )
+        for thr in thresholds:
+            thr = float(thr)
+            hits32 = single.max(axis=(1, 2)) >= _float32_threshold(thr)
+            hits64 = maxima >= thr
+            assert np.all(np.abs(maxima[hits32 != hits64] - thr) < self.DELTA)
+            sites32 = single >= _float32_threshold(thr)
+            sites64 = double >= thr
+            assert np.all(np.abs(double[sites32 != sites64] - thr) < self.DELTA)
+            near = (np.abs(double - thr) < self.DELTA).sum(axis=(1, 2))
+            change = np.abs(sites32.sum(axis=(1, 2)) - sites64.sum(axis=(1, 2)))
+            assert np.all(change <= near)
 
 
 class TestMarginals:

@@ -128,6 +128,16 @@ class TestCoarseTail:
         )
         assert [c.name for c in report.checks] == ["proximity_or_trend"]
 
+    def test_rounding_flip_bound_only_on_the_float32_route(self):
+        flat = pipelines.run_coarse_tail(
+            seed=41, zeta=0.0, b=0.9, sizes=(32,), replicas=100
+        )
+        assert all(e["rounding_flip_bound"] > 0.0 for e in flat.estimates)
+        boxes = pipelines.run_coarse_tail(
+            seed=41, zeta=0.5, b=0.3, sizes=(32,), replicas=40
+        )
+        assert all("rounding_flip_bound" not in e for e in boxes.estimates)
+
 
 class TestDaviaud:
     def test_tiny_run_structure(self):
@@ -140,6 +150,8 @@ class TestDaviaud:
         assert f"mean_count_n{tol.DAVIAUD_MEAN_N}" not in names
         fit = [e for e in report.estimates if e["name"] == "exponent_fit_slope"]
         assert len(fit) == 1
+        counts = [e for e in report.estimates if e["name"].startswith("count_n")]
+        assert all(e["rounding_flip_bound"] > 0.0 for e in counts)
 
     def test_mean_check_appears_when_reference_size_run(self):
         report = pipelines.run_daviaud(
