@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import ndtr
 
 from .. import mc, tolerances as tol
 from ..rates import psi
@@ -45,7 +45,7 @@ def expected_count_oracle(t: float, x: float) -> float:
     """Exact mean of N(t, x): e^t * P(N(0, t) >= x*t)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    return math.exp(t) * float(_stats.norm.sf(x * math.sqrt(t)))
+    return math.exp(t) * float(ndtr(-x * math.sqrt(t)))
 
 
 def replica_counts(t: float, level: float, replicas: int, seed: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import ndtr
 
 from .. import mc
 from .. import tolerances as tol
@@ -94,7 +94,7 @@ def expected_level_count(grid_n: int, eta: float) -> float:
     variances = GreenOperator(grid_n).diagonal()
     # Boundary sites have variance 0; thr/0 = inf gives them tail mass 0.
     with np.errstate(divide="ignore"):
-        return float(_stats.norm.sf(thr / np.sqrt(variances)).sum())
+        return float(ndtr(-(thr / np.sqrt(variances))).sum())
 
 
 def rounding_flip_bound(grid_n: int, threshold: float) -> float:

@@ -18,6 +18,11 @@ workers. The field samplers, the Galton-Watson sweep and the branching
 Brownian motion counting estimators run in blocks; ``parallel_map``, one
 stream per replica, now serves only the N-BBM dominance sweep, whose
 chronological engine runs one replica at a time, and ``run_replicas``.
+
+Two exact routines sit beside the estimators: ``clopper_pearson``, the exact
+binomial interval, and ``ks_two_sample``, the exact two-sample
+Kolmogorov-Smirnov test on samples of equal size. Both use only
+``scipy.special`` and plain arithmetic.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import stats as _stats
+from scipy import special
 
 __all__ = [
     "ReplicaPlan",
@@ -46,6 +51,7 @@ __all__ = [
     "run_replicas",
     "binomial_estimate",
     "clopper_pearson",
+    "ks_two_sample",
     "fit_exponent",
 ]
 
@@ -187,19 +193,56 @@ def _normal_ci(mean: float, stderr: float) -> tuple[float, float]:
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact binomial CI; used when the normal approximation is untrustworthy."""
+    """Exact binomial CI; used when the normal approximation is untrustworthy.
+
+    The bounds are beta quantiles, taken as betaincinv(a, b, q), which is
+    how scipy's beta.ppf evaluates them.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes {successes} outside [0, {trials}]")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level {level} outside (0, 1)")
     alpha = 1.0 - level
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(_stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+        lo = float(special.betaincinv(successes, trials - successes + 1, alpha / 2))
     if successes == trials:
         hi = 1.0
     else:
-        hi = float(_stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        hi = float(special.betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
+
+
+def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
+    """Exact two-sided two-sample Kolmogorov-Smirnov test for equal sizes n.
+
+    Returns (h/n, p) with h = max |#{a <= x} - #{b <= x}| over the pooled
+    sample and p = P(D_{n,n} >= h/n) under the null, by the Horner form of
+    the reflection series 2 * sum_k (-1)^(k+1) C(2n, n-kh) / C(2n, n) that
+    scipy's ks_2samp(method="exact") uses; h = 0 gives p = 1.
+    """
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    n = a.size
+    if a.shape != (n,) or b.shape != (n,) or n == 0:
+        raise ValueError(
+            f"need two non-empty 1-d samples of equal size, got {a.shape} and {b.shape}"
+        )
+    pooled = np.concatenate((a, b))
+    gaps = np.searchsorted(a, pooled, side="right") - np.searchsorted(b, pooled, side="right")
+    h = int(np.abs(gaps).max())
+    if h == 0:
+        return 0.0, 1.0
+    tail = 0.0
+    for k in range(n // h, -1, -1):
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        tail = term * (1.0 - tail)
+    return h / n, min(2 * tail, 1.0)
 
 
 def summarize(values: Sequence[float]) -> Estimate:

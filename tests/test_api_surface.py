@@ -5,12 +5,18 @@ A deletion that leaves a name behind in an ``__all__`` list, or a re-export
 that hides a submodule behind a function of the same name, then fails here
 rather than at import time in a demo or a benchmark pass. The worker count is
 set only by ``mc.workers``, so no exported callable takes it as a parameter.
+The package's import graph leaves out scipy's heaviest subpackages, which
+once made up most of the command line's start-up time.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import levelsim
 
@@ -95,3 +101,30 @@ def test_no_exported_callable_takes_a_worker_count():
         and "max_concurrency" in parameters(obj)
     ]
     assert takers == []
+
+
+# scipy.stats pulls in the other two and alone made up about half the time of
+# ``import levelsim.cli``; tests may import it, as an oracle, but not the package.
+HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.spatial")
+
+IMPORT_EVERYTHING = f"""
+import importlib, pkgutil, sys
+import levelsim, levelsim.cli
+for info in pkgutil.walk_packages(levelsim.__path__, "levelsim."):
+    importlib.import_module(info.name)
+print(*[name for name in {HEAVY_SCIPY!r} if name in sys.modules])
+"""
+
+
+def test_import_graph_leaves_out_heavy_scipy_subpackages():
+    # A fresh interpreter: other test modules have imported scipy.stats here.
+    src = str(Path(levelsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_EVERYTHING],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

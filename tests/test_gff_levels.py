@@ -79,6 +79,15 @@ class TestExpectedCount:
         b = expected_level_count(64, 0.7)
         assert a > b > 0.0
 
+    def test_bitwise_the_sum_of_gaussian_tails(self):
+        # scipy.stats is the oracle only; the package evaluates the tail by ndtr
+        for grid_n, eta in ((16, 0.2), (32, 0.5), (64, 0.9)):
+            thr = level_threshold(grid_n, eta)
+            variances = GreenOperator(grid_n).diagonal()
+            with np.errstate(divide="ignore"):
+                expected = float(stats.norm.sf(thr / np.sqrt(variances)).sum())
+            assert expected_level_count(grid_n, eta) == expected
+
 
 class TestDaviaud:
     def test_exponent_tracks_eta(self):

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from levelsim import mc
 
@@ -207,6 +208,76 @@ class TestBinomialEstimate:
             mc.binomial_estimate(5, 4)
         with pytest.raises(ValueError):
             mc.clopper_pearson(1, 0)
+
+
+class TestClopperPearson:
+    """scipy.stats is the oracle here only; the package never imports it."""
+
+    def test_bitwise_equal_to_beta_quantiles(self):
+        for trials in (1, 2, 3, 10, 37, 100, 999, 5000, 20_000):
+            for successes in {0, 1, 2, trials // 3, trials // 2, trials - 1, trials}:
+                if successes > trials:
+                    continue
+                for level in (0.5, 0.9, 0.95, 0.99):
+                    alpha = 1.0 - level
+                    lo = 0.0 if successes == 0 else float(
+                        stats.beta.ppf(alpha / 2, successes, trials - successes + 1)
+                    )
+                    hi = 1.0 if successes == trials else float(
+                        stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
+                    )
+                    assert mc.clopper_pearson(successes, trials, level) == (lo, hi)
+
+    def test_successes_outside_trials_raise(self):
+        for successes in (12, 11, -1):
+            with pytest.raises(ValueError, match=r"successes .* outside \[0, 10\]"):
+                mc.clopper_pearson(successes, 10)
+
+    def test_level_outside_unit_interval_raises(self):
+        for level in (1.5, 1.0, 0.0, -0.2, float("nan")):
+            with pytest.raises(ValueError, match=r"level .* outside \(0, 1\)"):
+                mc.clopper_pearson(3, 10, level=level)
+
+
+class TestKsTwoSample:
+    """Exact equal-size two-sample KS against scipy.stats.ks_2samp(method="exact")."""
+
+    @pytest.mark.parametrize("n", [1, 50, 1000, 20_000])
+    @pytest.mark.parametrize("shift", [0.0, 0.05, 0.3])
+    def test_bitwise_equal_to_scipy_exact(self, n, shift):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n)
+        b = rng.normal(size=n) + shift
+        ref = stats.ks_2samp(a, b, method="exact")
+        assert mc.ks_two_sample(a, b) == (float(ref.statistic), float(ref.pvalue))
+
+    def test_ties_are_counted_on_the_pooled_sample(self):
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 5, 300).astype(float)
+        b = rng.integers(0, 6, 300).astype(float)
+        ref = stats.ks_2samp(a, b, method="exact")
+        assert mc.ks_two_sample(a, b) == (float(ref.statistic), float(ref.pvalue))
+
+    def test_identical_samples_give_p_one(self):
+        a = np.random.default_rng(4).normal(size=1000)
+        assert mc.ks_two_sample(a, a[::-1]) == (0.0, 1.0)
+
+    def test_shifted_pair_gives_a_tiny_exact_p_value(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=1000)
+        b = rng.normal(size=1000) + 0.39
+        d, p = mc.ks_two_sample(a, b)
+        assert 1e-17 < p < 1e-15
+        ref = stats.ks_2samp(a, b, method="exact")
+        assert (d, p) == (float(ref.statistic), float(ref.pvalue))
+
+    def test_unequal_or_empty_samples_raise(self):
+        with pytest.raises(ValueError, match="equal size"):
+            mc.ks_two_sample([0.0, 1.0], [0.5])
+        with pytest.raises(ValueError, match="equal size"):
+            mc.ks_two_sample([], [])
+        with pytest.raises(ValueError, match="equal size"):
+            mc.ks_two_sample(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestFitExponent:
