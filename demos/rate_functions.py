@@ -27,12 +27,12 @@ def main() -> None:
     print(f"  maximizer y*  = {sol.maximizer[1]:.6f} (= 4/7)")
     print(f"  supremum      = {sol.value:.6f} (= -rate_i)")
 
-    cert = rates.grid_certify(rates.bbm_supremum_problem(a, x))
+    cert = rates.certify_bbm(a, x)
     print(f"  grid oracle   = {cert.value:.12f}  (gap {abs(cert.value - sol.value):.2e})\n")
 
     eta, a = 0.6, 0.8
     sol = rates.solve_gff_variational(eta, a)
-    cert = rates.grid_certify(rates.gff_supremum_problem(a, eta))
+    cert = rates.certify_gff(eta, a)
     print(f"level family at (eta={eta}, a={a}):")
     print(f"  rate_j        = {rates.rate_j(a, eta):.6f}")
     print(f"  maximizer     = ({sol.maximizer[0]:.4f}, {sol.maximizer[1]:.4f}, {sol.maximizer[2]:.4f})")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import pipelines
+from . import pipelines, tolerances as tol
 from .bbm import NoDataError, PopulationCapError
 from .gff import FieldTooLargeError, ProbeRefusedError
 from .reports import Report, emit_report
@@ -160,15 +160,15 @@ PIPELINES = {
         )),
         Pipeline("cover-check", "deterministic partition counting and shift covers",
                  _late("run_cover_check"), False, (
-            Param("grid_n", int, "grid side (default: built-in cases)", 16, math.inf,
-                  "[)"),
+            Param("grid_n", int, "grid side (default: built-in cases)", 16,
+                  tol.PARTITION_GRID_N_MAX, "[]"),
             _DEPTH,
         )),
         Pipeline("decompose-var", "harmonic increment variances on the nested boxes",
                  _late("run_decompose_var"), True, (
             _SEED,
             replace(_REPLICAS, kwarg="samples"),
-            Param("grid_n", int, "grid side", 64, math.inf, "[)"),
+            Param("grid_n", int, "grid side", 64, tol.PARTITION_GRID_N_MAX, "[]"),
             _DEPTH,
         )),
     )

@@ -133,17 +133,9 @@ def flat_partition(region: Box, side: int) -> list[Box]:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Strictly decreasing exponents 1 = s_0 > s_1 > ... > s_L = 0.
-
-    delta and rho are carried as tuning metadata: delta sets the default
-    depth via L = ceil((log N)**(1-delta)), rho is a reserved refinement
-    exponent constrained to (1/2, 3/2 - delta). Neither enters the geometry
-    once the exponent list exists.
-    """
+    """Strictly decreasing exponents 1 = s_0 > s_1 > ... > s_L = 0."""
 
     exponents: tuple[float, ...]
-    delta: float | None = None
-    rho: float | None = None
 
     def __post_init__(self):
         s = self.exponents
@@ -151,12 +143,6 @@ class Schedule:
             raise ValueError(f"schedule must run from 1 to 0, got {s}")
         if any(a <= b for a, b in zip(s, s[1:])):
             raise ValueError(f"schedule must be strictly decreasing, got {s}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.rho is not None:
-            hi = 1.5 - (tol.SCHEDULE_DELTA if self.delta is None else self.delta)
-            if not 0.5 < self.rho < hi:
-                raise ValueError(f"rho must lie in (1/2, {hi}), got {self.rho}")
 
     @property
     def depth(self) -> int:
@@ -167,7 +153,6 @@ def uniform_schedule(
     grid_n: int,
     levels: int | None = None,
     delta: float = tol.SCHEDULE_DELTA,
-    rho: float = 0.55,
 ) -> Schedule:
     """Evenly spaced schedule with L = ceil((log N)^(1-delta)) levels by default.
 
@@ -180,7 +165,7 @@ def uniform_schedule(
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     exps = tuple(1.0 - i / levels for i in range(levels)) + (0.0,)
-    return Schedule(exps, delta=delta, rho=rho)
+    return Schedule(exps)
 
 
 def _level_side(grid_n: int, exponent: float) -> int:

@@ -88,6 +88,23 @@ def _estimate_row(name: str, est: mc.Estimate, **extras) -> dict:
 # rates: closed forms vs grid certification
 
 
+# Each family's closed form and its independent grid certificate.
+_PARTICLE = (rates.solve_bbm_variational, rates.certify_bbm)
+_LEVEL = (rates.solve_gff_variational, rates.certify_gff)
+
+
+def _certify(family, *query: float) -> tuple[rates.VariationalSolution, float, float]:
+    """Certify one family at one query.
+
+    Returns the closed form, the gap between its supremum and the grid
+    certificate's, and the worse of their two constraint residuals.
+    """
+    solve, certify = family
+    closed, cert = solve(*query), certify(*query)
+    gap = abs(closed.value - cert.value)
+    return closed, gap, max(closed.constraint_residual, cert.constraint_residual)
+
+
 def run_rates(seed: int, queries: int = tol.RATE_QUERIES) -> Report:
     """Certify both closed-form rate functions against the grid oracle."""
     rng = mc.replica_rng(seed, 0)
@@ -100,25 +117,17 @@ def run_rates(seed: int, queries: int = tol.RATE_QUERIES) -> Report:
         x = rng.uniform(0.1, 2.0)
         a_min = max(0.0, 1.0 - 0.5 * x * x)
         a = a_min + rng.uniform(0.02, 0.98) * (1.0 - a_min)
-        closed = rates.solve_bbm_variational(a, x)
-        cert = rates.grid_certify(rates.bbm_supremum_problem(a, x))
-        max_gap_i = max(max_gap_i, abs(closed.value - cert.value))
-        max_gap_i = max(max_gap_i, abs(closed.value + rates.rate_i(a, x)))
-        max_residual = max(
-            max_residual, closed.constraint_residual, cert.constraint_residual
-        )
+        closed, gap, residual = _certify(_PARTICLE, a, x)
+        max_gap_i = max(max_gap_i, gap, abs(closed.value + rates.rate_i(a, x)))
+        max_residual = max(max_residual, residual)
 
     for _ in range(queries):
         eta = rng.uniform(0.1, 0.95)
         lower = 1.0 - eta * eta
         a = lower + rng.uniform(0.02, 0.98) * (1.0 - lower)
-        closed = rates.solve_gff_variational(eta, a)
-        cert = rates.grid_certify(rates.gff_supremum_problem(a, eta))
-        max_gap_j = max(max_gap_j, abs(closed.value - cert.value))
-        max_gap_j = max(max_gap_j, abs(closed.value + 0.5 * rates.rate_j(a, eta)))
-        max_residual = max(
-            max_residual, closed.constraint_residual, cert.constraint_residual
-        )
+        closed, gap, residual = _certify(_LEVEL, eta, a)
+        max_gap_j = max(max_gap_j, gap, abs(closed.value + 0.5 * rates.rate_j(a, eta)))
+        max_residual = max(max_residual, residual)
         # the two families meet where the profile steepness doubles the speed
         max_identity_gap = max(
             max_identity_gap,
@@ -190,8 +199,7 @@ def run_rate_point(
     if x is not None:
         estimates.append({"name": "psi", "value": rates.psi(x), "x": x})
         if a is not None:
-            closed = rates.solve_bbm_variational(a, x)
-            cert = rates.grid_certify(rates.bbm_supremum_problem(a, x))
+            closed, gap, residual = _certify(_PARTICLE, a, x)
             estimates.append(
                 {
                     "name": "particle_rate",
@@ -202,16 +210,13 @@ def run_rate_point(
                     "maximizer_y": closed.maximizer[1],
                 }
             )
-            max_gap = max(max_gap, abs(closed.value - cert.value))
-            max_residual = max(
-                max_residual, closed.constraint_residual, cert.constraint_residual
-            )
+            max_gap = max(max_gap, gap)
+            max_residual = max(max_residual, residual)
             certified = True
     if eta is not None:
         if a is None:
             raise ValueError("level-family query needs a alongside eta")
-        closed = rates.solve_gff_variational(eta, a)
-        cert = rates.grid_certify(rates.gff_supremum_problem(a, eta))
+        closed, gap, residual = _certify(_LEVEL, eta, a)
         estimates.append(
             {
                 "name": "level_rate",
@@ -223,10 +228,8 @@ def run_rate_point(
                 "maximizer_y": closed.maximizer[2],
             }
         )
-        max_gap = max(max_gap, abs(closed.value - cert.value))
-        max_residual = max(
-            max_residual, closed.constraint_residual, cert.constraint_residual
-        )
+        max_gap = max(max_gap, gap)
+        max_residual = max(max_residual, residual)
         certified = True
 
     if certified:
@@ -730,6 +733,12 @@ def run_nbbm(
 # gff-cov: sampler exactness and Green diagonal growth
 
 
+def _require_two_samples(samples: int) -> None:
+    # One sample has no spread: every stderr would read 0 and every variance NaN.
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 to estimate a spread, got {samples}")
+
+
 def _center_site(grid_n: int) -> tuple[int, int]:
     return ((grid_n - 1) // 2, (grid_n - 1) // 2)
 
@@ -740,6 +749,7 @@ def run_gff_cov(
     samples: int = tol.COV_SAMPLES,
 ) -> Report:
     """Empirical covariance vs the linear-solve oracle, plus diagonal growth."""
+    _require_two_samples(samples)
     center = _center_site(grid_n)
     # Drawn first, on its own stream: the one-call dense oracle is the
     # largest field request here, so an oversized one fails before any work.
@@ -778,7 +788,7 @@ def run_gff_cov(
     _, ks_pvalue = mc.ks_two_sample(spectral_center, dense_center)
 
     greens = [
-        GreenOperator(n).variance(_center_site(n)) for n in tol.GREEN_SIZES
+        float(GreenOperator(n).diagonal()[_center_site(n)]) for n in tol.GREEN_SIZES
     ]
     fit = mc.fit_exponent([math.log(n) for n in tol.GREEN_SIZES], greens)
 
@@ -1035,6 +1045,7 @@ def run_decompose_var(
     delta: float = tol.SCHEDULE_DELTA,
 ) -> Report:
     """Increment variances, the mean-value property, and residual independence."""
+    _require_two_samples(samples)
     parts = nested_partitions(grid_n, uniform_schedule(grid_n, delta=delta))
     step = parts.schedule.exponents[0] - parts.schedule.exponents[1]
     anchor_var = GAMMA * GAMMA * step * math.log(grid_n)

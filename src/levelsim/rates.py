@@ -11,8 +11,10 @@ Three families of closed forms live here:
 
 Each rate equals the value of a constrained supremum over Brownian / field
 profiles; `solve_bbm_variational` and `solve_gff_variational` return the
-closed-form maximizers, and `grid_certify` re-derives the suprema by honest
-grid search with refinement so the closed forms never certify themselves.
+closed-form maximizers. `certify_bbm` and `certify_gff` re-derive the suprema
+without the closed forms: each eliminates every variable but the time split
+s analytically and maximizes over s by a one-variable grid search with
+window refinement, so the closed forms never certify themselves.
 """
 
 from __future__ import annotations
@@ -31,18 +33,20 @@ __all__ = [
     "VariationalSolution",
     "solve_bbm_variational",
     "solve_gff_variational",
-    "SupremumProblem",
-    "GridOracleConfig",
-    "InfeasibleProblemError",
-    "bbm_supremum_problem",
-    "gff_supremum_problem",
-    "grid_certify",
+    "certify_bbm",
+    "certify_gff",
 ]
 
 SQRT2 = math.sqrt(2.0)
 
 # Rounding allowance on the lower edge of the admissible region of rate_i.
 _BOUNDARY_SLACK = 1e-14
+
+# Grid certification: passes over the window, points per pass, and the factor
+# by which each pass shrinks the window around the incumbent.
+_GRID_PASSES = 6
+_GRID_POINTS = 48
+_GRID_SHRINK = 10.0
 
 
 def psi(x: float) -> float:
@@ -57,7 +61,8 @@ def psi(x: float) -> float:
     return 0.5 * x * x - 1.0
 
 
-def _check_i_domain(a: float, x: float) -> None:
+def _i_lower(a: float, x: float) -> float:
+    """Check (a, x) against the admissible region of rate_i; return its lower a."""
     if x <= 0:
         raise ValueError(f"speed x must be positive, got {x}")
     lower = max(0.0, 1.0 - 0.5 * x * x)
@@ -69,6 +74,19 @@ def _check_i_domain(a: float, x: float) -> None:
         raise ValueError(
             f"growth exponent a={a} outside admissible [{lower}, 1) for x={x}"
         )
+    return lower
+
+
+def _j_lower(eta: float, a: float) -> float:
+    """Check (eta, a) against the admissible region of rate_j; return its lower a."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"level eta must lie in (0, 1), got {eta}")
+    lower = 1.0 - eta * eta
+    if a < lower or a >= 1.0:
+        raise ValueError(
+            f"growth exponent a={a} outside admissible [{lower}, 1) for eta={eta}"
+        )
+    return lower
 
 
 def rate_i(a: float, x: float) -> float:
@@ -78,7 +96,7 @@ def rate_i(a: float, x: float) -> float:
     boundary, where the formula continuously extends; equals 0 there when
     x <= sqrt(2)).
     """
-    _check_i_domain(a, x)
+    _i_lower(a, x)
     return x * x / (2.0 * (1.0 - a)) - 1.0
 
 
@@ -89,13 +107,7 @@ def rate_j(a: float, eta: float) -> float:
     region of rate_i at speed sqrt(2) eta; there rate_j(a, eta) equals
     2 * rate_i(a, sqrt(2) eta).
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"level eta must lie in (0, 1), got {eta}")
-    lower = 1.0 - eta * eta
-    if a < lower or a >= 1.0:
-        raise ValueError(
-            f"growth exponent a={a} outside admissible [{lower}, 1) for eta={eta}"
-        )
+    _j_lower(eta, a)
     return 2.0 * eta * eta / (1.0 - a) - 2.0
 
 
@@ -103,9 +115,9 @@ def rate_j(a: float, eta: float) -> float:
 class VariationalSolution:
     """Certified or closed-form solution of a constrained supremum.
 
-    value is the supremum (per unit t for the time-scaled problem);
-    maximizer holds the full coordinate tuple; constraint_residual is the
-    absolute violation of the active constraint at the maximizer.
+    value is the supremum; maximizer holds the full coordinate tuple;
+    constraint_residual is the absolute violation of the active constraint
+    at the maximizer.
     """
 
     value: float
@@ -113,36 +125,30 @@ class VariationalSolution:
     constraint_residual: float
 
 
-def solve_bbm_variational(a: float, x: float, t: float = 1.0) -> VariationalSolution:
+def solve_bbm_variational(a: float, x: float) -> VariationalSolution:
     """Closed-form maximizer of the branching path supremum.
 
-    sup over 0 < s < t, y <= xt with (t-s) - (xt-y)^2/(2(t-s)) = at of
-    (s - y^2/(2s)) / t. Value equals -rate_i(a, x); the solution scales
-    linearly in t (solved at t=1 internally). Strict-interior maximizer
-    required: exact lower-boundary a is rejected here (s* degenerates to 0)
-    even though rate_i accepts it.
+    sup over 0 < s < 1, y <= x with (1-s) - (x-y)^2/(2(1-s)) = a of
+    s - y^2/(2s), the path problem at horizon t = 1 (it scales linearly in
+    t). Value equals -rate_i(a, x). Strict-interior maximizer required: the
+    exact lower-boundary a is rejected here (s* degenerates to 0 for
+    x <= sqrt(2) and to 1 above) even though rate_i accepts it.
     """
-    _check_i_domain(a, x)
-    if t <= 0:
-        raise ValueError(f"horizon t must be positive, got {t}")
+    lower = _i_lower(a, x)
     one_a = 1.0 - a
     denom = x * x - 2.0 * one_a * one_a
     numer = x * x - 2.0 * one_a
-    if numer <= 0.0:
+    if a <= lower or numer <= 0.0:
         raise ValueError(
             f"query (a={a}, x={x}) sits on the domain boundary; "
-            "the maximizer degenerates (s* = 0)"
+            "the maximizer degenerates (s* = 0 or 1)"
         )
     # denom > numer > 0 inside the admissible region since 1 - a < 1.
     s_star = one_a * numer / denom
     y_star = x * s_star / one_a
     value = s_star - y_star * y_star / (2.0 * s_star)
     residual = abs((1.0 - s_star) - (x - y_star) ** 2 / (2.0 * (1.0 - s_star)) - a)
-    return VariationalSolution(
-        value=value,
-        maximizer=(s_star * t, y_star * t),
-        constraint_residual=residual,
-    )
+    return VariationalSolution(value, (s_star, y_star), residual)
 
 
 def solve_gff_variational(eta: float, a: float) -> VariationalSolution:
@@ -154,14 +160,7 @@ def solve_gff_variational(eta: float, a: float) -> VariationalSolution:
     lower-boundary a is rejected here (s* degenerates to 1) even though
     rate_j accepts it.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"level eta must lie in (0, 1), got {eta}")
-    lower = 1.0 - eta * eta
-    if a >= 1.0 or a < lower:
-        raise ValueError(
-            f"growth exponent a={a} outside admissible [{lower}, 1) for eta={eta}"
-        )
-    if a == lower:
+    if a == _j_lower(eta, a):
         raise ValueError(
             f"query (eta={eta}, a={a}) sits on the domain boundary; "
             "the maximizer degenerates (s* = 1)"
@@ -174,100 +173,66 @@ def solve_gff_variational(eta: float, a: float) -> VariationalSolution:
     y_star = eta
     value = (1.0 - s_star) - b_star * b_star / (1.0 - s_star)
     residual = abs(s_star - (y_star - b_star) ** 2 / s_star - a)
-    return VariationalSolution(
-        value=value,
-        maximizer=(s_star, b_star, y_star),
-        constraint_residual=residual,
-    )
+    return VariationalSolution(value, (s_star, b_star, y_star), residual)
 
 
-class InfeasibleProblemError(ValueError):
-    """Raised when a supremum problem has an empty feasible grid."""
+def _grid_max(
+    objective: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+) -> tuple[float, float]:
+    """Maximize a vectorized objective over [lo, hi]; return (s, value).
 
-
-@dataclass(frozen=True)
-class GridOracleConfig:
-    """Grid certification parameters.
-
-    resolution: grid points per free axis (>= 16);
-    refinement_levels: total passes, each shrinking the window 10x around the
-    incumbent (>= 1); padding: widening applied to nominal variable bounds.
+    The objective is -inf where a point is infeasible. Each pass lays a grid
+    over the window, keeps the best point (the previous incumbent remains a
+    candidate, so the value improves monotonically), then shrinks the window
+    around it, clipped to [lo, hi]. Raises ValueError when the first pass
+    finds no feasible point: shrinking an infeasible window never helps.
     """
-
-    resolution: int = 48
-    refinement_levels: int = 6
-    padding: float = 0.0
-
-    def __post_init__(self):
-        if self.resolution < 16:
-            raise ValueError(f"resolution must be >= 16, got {self.resolution}")
-        if self.refinement_levels < 1:
-            raise ValueError(
-                f"refinement_levels must be >= 1, got {self.refinement_levels}"
-            )
-        if self.padding < 0:
-            raise ValueError(f"padding must be >= 0, got {self.padding}")
-
-
-@dataclass(frozen=True)
-class SupremumProblem:
-    """Constrained supremum over a box of free variables.
-
-    objective and feasible act on per-axis coordinate arrays (vectorized);
-    expand maps a free-variable point to the full maximizer tuple; residual
-    reports the active-constraint violation at a free-variable point.
-    Equality constraints and monotone inner minimizations are eliminated
-    analytically by the builders below, never by the grid itself.
-    """
-
-    bounds: tuple[tuple[float, float], ...]
-    objective: Callable[..., np.ndarray]
-    feasible: Callable[..., np.ndarray]
-    expand: Callable[..., tuple[float, ...]]
-    residual: Callable[..., float]
+    window_lo, window_hi = lo, hi
+    best_s: float | None = None
+    best_value = -math.inf
+    for _ in range(_GRID_PASSES):
+        s = np.linspace(window_lo, window_hi, _GRID_POINTS)
+        if best_s is not None:
+            s = np.append(s, best_s)
+        values = objective(s)
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_s, best_value = float(s[k]), float(values[k])
+        elif best_s is None:
+            raise ValueError(f"no feasible grid point in [{lo}, {hi}]")
+        span = (window_hi - window_lo) / _GRID_SHRINK
+        window_lo = max(best_s - span / 2.0, lo)
+        window_hi = min(best_s + span / 2.0, hi)
+    return best_s, best_value
 
 
-def bbm_supremum_problem(a: float, x: float) -> SupremumProblem:
-    """Grid form of the branching path problem at t = 1.
+def certify_bbm(a: float, x: float) -> VariationalSolution:
+    """Grid certificate of the branching path supremum at t = 1.
 
     The equality constraint (1-s) - (x-y)^2/(2(1-s)) = a pins y given s:
-    y = x - sqrt(2(1-s)(1-s-a)) (the root with y <= x). One free variable s,
-    feasible iff 0 < s and s <= 1 - a; the declared bounds stop at 1 - a so
-    the grid resolves thin windows when a is close to 1.
+    y = x - sqrt(2(1-s)(1-s-a)) (the root with y <= x). One free variable s
+    remains, feasible iff 0 < s <= 1 - a; the window stops at 1 - a so the
+    grid resolves thin windows when a is close to 1.
     """
+    _i_lower(a, x)
 
-    def _gap(s):
-        one_s = 1.0 - np.asarray(s, dtype=float)
+    def path_end(s):
+        one_s = 1.0 - s
         return x - np.sqrt(np.maximum(2.0 * one_s * (one_s - a), 0.0))
 
     def objective(s):
-        s = np.asarray(s, dtype=float)
-        y = _gap(s)
+        y = path_end(s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return s - y * y / (2.0 * s)
+            return np.where((s > 0.0) & (1.0 - s >= a), s - y * y / (2.0 * s), -np.inf)
 
-    def feasible(s):
-        s = np.asarray(s, dtype=float)
-        return (s > 0.0) & (1.0 - s >= a)
-
-    def expand(s):
-        return (float(s), float(_gap(s)))
-
-    def residual(s):
-        s, y = float(s), float(_gap(s))
-        return abs((1.0 - s) - (x - y) ** 2 / (2.0 * (1.0 - s)) - a)
-
-    return SupremumProblem(
-        bounds=((0.0, 1.0 - a),),
-        objective=objective,
-        feasible=feasible,
-        expand=expand,
-        residual=residual,
-    )
+    s, value = _grid_max(objective, 0.0, 1.0 - a)
+    y = float(path_end(s))
+    residual = abs((1.0 - s) - (x - y) ** 2 / (2.0 * (1.0 - s)) - a)
+    return VariationalSolution(value, (s, y), residual)
 
 
-def gff_supremum_problem(a: float, eta: float) -> SupremumProblem:
-    """Grid form of the field profile problem.
+def certify_gff(eta: float, a: float) -> VariationalSolution:
+    """Grid certificate of the field profile supremum.
 
     The objective (1-s) - b^2/(1-s) falls in |b|, and at fixed s the
     constraint s - (y-b)^2/s >= a with y >= eta admits exactly the b with
@@ -276,90 +241,19 @@ def gff_supremum_problem(a: float, eta: float) -> SupremumProblem:
     iff a <= s < 1; the grid never has to chase the thin (s, b) valley
     that opens up as a approaches 1.
     """
+    _j_lower(eta, a)
 
-    def _b_inner(s):
-        s = np.asarray(s, dtype=float)
-        slack = np.sqrt(np.maximum(s * (s - a), 0.0))
-        return np.maximum(eta - slack, 0.0)
+    def inner_b(s):
+        return np.maximum(eta - np.sqrt(np.maximum(s * (s - a), 0.0)), 0.0)
 
     def objective(s):
-        s = np.asarray(s, dtype=float)
-        b = _b_inner(s)
+        b = inner_b(s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (1.0 - s) - b * b / (1.0 - s)
+            value = (1.0 - s) - b * b / (1.0 - s)
+        return np.where((s >= a) & (s < 1.0) & (s > 0.0), value, -np.inf)
 
-    def feasible(s):
-        s = np.asarray(s, dtype=float)
-        return (s >= a) & (s < 1.0) & (s > 0.0)
-
-    def expand(s):
-        return (float(s), float(_b_inner(s)), eta)
-
-    def residual(s):
-        b = float(_b_inner(s))
-        gap = float(s) - (eta - b) ** 2 / float(s) - a
-        # Inequality constraint: only violations count as residual.
-        return max(0.0, -gap)
-
-    return SupremumProblem(
-        bounds=((a, 1.0),),
-        objective=objective,
-        feasible=feasible,
-        expand=expand,
-        residual=residual,
-    )
-
-
-def grid_certify(problem: SupremumProblem, cfg: GridOracleConfig | None = None) -> VariationalSolution:
-    """Certify a supremum by grid search with iterative window refinement.
-
-    Each level lays a full grid over the current window, keeps the best
-    feasible point (the previous incumbent always remains a candidate, so the
-    certified value improves monotonically), then shrinks the window 10x
-    around the incumbent, clipped to the padded original bounds. Raises
-    InfeasibleProblemError if no grid point is ever feasible.
-    """
-    if cfg is None:
-        cfg = GridOracleConfig()
-    lo = np.array([b[0] - cfg.padding for b in problem.bounds], dtype=float)
-    hi = np.array([b[1] + cfg.padding for b in problem.bounds], dtype=float)
-    ndim = lo.size
-    window_lo, window_hi = lo.copy(), hi.copy()
-    best_point: np.ndarray | None = None
-    best_value = -math.inf
-
-    for _ in range(cfg.refinement_levels):
-        axes = [
-            np.linspace(window_lo[d], window_hi[d], cfg.resolution) for d in range(ndim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = [m.ravel() for m in mesh]
-        if best_point is not None:
-            coords = [
-                np.concatenate([c, [best_point[d]]]) for d, c in enumerate(coords)
-            ]
-        mask = problem.feasible(*coords)
-        if not mask.any():
-            if best_point is None:
-                # Shrinking an infeasible window never helps: report now.
-                raise InfeasibleProblemError(
-                    f"no feasible grid point in bounds {problem.bounds} "
-                    f"at resolution {cfg.resolution}"
-                )
-        else:
-            values = np.where(mask, problem.objective(*coords), -np.inf)
-            k = int(np.argmax(values))
-            if values[k] > best_value:
-                best_value = float(values[k])
-                best_point = np.array([c[k] for c in coords])
-        span = (window_hi - window_lo) / 10.0
-        center = best_point if best_point is not None else (window_lo + window_hi) / 2
-        window_lo = np.maximum(center - span / 2.0, lo)
-        window_hi = np.minimum(center + span / 2.0, hi)
-
-    assert best_point is not None
-    return VariationalSolution(
-        value=best_value,
-        maximizer=problem.expand(*best_point),
-        constraint_residual=problem.residual(*best_point),
-    )
+    s, value = _grid_max(objective, a, 1.0)
+    b = float(inner_b(s))
+    # Inequality constraint: only violations count as residual.
+    residual = max(0.0, -(s - (eta - b) ** 2 / s - a))
+    return VariationalSolution(value, (s, b, eta), residual)

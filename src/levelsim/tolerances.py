@@ -107,6 +107,11 @@ MEAN_VALUE_TOL = 1e-10
 # C10, C11: depth delta of the multiscale schedule, which has
 # L = ceil((log N)^(1 - delta)) levels
 SCHEDULE_DELTA = 0.9
+# Largest grid side cover-check and decompose-var accept. Building the nested
+# partitions grows steeply with N: on a 2-vCPU host run_cover_check took 3.7 s
+# at N = 2048 and 22 s at 4096, and decompose-var at 2048 with 2 samples
+# 24 s and 625 MB.
+PARTITION_GRID_N_MAX = 2048
 
 # C12: coarse exceedance tail
 COARSE_ZETA = 0.0

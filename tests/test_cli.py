@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from levelsim import pipelines
+from levelsim import tolerances as tol
 from levelsim.bbm import estimators
 from levelsim.cli import main
 from levelsim.cli import PIPELINES
@@ -68,6 +69,38 @@ class TestValidation:
         diag = last_stderr_json(err)
         assert diag["field"] == "grid_n"
         assert "[8, 64]" in diag["error"]
+
+    @pytest.mark.parametrize("x", ["3", "1.5"])
+    def test_rates_boundary_query_exits_2(self, x, capsys):
+        # above sqrt(2) the lower end of a is 0, where the maximizer degenerates
+        code, out, err = run_cli(["rates", "--a", "0", "--x", x], capsys)
+        assert code == 2
+        assert out == ""
+        assert "domain boundary" in last_stderr_json(err)["error"]
+
+    @pytest.mark.parametrize("sub", ["gff-cov", "decompose-var"])
+    def test_one_sample_exits_2_before_sampling(self, sub, capsys, monkeypatch):
+        # one sample has no spread: z-scores would read 0 and variances NaN
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started with a single sample")
+
+        monkeypatch.setattr(pipelines, "sample_fields", never)
+        monkeypatch.setattr(pipelines.mc, "map_blocks", never)
+        code, out, err = run_cli([sub, "--seed", "1", "--replicas", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "at least 2" in last_stderr_json(err)["error"]
+
+    @pytest.mark.parametrize("sub", ["cover-check", "decompose-var"])
+    def test_huge_partition_grid_exits_2(self, sub, calls, capsys):
+        takes_seed = any(param.key == "seed" for param in PIPELINES[sub].params)
+        argv = [sub, "--grid-n", "1000000"] + (["--seed", "1"] if takes_seed else [])
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        diag = last_stderr_json(err)
+        assert diag["field"] == "grid_n"
+        assert f"{tol.PARTITION_GRID_N_MAX}]" in diag["error"]
+        assert calls == []
 
     def test_decompose_var_delta_window(self, capsys):
         code, _, err = run_cli(

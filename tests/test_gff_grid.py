@@ -125,10 +125,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule((1.0, 0.5, 0.5, 0.0))
         with pytest.raises(ValueError):
-            Schedule((1.0, 0.0), delta=1.5)
-        with pytest.raises(ValueError):
-            Schedule((1.0, 0.0), delta=0.9, rho=1.4)
-        with pytest.raises(ValueError):
             uniform_schedule(64, delta=0.0)
         with pytest.raises(ValueError):
             uniform_schedule(64, levels=0)

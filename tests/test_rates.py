@@ -91,17 +91,17 @@ class TestBbmVariational:
             sol = rates.solve_bbm_variational(a, x)
             assert sol.value == pytest.approx(-rates.rate_i(a, x), abs=1e-12)
 
-    def test_homogeneity_in_horizon(self):
-        base = rates.solve_bbm_variational(0.6, 1.2, t=1.0)
-        scaled = rates.solve_bbm_variational(0.6, 1.2, t=2.0)
-        assert scaled.maximizer[0] == pytest.approx(2.0 * base.maximizer[0])
-        assert scaled.maximizer[1] == pytest.approx(2.0 * base.maximizer[1])
-        assert scaled.value == pytest.approx(base.value)
-
     def test_degenerate_boundary_rejected(self):
         x = 1.0
         with pytest.raises(ValueError):
             rates.solve_bbm_variational(1.0 - 0.5 * x * x, x)
+
+    @pytest.mark.parametrize("x", [3.0, 1.5])
+    def test_boundary_above_critical_speed_rejected(self, x):
+        # above sqrt(2) the lower end of a is 0, where s* degenerates to 1
+        assert rates.rate_i(0.0, x) == pytest.approx(0.5 * x * x - 1.0)
+        with pytest.raises(ValueError, match="domain boundary"):
+            rates.solve_bbm_variational(0.0, x)
 
 
 class TestGffVariational:
@@ -133,12 +133,12 @@ class TestGffVariational:
 
 class TestGridCertify:
     def test_certifies_bbm_anchor(self):
-        cert = rates.grid_certify(rates.bbm_supremum_problem(0.75, 1.0))
+        cert = rates.certify_bbm(0.75, 1.0)
         assert cert.value == pytest.approx(-1.0, abs=1e-6)
         assert cert.constraint_residual < 1e-9
 
     def test_certifies_gff_anchor(self):
-        cert = rates.grid_certify(rates.gff_supremum_problem(0.8, 0.6))
+        cert = rates.certify_gff(0.6, 0.8)
         assert cert.value == pytest.approx(-0.8, abs=1e-6)
         assert cert.constraint_residual < 1e-9
 
@@ -149,31 +149,22 @@ class TestGridCertify:
             a_min = max(0.0, 1.0 - 0.5 * x * x)
             a = a_min + rng.uniform(0.02, 0.98) * (1.0 - a_min)
             closed = rates.solve_bbm_variational(a, x)
-            cert = rates.grid_certify(rates.bbm_supremum_problem(a, x))
+            cert = rates.certify_bbm(a, x)
             assert abs(closed.value - cert.value) < 1e-6
         for _ in range(25):
             eta = rng.uniform(0.1, 0.95)
             lower = 1.0 - eta * eta
             a = lower + rng.uniform(0.02, 0.98) * (1.0 - lower)
             closed = rates.solve_gff_variational(eta, a)
-            cert = rates.grid_certify(rates.gff_supremum_problem(a, eta))
+            cert = rates.certify_gff(eta, a)
             assert abs(closed.value - cert.value) < 1e-6
 
     def test_infeasible_problem_raises(self):
-        problem = rates.SupremumProblem(
-            bounds=((0.0, 1.0),),
-            objective=lambda s: np.asarray(s, dtype=float),
-            feasible=lambda s: np.zeros(np.shape(s), dtype=bool),
-            expand=lambda s: (float(s),),
-            residual=lambda s: 0.0,
-        )
-        with pytest.raises(rates.InfeasibleProblemError):
-            rates.grid_certify(problem)
+        with pytest.raises(ValueError, match="no feasible grid point"):
+            rates._grid_max(lambda s: np.full(s.shape, -np.inf), 0.0, 1.0)
 
-    def test_config_validation(self):
+    def test_certificates_check_the_domain(self):
         with pytest.raises(ValueError):
-            rates.GridOracleConfig(resolution=8)
+            rates.certify_bbm(0.2, 1.0)  # below 1 - x^2/2 = 0.5
         with pytest.raises(ValueError):
-            rates.GridOracleConfig(refinement_levels=0)
-        with pytest.raises(ValueError):
-            rates.GridOracleConfig(padding=-0.1)
+            rates.certify_gff(0.6, 0.5)  # below 1 - eta^2 = 0.64
