@@ -19,6 +19,7 @@ from .engine import (
 )
 from .estimators import (
     DominanceSweep,
+    EventBudgetError,
     LevelExponent,
     MaxTail,
     NoDataError,
@@ -50,6 +51,7 @@ __all__ = [
     "NbbmSnapshot",
     "NbbmTrajectory",
     "NoDataError",
+    "EventBudgetError",
     "PopulationCapError",
     "check_events",
     "check_nbbm_dominance",

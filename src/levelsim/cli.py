@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import pipelines, tolerances as tol
-from .bbm import NoDataError, PopulationCapError
+from .bbm import EventBudgetError, NoDataError, PopulationCapError
 from .gff import FieldTooLargeError, ProbeRefusedError
 from .reports import Report, emit_report
 
@@ -305,6 +305,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             predicted_probability=exc.predicted_probability,
             replicas=exc.replicas,
         )
+        return 3
+    except EventBudgetError as exc:
+        _diagnostic(str(exc), expected_events=exc.expected_events)
         return 3
     except (PopulationCapError, NoDataError, FieldTooLargeError) as exc:
         _diagnostic(str(exc))

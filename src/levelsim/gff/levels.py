@@ -16,15 +16,24 @@ rounding_flip_bound, reported beside each such estimate, bounds how often
 that happens. Their thresholds are compared exactly: each is replaced by the
 smallest float32 not below it, whatever numpy's promotion rules. The zeta > 0
 probe averages field values in harmonic_at and stays on float64.
+
+Both threshold maps run through _threshold_map: their blocks are float32 sine
+products, so they run with OpenBLAS pinned to one thread and, unless
+mc.workers(n) says otherwise, on every usable CPU. The pin also holds when
+they run serially, so their float32 bits depend neither on the worker count
+nor on the host's default BLAS thread count. The zeta > 0 probe stays serial:
+its blocks call sample_fields and harmonic_at, which a tracer may wrap, and
+threads raised its peak memory more than they saved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.random import Generator
 from scipy.special import ndtr
 
 from .. import mc
@@ -150,6 +159,33 @@ def _field_block(grid_n: int) -> int:
     return max(1, tol.FIELD_BLOCK_SITES // (grid_n * grid_n))
 
 
+def _threshold_map(
+    plan: mc.ReplicaPlan,
+    grid_n: int,
+    threshold: float,
+    reduce: Callable[[np.ndarray, np.float32], np.ndarray],
+) -> tuple[np.ndarray, float]:
+    """reduce(interiors, thr32) over float32 field blocks at side N, with
+    thr32 the exact float32 stand-in for threshold; returns the replicas'
+    values and rounding_flip_bound(grid_n, threshold).
+
+    The map runs on one BLAS thread per worker and, with mc.workers unset, on
+    every usable CPU. The pin also covers the bound's float64 Green diagonal
+    just before it: on a 2-vCPU host a two-thread product there took 28 ms at
+    N = 128 against 0.7 ms on one thread, and the idle OpenBLAS thread it
+    leaves spinning slowed the map that followed by ~0.1 s.
+    """
+    thr32 = _float32_threshold(threshold)
+
+    def task(rng: Generator, size: int) -> np.ndarray:
+        return reduce(sample_interiors_float32(grid_n, size, rng), thr32)
+
+    with mc._one_blas_thread():
+        flip_bound = rounding_flip_bound(grid_n, threshold)
+        values = mc.map_blocks(plan, _field_block(grid_n), task, one_blas_thread=True)
+    return values, flip_bound
+
+
 def _replicas_for(replicas: int | Mapping[int, int], grid_n: int) -> int:
     if isinstance(replicas, Mapping):
         count = int(replicas[grid_n])
@@ -182,17 +218,16 @@ def estimate_daviaud_exponent(
 
     points = []
     for grid_n in sizes:
-        thr = level_threshold(grid_n, eta)
-        flip_bound = rounding_flip_bound(grid_n, thr)
-
-        def task(rng, size, grid_n=grid_n, thr32=_float32_threshold(thr)):
-            interiors = sample_interiors_float32(grid_n, size, rng)
-            return (interiors >= thr32).sum(axis=(1, 2))
-
         plan = mc.ReplicaPlan(
             _replicas_for(replicas, grid_n), mc.derive_seed(seed, grid_n)
         )
-        counts = mc.map_blocks(plan, _field_block(grid_n), task).astype(float)
+        counts, flip_bound = _threshold_map(
+            plan,
+            grid_n,
+            level_threshold(grid_n, eta),
+            lambda interiors, thr32: (interiors >= thr32).sum(axis=(1, 2)),
+        )
+        counts = counts.astype(float)
         count_est = mc.summarize(counts)
         nonzero = counts[counts > 0]
         exponent = None
@@ -271,26 +306,24 @@ def coarse_exceedance_probe(
         raise ProbeRefusedError(predicted_probability, replicas)
 
     thr = level_threshold(grid_n, b)
+    plan = mc.ReplicaPlan(replicas, seed)
+    flip_bound: float | None = None
     if zeta == 0.0:
-        boxes: tuple[Box, ...] | None = None
-        flip_bound: float | None = rounding_flip_bound(grid_n, thr)
-        thr32 = _float32_threshold(thr)
+        hits, flip_bound = _threshold_map(
+            plan, grid_n, thr, lambda interiors, thr32: interiors.max(axis=(1, 2)) >= thr32
+        )
     else:
         side = max(1, round(grid_n**zeta))
         boxes = flat_partition(Box(0, 0, grid_n, grid_n), side)
-        flip_bound = None
 
-    def task(rng, size) -> np.ndarray:
-        if boxes is None:
-            return sample_interiors_float32(grid_n, size, rng).max(axis=(1, 2)) >= thr32
-        fields = sample_fields(grid_n, size, rng)
-        hits = np.zeros(size, dtype=bool)
-        for box in boxes:
-            hits |= harmonic_at(fields, box, box.center()) >= thr
-        return hits
+        def coarse(rng, size) -> np.ndarray:
+            fields = sample_fields(grid_n, size, rng)
+            hits = np.zeros(size, dtype=bool)
+            for box in boxes:
+                hits |= harmonic_at(fields, box, box.center()) >= thr
+            return hits
 
-    plan = mc.ReplicaPlan(replicas, seed)
-    hits = mc.map_blocks(plan, _field_block(grid_n), task)
+        hits = mc.map_blocks(plan, _field_block(grid_n), coarse)
     estimate = mc.binomial_estimate(int(hits.sum()), replicas)
     exponent = None
     if estimate.mean > 0:

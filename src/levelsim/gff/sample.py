@@ -21,7 +21,10 @@ float32 copy of the sine matrix (or dstn above the cut). The draws do not
 move, so a hit or a count can differ from its float64 twin only where a value
 lies within FIELD_FLOAT32_DELTA, the float32 error of a field, of the
 threshold. Every other consumer (covariance, decomposition, harmonic values,
-the dense backend) stays on float64.
+the dense backend) stays on float64. Those consumers' maps pin numpy's
+OpenBLAS to one thread (mc.map_blocks with one_blas_thread), so the float32
+products run on one BLAS thread per worker and give the same bits at any
+worker count and on any host default.
 
 Before it allocates, each route estimates its working set and refuses a
 request above FIELD_BYTES_MAX with FieldTooLargeError.

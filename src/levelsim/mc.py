@@ -7,8 +7,14 @@ and aggregation runs in replica-index order. Results are therefore
 bit-identical for a fixed (master seed, plan) at any worker count.
 
 The worker count is one scoped setting, ``with workers(n):``, read by every
-map in this module; the default is 1 (serial). Pool threads start with a
-fresh context, so a map nested inside a pool task runs serially.
+map in this module. Unset, it leaves each map to its default: 1 (serial),
+except for maps of BLAS-bound blocks (``map_blocks(..., one_blas_thread=True)``,
+the float32 threshold field maps), which run on every CPU the process may
+use. Such a map runs with numpy's OpenBLAS pinned to one thread for its whole
+length, whatever its worker count, so its products are the same at any
+worker count and on any host default; where the pin is unavailable it runs
+serially unless ``workers(n)`` is open. The calling thread is one of a map's
+workers, and a map nested inside a task runs serially.
 
 Vectorized tasks run in replica blocks (``map_blocks``): one stream per block
 of consecutive replicas, keyed like a replica's, as in the counter-based
@@ -29,7 +35,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -122,12 +131,15 @@ class Estimate:
         return abs(self.mean - target) <= multiple * self.stderr
 
 
-_WORKERS: contextvars.ContextVar[int] = contextvars.ContextVar("workers", default=1)
+_WORKERS: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "workers", default=None
+)
 
 
 @contextlib.contextmanager
 def workers(n: int) -> Iterator[None]:
-    """Run the maps inside the block on n threads; the default is 1 (serial).
+    """Run every map inside the block on n threads. Unset (outside any such
+    block), each map takes its own default; see the module docstring.
 
     Results do not depend on n. The previous value comes back when the block
     exits, also by an exception.
@@ -141,14 +153,139 @@ def workers(n: int) -> Iterator[None]:
         _WORKERS.reset(token)
 
 
-def _map_indices(count: int, call: Callable[[int], object]) -> list:
-    """call(i) for i in range(count), serially or on the current workers(n)
-    threads, returned in index order. Exceptions in workers propagate."""
-    n = _WORKERS.get()
-    if n == 1:
-        return [call(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(call, range(count)))
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (getter, setter) symbol pairs of the OpenBLAS builds numpy ships or links
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS numpy's matmul
+    calls, or None. Looked up at first use, through numpy's extension
+    module, whose handle also resolves its dependencies' symbols."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get, put in _OPENBLAS_SYMBOLS:
+        if hasattr(lib, get) and hasattr(lib, put):
+            getter, setter = getattr(lib, get), getattr(lib, put)
+            getter.restype = ctypes.c_int
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            return getter, setter
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_pins = 0
+_blas_saved = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Pin OpenBLAS to one thread inside the block; yields whether it could.
+
+    Held for a whole map, never per block: a block that restored the count
+    would change it under another thread's running product. Overlapping
+    pins share one, and the last to exit restores the count read by the
+    first, also when the block raises.
+    """
+    global _blas_pins, _blas_saved
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    getter, setter = blas
+    with _blas_lock:
+        if _blas_pins == 0:
+            _blas_saved = getter()
+            setter(1)
+        _blas_pins += 1
+    try:
+        yield True
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0:
+                setter(_blas_saved)
+
+
+def _map_indices(
+    count: int,
+    stream: Callable[[int], Generator],
+    call: Callable[[int, Generator], object],
+    threads: int = 1,
+) -> list:
+    """call(i, stream(i)) for i in range(count), returned in index order.
+
+    Runs on the workers(n) threads, or on `threads` when that is unset. The
+    calling thread is one of them; indices go out one at a time, each with
+    its stream, under the map's lock, so the streams are made one at a time
+    and in index order. After a failure no further index goes out, and the
+    exception of the lowest failed index propagates once every worker has
+    stopped. Tasks see workers(1), so a map nested inside one runs serially.
+    """
+    n = min(_WORKERS.get() or threads, count)
+    token = _WORKERS.set(1)
+    try:
+        if n <= 1:
+            return [call(i, stream(i)) for i in range(count)]
+        results: list = [None] * count
+        errors: dict[int, BaseException] = {}
+        lock = threading.Lock()
+        cursor = 0
+
+        # a worker records what it raised and stops; the caller re-raises it
+        # once the others have stopped too
+        def work() -> None:
+            nonlocal cursor
+            while True:
+                with lock:
+                    if cursor == count or errors:
+                        return
+                    i = cursor
+                    cursor += 1
+                    try:
+                        rng = stream(i)
+                    except BaseException as exc:
+                        errors[i] = exc
+                        return
+                try:
+                    results[i] = call(i, rng)
+                except BaseException as exc:
+                    with lock:
+                        errors[i] = exc
+                    return
+
+        # each pool thread runs in a copy of this context, where workers is 1
+        with ThreadPoolExecutor(max_workers=n - 1) as pool:
+            futures = [
+                pool.submit(contextvars.copy_context().run, work) for _ in range(n - 1)
+            ]
+            work()
+            for future in futures:
+                future.result()
+        if errors:
+            raise errors[min(errors)]
+        return results
+    finally:
+        _WORKERS.reset(token)
 
 
 def parallel_map(plan: ReplicaPlan, task: Callable[[Generator], object]) -> list:
@@ -158,11 +295,19 @@ def parallel_map(plan: ReplicaPlan, task: Callable[[Generator], object]) -> list
     any aggregation applied to the returned list is concurrency-independent.
     Exceptions in workers propagate.
     """
-    return _map_indices(plan.replicas, lambda i: task(replica_rng(plan.master_seed, i)))
+    return _map_indices(
+        plan.replicas,
+        lambda i: replica_rng(plan.master_seed, i),
+        lambda i, rng: task(rng),
+    )
 
 
 def map_blocks(
-    plan: ReplicaPlan, block: int, task: Callable[[Generator, int], np.ndarray]
+    plan: ReplicaPlan,
+    block: int,
+    task: Callable[[Generator, int], np.ndarray],
+    *,
+    one_blas_thread: bool = False,
 ) -> np.ndarray:
     """Run task(rng, size) once per block of `block` consecutive replicas.
 
@@ -171,20 +316,32 @@ def map_blocks(
     block=1 reproduces parallel_map's streams. The task returns one value per
     replica along its first axis; the blocks' values are concatenated in
     replica order. Exceptions in workers propagate.
+
+    one_blas_thread marks blocks whose time goes to BLAS products: the map
+    pins numpy's OpenBLAS to one thread while it runs and, with workers
+    unset, runs on every usable CPU (serially where the pin is unavailable).
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
 
-    def run(b: int) -> np.ndarray:
+    def run(b: int, rng: Generator) -> np.ndarray:
         size = min(block, plan.replicas - b * block)
-        values = np.asarray(task(replica_rng(plan.master_seed, b), size))
+        values = np.asarray(task(rng, size))
         if values.shape[:1] != (size,):
             raise ValueError(
                 f"block task returned shape {values.shape} for a block of {size}"
             )
         return values
 
-    return np.concatenate(_map_indices(-(-plan.replicas // block), run))
+    def stream(b: int) -> Generator:
+        return replica_rng(plan.master_seed, b)
+
+    blocks = -(-plan.replicas // block)
+    if not one_blas_thread:
+        return np.concatenate(_map_indices(blocks, stream, run))
+    with _one_blas_thread() as pinned:
+        threads = _usable_cpus() if pinned else 1
+        return np.concatenate(_map_indices(blocks, stream, run, threads))
 
 
 def _normal_ci(mean: float, stderr: float) -> tuple[float, float]:

@@ -34,6 +34,7 @@ from .bbm import (
 )
 from .gff import (
     GAMMA,
+    Box,
     CoverConstructionError,
     GreenOperator,
     NestedPartitions,
@@ -1054,23 +1055,27 @@ def run_decompose_var(
     # minus the parent's harmonic extension at the child's center) and its
     # exact variance (Green diagonal of the parent's box minus the child's,
     # both reduced to local coordinates by translation invariance)
+    diagonals: dict[int, np.ndarray] = {}
+
+    def box_variance(box: Box, site: tuple[int, int]) -> float:
+        if box.side not in diagonals:
+            diagonals[box.side] = GreenOperator(box.side).diagonal()
+        return float(diagonals[box.side][site[0] - box.row0, site[1] - box.col0])
+
     pair_weights = []
     exact_values = []
     for lvl in range(parts.depth):
         for j, child_idx in enumerate(parts.children[lvl]):
             parent = parts.levels[lvl][j]
-            g_parent = GreenOperator(parent.side)
             for k in child_idx:
                 child = parts.levels[lvl + 1][k]
                 site = child.center()
                 pair_weights.append(
                     (lvl, harmonic_measure(child, site), harmonic_measure(parent, site))
                 )
-                local_parent = (site[0] - parent.row0, site[1] - parent.col0)
-                var = g_parent.variance(local_parent)
+                var = box_variance(parent, site)
                 if not child.is_singleton:
-                    local_child = (site[0] - child.row0, site[1] - child.col0)
-                    var -= GreenOperator(child.side).variance(local_child)
+                    var -= box_variance(child, site)
                 exact_values.append(var)
     exact_pooled = float(np.mean(exact_values))
 

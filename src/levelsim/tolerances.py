@@ -72,6 +72,10 @@ NBBM_T = 6.0
 NBBM_CAPS = (10, 100)
 NBBM_REPLICAS = 1_000
 NBBM_SNAPSHOTS = (1.5, 3.0, 4.5, 6.0)
+# Largest expected number of chronological branch events, replicas * (e^t - 1),
+# one dominance sweep may run. The engine ran ~2.1e5 events/s at t = 10, so
+# this is about 8 min; the default sweep expects 4e5 per cap.
+NBBM_EVENTS_MAX = 10**8
 
 # C7: field sampler vs covariance oracle
 COV_GRID_N = 32

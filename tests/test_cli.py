@@ -3,6 +3,7 @@
 import importlib.resources
 import inspect
 import json
+import math
 import subprocess
 import sys
 
@@ -463,6 +464,20 @@ class TestRuntimeFailures:
         assert code == 3
         assert out == ""
         assert "refused before sampling" in last_stderr_json(err)["error"]
+
+
+    def test_oversized_event_budget_exits_3_at_once(self, capsys, monkeypatch):
+        # t=14 passes the particle guard but expects ~1.2e9 branch events per cap
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started above the event budget")
+
+        monkeypatch.setattr(estimators, "simulate_nbbm", never)
+        code, out, err = run_cli(["nbbm", "--seed", "1", "--t", "14"], capsys)
+        assert code == 3
+        assert out == ""
+        diag = last_stderr_json(err)
+        assert diag["expected_events"] == pytest.approx(1000 * math.expm1(14))
+        assert "refused before sampling" in diag["error"]
 
 
 class TestSampleCounts:

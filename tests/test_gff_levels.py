@@ -246,6 +246,29 @@ class TestFloat32Consumers:
             coarse_exceedance_probe(200_000, 0.0, 1.0, replicas=10, seed=0)
 
 
+class TestWorkerSetting:
+    """The threshold maps run on every usable CPU when mc.workers is unset;
+    their results are the same under any setting."""
+
+    @staticmethod
+    def under(setting, run):
+        if setting is None:
+            return run()
+        with mc.workers(setting):
+            return run()
+
+    def test_results_do_not_depend_on_it(self):
+        runs = {
+            "daviaud": lambda: estimate_daviaud_exponent([16, 32], 0.3, {16: 150, 32: 70}, 86),
+            "flat": lambda: coarse_exceedance_probe(32, 0.0, 0.4, replicas=300, seed=87),
+            "boxes": lambda: coarse_exceedance_probe(32, 0.5, 0.3, replicas=40, seed=88),
+        }
+        for name, run in runs.items():
+            # repr: exact for floats, and equal where both sides are nan
+            results = [repr(self.under(setting, run)) for setting in (None, 1, 4)]
+            assert results[0] == results[1] == results[2], name
+
+
 class TestRoundingFlipBound:
     def test_matches_per_site_sum(self):
         grid_n, delta = 16, tol.FIELD_FLOAT32_DELTA

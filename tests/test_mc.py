@@ -1,7 +1,10 @@
 """Seed derivation, deterministic parallel execution, and aggregation."""
 
+import contextlib
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -74,8 +77,136 @@ class TestWorkers:
 
         with mc.workers(4):
             results = mc.parallel_map(mc.ReplicaPlan(8, 1), task)
-        assert threading.get_ident() not in {worker for worker, _ in results}
         assert all(serial for _, serial in results)
+
+    def test_blas_map_nested_in_a_task_stays_serial(self):
+        # unset, a one-BLAS-thread map would take every usable CPU; inside a
+        # task it runs on the task's own thread
+        def inner(rng, size):
+            return np.full(size, threading.get_ident())
+
+        def task(rng):
+            nested = mc.map_blocks(mc.ReplicaPlan(6, 2), 1, inner, one_blas_thread=True)
+            return set(nested.tolist()) == {threading.get_ident()}
+
+        with mc.workers(2):
+            assert all(mc.parallel_map(mc.ReplicaPlan(4, 1), task))
+        assert all(mc.parallel_map(mc.ReplicaPlan(4, 1), task))
+
+
+class TestCallerShare:
+    """With n workers the calling thread is one of them."""
+
+    @staticmethod
+    def meet(i, barrier):
+        # the first two indices wait for each other, so two threads hold them
+        if i < 2:
+            barrier.wait()
+        return threading.get_ident()
+
+    def test_caller_works_and_results_keep_index_order(self):
+        barrier = threading.Barrier(2, timeout=30)
+        with mc.workers(2):
+            results = mc._map_indices(
+                40, lambda i: i, lambda i, made: (made, self.meet(i, barrier))
+            )
+        assert [made for made, _ in results] == list(range(40))
+        assert threading.get_ident() in {worker for _, worker in results[:2]}
+        assert len({worker for _, worker in results[:2]}) == 2
+
+    @pytest.mark.parametrize("side", ["caller", "pool"])
+    def test_exceptions_propagate_from_either_share(self, side):
+        barrier = threading.Barrier(2, timeout=30)
+        caller = threading.get_ident()
+
+        def call(i, made):
+            on_caller = self.meet(i, barrier) == caller
+            if i < 2 and on_caller == (side == "caller"):
+                raise RuntimeError(f"boom on {side}")
+            return i
+
+        with mc.workers(2), pytest.raises(RuntimeError, match=f"boom on {side}"):
+            mc._map_indices(10, lambda i: i, call)
+
+    def test_streams_are_made_in_index_order(self):
+        made = []
+        with mc.workers(4):
+            mc._map_indices(50, made.append, lambda i, _: i)
+        assert made == list(range(50))
+
+    def test_no_index_is_lost_or_repeated_under_contention(self):
+        # more workers than cores, a tiny switch interval and a stream that
+        # yields the interpreter: a hand-out outside the lock would skip or
+        # repeat indices
+        made = []
+
+        def stream(i):
+            time.sleep(0)
+            made.append(i)
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mc.workers(8):
+                results = mc._map_indices(2000, stream, lambda i, j: j)
+        finally:
+            sys.setswitchinterval(interval)
+        assert made == list(range(2000))
+        assert results == list(range(2000))
+
+
+def test_blas_map_without_the_pin_runs_serially(monkeypatch):
+    monkeypatch.setattr(mc, "_openblas", lambda: None)
+    ids = mc.map_blocks(
+        mc.ReplicaPlan(9, 1), 1, lambda rng, size: [threading.get_ident()], one_blas_thread=True
+    )
+    assert set(ids.tolist()) == {threading.get_ident()}
+
+
+@pytest.mark.skipif(mc._openblas() is None, reason="no OpenBLAS thread control")
+class TestBlasPin:
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        # start from 2, so that a count left at 1 shows
+        getter, setter = mc._openblas()
+        default = getter()
+        setter(2)
+        try:
+            yield
+        finally:
+            setter(default)
+
+    @staticmethod
+    def blas_threads():
+        getter, _ = mc._openblas()
+        return getter()
+
+    def test_blocks_run_on_one_blas_thread_and_the_count_returns(self):
+        before = self.blas_threads()
+        seen = []
+
+        def task(rng, size):
+            seen.append(self.blas_threads())
+            return rng.random(size)
+
+        for c in (None, 1, 3):
+            with mc.workers(c) if c else contextlib.nullcontext():
+                mc.map_blocks(mc.ReplicaPlan(12, 3), 2, task, one_blas_thread=True)
+            assert self.blas_threads() == before == 2
+        assert set(seen) == {1}
+
+    def test_count_returns_after_a_block_raises(self):
+        before = self.blas_threads()
+
+        def task(rng, size):
+            raise RuntimeError("boom")
+
+        for c in (None, 1, 2):
+            with mc.workers(c) if c else contextlib.nullcontext():
+                with pytest.raises(RuntimeError, match="boom"):
+                    mc.map_blocks(mc.ReplicaPlan(8, 3), 2, task, one_blas_thread=True)
+            assert self.blas_threads() == before == 2
 
 
 class TestParallelMap:
@@ -112,11 +243,13 @@ class TestMapBlocks:
         assert blocks.tolist() == mc.parallel_map(plan, lambda rng: rng.random())
 
     def test_concurrency_does_not_change_results(self):
-        runs = []
+        plan = mc.ReplicaPlan(103, 42)
+        runs = [mc.map_blocks(plan, 8, self.draw, one_blas_thread=True)]
         for c in (1, 4):
-            with mc.workers(c):
-                runs.append(mc.map_blocks(mc.ReplicaPlan(103, 42), 8, self.draw))
-        assert runs[0].tobytes() == runs[1].tobytes()
+            for pin in (False, True):
+                with mc.workers(c):
+                    runs.append(mc.map_blocks(plan, 8, self.draw, one_blas_thread=pin))
+        assert len({run.tobytes() for run in runs}) == 1
 
     def test_short_last_block(self):
         sizes = []
