@@ -20,11 +20,19 @@ only the transform runs in float32, on one cast of the scaled noise, with a
 float32 copy of the sine matrix (or dstn above the cut). The draws do not
 move, so a hit or a count can differ from its float64 twin only where a value
 lies within FIELD_FLOAT32_DELTA, the float32 error of a field, of the
-threshold. Every other consumer (covariance, decomposition, harmonic values,
-the dense backend) stays on float64. Those consumers' maps pin numpy's
-OpenBLAS to one thread (mc.map_blocks with one_blas_thread), so the float32
-products run on one BLAS thread per worker and give the same bits at any
-worker count and on any host default.
+threshold. Those maps pin numpy's OpenBLAS to one thread (mc.map_blocks with
+one_blas_thread), so the float32 products run on one BLAS thread per worker
+and give the same bits at any worker count and on any host default. Every
+other consumer (covariance, decomposition, harmonic values, the dense
+backend) stays on float64 in serial maps at the host's BLAS thread count.
+
+Code that reads only one box of each field takes sample_box, the box of the
+fields sample_fields draws from the same stream. Up to the cut it draws each
+field's noise in turn (the same normals as one batched draw) and transforms
+only the box's rows and columns, sine[rows] @ x @ sine[:, cols]; so it holds
+one field's noise at a time, and for the decomposition's centred N/4 root box
+it does about a sixth of the whole-field flops. Above the cut it slices whole
+dstn fields from sample_fields, under that route's budget check.
 
 Before it allocates, each route estimates its working set and refuses a
 request above FIELD_BYTES_MAX with FieldTooLargeError.
@@ -40,10 +48,12 @@ from numpy.random import Generator
 
 from .. import tolerances as tol
 from .green import FieldTooLargeError, GreenOperator, _mode_gaps, _sine_matrix
+from .grid import Box
 
 __all__ = [
     "spectral_scale",
     "sample_fields",
+    "sample_box",
     "sample_interiors_float32",
 ]
 
@@ -122,6 +132,34 @@ def sample_fields(
         chol = _cholesky(grid_n)
         noise = rng.standard_normal((count, n * n))
         out[:, 1:-1, 1:-1] = (noise @ chol.T).reshape(count, n, n)
+    return out
+
+
+def sample_box(grid_n: int, box: Box, count: int, rng: Generator) -> np.ndarray:
+    """The (count, height, width) box of the fields sample_fields draws from
+    the same stream, sample_fields(grid_n, count, rng)[:, box.slices()], with
+    rng left where sample_fields leaves it; sites on the frame read 0."""
+    if box.row0 < 0 or box.col0 < 0 or max(box.row_end, box.col_end) > grid_n:
+        raise ValueError(f"{box} does not lie in the {grid_n}x{grid_n} grid")
+    if grid_n > tol.SINE_MATRIX_MAX_N:
+        return sample_fields(grid_n, count, rng)[(slice(None), *box.slices())].copy()
+    n = grid_n - 2
+    # the box, one field's noise and its product with the box's sine rows
+    nbytes = 8 * (count * box.height * box.width + (n + box.height) * n)
+    _check_request(grid_n, count, nbytes, "box")
+    # the box's interior rows r0..r1-1 and columns c0..c1-1; interior site
+    # (r, c) is sine-matrix index (r - 1, c - 1)
+    r0, r1 = max(box.row0, 1), min(box.row_end, grid_n - 1)
+    c0, c1 = max(box.col0, 1), min(box.col_end, grid_n - 1)
+    sine = _sine_matrix(grid_n)
+    left, right = sine[r0 - 1 : r1 - 1], sine[:, c0 - 1 : c1 - 1]
+    scale = spectral_scale(grid_n)
+    out = np.zeros((count, box.height, box.width))
+    inner = out[:, r0 - box.row0 : r1 - box.row0, c0 - box.col0 : c1 - box.col0]
+    for field in inner:
+        noise = rng.standard_normal((n, n))
+        noise *= scale
+        field[...] = left @ noise @ right
     return out
 
 

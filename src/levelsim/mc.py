@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 from scipy import special
 
 __all__ = [
@@ -91,9 +91,28 @@ def derive_seed(master_seed: int, index: int) -> int:
     return z
 
 
+# Philox(key=...) seeds a default SeedSequence() from OS entropy before it sets
+# the key. replica_rng seeds this fixed sequence instead and then replaces the
+# whole state with the one Philox(key=...) ends in, so no entropy is read.
+_FIXED_SEQUENCE = SeedSequence(0)
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
 def replica_rng(master_seed: int, index: int) -> Generator:
     """Counter-based generator for one replica (Philox4x64-10, key set directly)."""
-    return Generator(Philox(key=derive_seed(master_seed, index)))
+    bits = Philox(_FIXED_SEQUENCE)
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": _ZERO_WORDS,
+            "key": np.array([derive_seed(master_seed, index), 0], dtype=np.uint64),
+        },
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return Generator(bits)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .gff import (
     flat_partition,
     harmonic_measure,
     nested_partitions,
+    sample_box,
     sample_fields,
     shift_cover,
     uniform_schedule,
@@ -1062,13 +1063,20 @@ def run_decompose_var(
             diagonals[box.side] = GreenOperator(box.side).diagonal()
         return float(diagonals[box.side][site[0] - box.row0, site[1] - box.col0])
 
+    # every value read lies in the root box, so the fields are sampled on that
+    # window only and each box is moved into the window's coordinates
+    root = parts.levels[0][0]
+
+    def in_root(box: Box) -> Box:
+        return Box(box.row0 - root.row0, box.col0 - root.col0, box.height, box.width)
+
     pair_weights = []
     exact_values = []
     for lvl in range(parts.depth):
         for j, child_idx in enumerate(parts.children[lvl]):
-            parent = parts.levels[lvl][j]
+            parent = in_root(parts.levels[lvl][j])
             for k in child_idx:
-                child = parts.levels[lvl + 1][k]
+                child = in_root(parts.levels[lvl + 1][k])
                 site = child.center()
                 pair_weights.append(
                     (lvl, harmonic_measure(child, site), harmonic_measure(parent, site))
@@ -1079,7 +1087,7 @@ def run_decompose_var(
                 exact_values.append(var)
     exact_pooled = float(np.mean(exact_values))
 
-    corr_box = parts.levels[1][0]
+    corr_box = in_root(parts.levels[1][0])
     corr_site = corr_box.center()
     # the centre's measure is supported on the whole frame: the boundary set
     hr, hc, hw = harmonic_measure(corr_box, corr_site)
@@ -1087,7 +1095,7 @@ def run_decompose_var(
     def task(rng, size) -> np.ndarray:
         # per field: each pair's increment, the residual at the box centre,
         # then the field on the box's frame
-        fields = sample_fields(grid_n, size, rng)
+        fields = sample_box(grid_n, root, size, rng)
         incs = [
             fields[:, cr, cc] @ cw - fields[:, pr, pc] @ pw
             for _, (cr, cc, cw), (pr, pc, pw) in pair_weights
@@ -1116,7 +1124,7 @@ def run_decompose_var(
     max_corr = float(np.max(np.abs((residual @ boundary) / denom)))
     corr_limit = 4.0 / math.sqrt(samples)
 
-    first_field = sample_fields(grid_n, 1, mc.replica_rng(mc.derive_seed(seed, 2), 0))[0]
+    first_field = sample_box(grid_n, root, 1, mc.replica_rng(mc.derive_seed(seed, 2), 0))[0]
     harmonic = dirichlet_extend(first_field, corr_box)
     interior = harmonic[1:-1, 1:-1]
     neighbor_mean = 0.25 * (

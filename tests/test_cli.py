@@ -9,6 +9,7 @@ import sys
 
 import jsonschema
 import pytest
+import scipy.fft
 
 from levelsim import pipelines
 from levelsim import tolerances as tol
@@ -86,6 +87,7 @@ class TestValidation:
             raise AssertionError("sampling started with a single sample")
 
         monkeypatch.setattr(pipelines, "sample_fields", never)
+        monkeypatch.setattr(pipelines, "sample_box", never)
         monkeypatch.setattr(pipelines.mc, "map_blocks", never)
         code, out, err = run_cli([sub, "--seed", "1", "--replicas", "1"], capsys)
         assert code == 2
@@ -439,6 +441,33 @@ class TestRuntimeFailures:
         assert code == 3
         assert out == ""
         assert "field budget" in last_stderr_json(err)["error"]
+
+    def test_oversized_decomposition_block_exits_3_before_sampling(self, capsys, monkeypatch):
+        # above the sine-matrix cut the root window is sliced from whole fields,
+        # so a block of 50 at N=1024 is refused as 50 whole fields would be
+        finished = []
+        map_blocks = pipelines.mc.map_blocks
+
+        def counted_map(plan, block, task, **kwargs):
+            def counted(rng, size):
+                values = task(rng, size)
+                finished.append(size)
+                return values
+
+            return map_blocks(plan, block, counted, **kwargs)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a field was transformed before the budget check")
+
+        monkeypatch.setattr(pipelines.mc, "map_blocks", counted_map)
+        monkeypatch.setattr(scipy.fft, "dstn", never)
+        code, out, err = run_cli(["decompose-var", "--grid-n", "1024", "--seed", "1"], capsys)
+        assert code == 3
+        assert out == ""
+        error = last_stderr_json(err)["error"]
+        assert "sampling 50 spectral field(s) at N=1024 needs about 1.17 GiB" in error
+        assert "field budget" in error
+        assert finished == []
 
     def test_oversized_dense_oracle_exits_3_before_sampling(self, capsys, monkeypatch):
         # the default 20000 dense samples at N=64 need about 2 GiB

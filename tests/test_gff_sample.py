@@ -1,6 +1,7 @@
 """Field samplers: spectral backend validated against the dense backend."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,8 +12,10 @@ from scipy import stats
 from levelsim import mc
 from levelsim import tolerances as tol
 from levelsim.gff import (
+    Box,
     FieldTooLargeError,
     GreenOperator,
+    sample_box,
     sample_fields,
     sample_interiors_float32,
     spectral_scale,
@@ -88,6 +91,71 @@ class TestSpectralTransform:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 threaded = list(pool.map(draw, range(4)))
             assert all(a.tobytes() == b.tobytes() for a, b in zip(serial, threaded))
+
+
+class TestBox:
+    """sample_box is the box of the fields sample_fields draws from the same
+    stream, transformed one field at a time on the box's rows and columns."""
+
+    @staticmethod
+    def boxes(grid_n):
+        quarter = grid_n // 4
+        return {
+            "interior": Box(3 * quarter // 2, 3 * quarter // 2, quarter, quarter),
+            "rectangular": Box(2, grid_n // 2, grid_n // 3, grid_n // 5 + 1),
+            "frame": Box(0, grid_n - 4, grid_n, 4),
+        }
+
+    @pytest.mark.parametrize("kind", ["interior", "rectangular", "frame"])
+    @pytest.mark.parametrize("grid_n", [16, 64, 256])
+    def test_equals_the_sliced_fields(self, grid_n, kind):
+        box = self.boxes(grid_n)[kind]
+        count = 3
+        got = sample_box(grid_n, box, count, mc.replica_rng(35, grid_n))
+        fields = sample_fields(grid_n, count, mc.replica_rng(35, grid_n))
+        assert got.shape == (count, box.height, box.width)
+        assert np.max(np.abs(got - fields[(slice(None), *box.slices())])) <= 1e-12
+        if kind == "frame":
+            assert np.all(got[:, 0, :] == 0.0)
+            assert np.all(got[:, -1, :] == 0.0)
+            assert np.all(got[:, :, -1] == 0.0)
+            assert np.all(got[:, 1:-1, :-1] != 0.0)
+
+    @pytest.mark.parametrize("grid_n", [16, 64])
+    def test_leaves_the_stream_where_sample_fields_does(self, grid_n):
+        box_rng, fields_rng = mc.replica_rng(36, 0), mc.replica_rng(36, 0)
+        sample_box(grid_n, self.boxes(grid_n)["interior"], 5, box_rng)
+        sample_fields(grid_n, 5, fields_rng)
+        assert np.array_equal(box_rng.standard_normal(8), fields_rng.standard_normal(8))
+
+    def test_above_the_cut_slices_the_dstn_field(self):
+        grid_n = tol.SINE_MATRIX_MAX_N + 8
+        box = Box(200, 190, 130, 140)
+        got = sample_box(grid_n, box, 1, mc.replica_rng(37, 0))
+        field = sample_fields(grid_n, 1, mc.replica_rng(37, 0))
+        assert np.max(np.abs(got - field[(slice(None), *box.slices())])) <= 1e-12
+
+    def test_validation(self):
+        rng = mc.replica_rng(38, 0)
+        with pytest.raises(ValueError, match="does not lie"):
+            sample_box(16, Box(10, 0, 7, 4), 1, rng)
+        with pytest.raises(ValueError):
+            sample_box(16, Box(0, 0, 4, 4), 0, rng)
+
+    def test_oversized_request_is_refused_before_allocation(self):
+        rng = mc.replica_rng(39, 0)
+        box = Box(24, 24, 16, 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FieldTooLargeError, match="box"):
+                sample_box(64, box, tol.FIELD_BYTES_MAX // (8 * 16 * 16) + 1, rng)
+            # above the cut the request is the whole fields sample_fields draws
+            with pytest.raises(FieldTooLargeError, match="50 spectral field"):
+                sample_box(1024, Box(384, 384, 256, 256), 50, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFloat32Route:

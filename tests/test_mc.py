@@ -46,6 +46,26 @@ class TestReplicaRng:
         draws = [mc.replica_rng(7, i).random() for i in range(50)]
         assert len(set(draws)) == 50
 
+    def test_reads_no_os_entropy(self, monkeypatch):
+        # numpy seeds a default SeedSequence() through this randbits
+        from numpy.random import bit_generator
+
+        def never(bits):
+            raise AssertionError("replica_rng read OS entropy")
+
+        monkeypatch.setattr(bit_generator, "randbits", never)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            np.random.Philox(key=1)
+        for index in range(20):
+            mc.replica_rng(7, index).random()
+
+    def test_stream_is_philox_keyed_by_derived_seed(self):
+        for master, index in ((0, 0), (7, 3), (2**40, 199)):
+            expected = np.random.Generator(np.random.Philox(key=mc.derive_seed(master, index)))
+            got = mc.replica_rng(master, index)
+            assert np.array_equal(got.standard_normal(500), expected.standard_normal(500))
+            assert np.array_equal(got.integers(0, 2**62, 50), expected.integers(0, 2**62, 50))
+
 
 class TestReplicaPlan:
     def test_validation(self):

@@ -9,9 +9,11 @@ import importlib.resources
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from levelsim import mc, pipelines, tolerances as tol
+from levelsim.gff import harmonic_measure
 from levelsim.reports import render_report
 
 
@@ -171,6 +173,55 @@ class TestDecomposeVar:
         assert check_by_name(report, "mean_value_deviation").passed
         assert check_by_name(report, "residual_boundary_correlation").passed
         assert report.inputs["samples"] == 100
+
+    def test_root_window_reads_the_same_sites_as_whole_fields(self, monkeypatch):
+        # the run samples only the partition's root box, in that window's
+        # coordinates; a reference that slices whole fields must give the same
+        # estimates, and those must be the ones read off the whole fields in
+        # grid coordinates, so a slip in the window's translation cannot pass
+        grid_n = 64
+        windowed = pipelines.run_decompose_var(seed=51, grid_n=grid_n, samples=100)
+        parts = pipelines.nested_partitions(
+            grid_n, pipelines.uniform_schedule(grid_n, delta=tol.SCHEDULE_DELTA)
+        )
+        drawn = []
+
+        def whole_fields(grid_n, box, count, rng):
+            assert box == parts.levels[0][0]
+            drawn.append(pipelines.sample_fields(grid_n, count, rng))
+            return drawn[-1][(slice(None), *box.slices())]
+
+        monkeypatch.setattr(pipelines, "sample_box", whole_fields)
+        reference = pipelines.run_decompose_var(seed=51, grid_n=grid_n, samples=100)
+        assert len(windowed.estimates) == len(reference.estimates)
+        for got, want in zip(windowed.estimates, reference.estimates):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), (want["name"], key)
+
+        fields = np.concatenate(drawn[:-1])  # the last call draws the first field
+        increments = []
+        for lvl in range(parts.depth):
+            for j, child_idx in enumerate(parts.children[lvl]):
+                for k in child_idx:
+                    child = parts.levels[lvl + 1][k]
+                    site = child.center()
+                    cr, cc, cw = harmonic_measure(child, site)
+                    pr, pc, pw = harmonic_measure(parts.levels[lvl][j], site)
+                    increments.append(fields[:, cr, cc] @ cw - fields[:, pr, pc] @ pw)
+        corr_box = parts.levels[1][0]
+        (r, c), (hr, hc, hw) = corr_box.center(), harmonic_measure(corr_box, corr_box.center())
+        boundary = fields[:, hr, hc] - fields[:, hr, hc].mean(axis=0)
+        residual = fields[:, r, c] - fields[:, hr, hc] @ hw
+        residual -= residual.mean()
+        corr = (residual @ boundary) / np.sqrt(
+            np.maximum((residual @ residual) * (boundary * boundary).sum(axis=0), 1e-300)
+        )
+        rows = {e["name"]: e for e in windowed.estimates}
+        pooled = float(np.column_stack(increments).var(ddof=1))
+        assert rows["pooled_increment_variance"]["value"] == pytest.approx(pooled, rel=1e-12)
+        max_corr = float(np.max(np.abs(corr)))
+        assert rows["max_boundary_correlation"]["value"] == pytest.approx(max_corr, rel=1e-12)
 
 
 class TestBbmExponents:
