@@ -197,16 +197,26 @@ class NestedPartitions:
         return np.array([(b.row0, b.col0) for b in self.levels[-1]], dtype=np.int64)
 
     def margin_ok(self) -> bool:
-        """Exhaustive re-check of the margin rule over every kept child."""
+        """Whether every parent's kept children are exactly its tiles at
+        least margin * side from its boundary, re-derived from scratch."""
         for lvl, kids in enumerate(self.children):
-            for j, child_idx in enumerate(kids):
-                parent = self.levels[lvl][j]
-                need = self.margin * parent.side
-                for k in child_idx:
-                    gap = parent.boundary_gap(self.levels[lvl + 1][k])
-                    if Fraction(gap) < need:
-                        return False
+            side = _level_side(self.grid_n, self.schedule.exponents[lvl + 1])
+            for parent, child_idx in zip(self.levels[lvl], kids):
+                kept = [self.levels[lvl + 1][k] for k in child_idx]
+                if kept != _margin_tiles(parent, side, self.margin):
+                    return False
         return True
+
+
+def _margin_tiles(parent: Box, side: int, margin: Fraction) -> list[Box]:
+    """The side-`side` tiles of parent at least margin * parent side from its
+    boundary, in flat_partition order."""
+    need = margin * parent.side
+    return [
+        tile
+        for tile in flat_partition(parent, side)
+        if Fraction(parent.boundary_gap(tile)) >= need
+    ]
 
 
 def nested_partitions(
@@ -232,13 +242,10 @@ def nested_partitions(
         next_level: list[Box] = []
         level_children: list[tuple[int, ...]] = []
         for parent in levels[-1]:
-            need = margin * parent.side
-            kept: list[int] = []
-            for tile in flat_partition(parent, side):
-                if Fraction(parent.boundary_gap(tile)) >= need:
-                    kept.append(len(next_level))
-                    next_level.append(tile)
-            level_children.append(tuple(kept))
+            kept = _margin_tiles(parent, side, margin)
+            first = len(next_level)
+            level_children.append(tuple(range(first, first + len(kept))))
+            next_level.extend(kept)
         if not next_level:
             raise ValueError(
                 f"margin {margin} leaves no boxes at side {side} under N={grid_n}"

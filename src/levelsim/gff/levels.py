@@ -18,10 +18,10 @@ smallest float32 not below it, whatever numpy's promotion rules. The zeta > 0
 probe averages field values in harmonic_at and stays on float64.
 
 Both threshold maps run through _threshold_map: their blocks are float32 sine
-products, so they run with OpenBLAS pinned to one thread and, unless
-mc.workers(n) says otherwise, on every usable CPU. The pin also holds when
-they run serially, so their float32 bits depend neither on the worker count
-nor on the host's default BLAS thread count. The zeta > 0 probe stays serial:
+products, so unless mc.workers(n) says otherwise they run on every usable
+CPU, each on the one BLAS thread mc pins numpy's OpenBLAS to at import. Their
+float32 bits depend neither on the worker count nor on the host's default
+BLAS thread count. The zeta > 0 probe stays serial:
 its blocks call sample_fields and harmonic_at, which a tracer may wrap, and
 threads raised its peak memory more than they saved.
 """
@@ -169,21 +169,16 @@ def _threshold_map(
     thr32 the exact float32 stand-in for threshold; returns the replicas'
     values and rounding_flip_bound(grid_n, threshold).
 
-    The map runs on one BLAS thread per worker and, with mc.workers unset, on
-    every usable CPU. The pin also covers the bound's float64 Green diagonal
-    just before it: on a 2-vCPU host a two-thread product there took 28 ms at
-    N = 128 against 0.7 ms on one thread, and the idle OpenBLAS thread it
-    leaves spinning slowed the map that followed by ~0.1 s.
+    The map is BLAS-bound: with mc.workers unset, it runs on every usable CPU.
     """
     thr32 = _float32_threshold(threshold)
 
     def task(rng: Generator, size: int) -> np.ndarray:
         return reduce(sample_interiors_float32(grid_n, size, rng), thr32)
 
-    with mc._one_blas_thread():
-        flip_bound = rounding_flip_bound(grid_n, threshold)
-        values = mc.map_blocks(plan, _field_block(grid_n), task, one_blas_thread=True)
-    return values, flip_bound
+    # the bound's Green diagonal refuses an oversized N before any block runs
+    flip_bound = rounding_flip_bound(grid_n, threshold)
+    return mc.map_blocks(plan, _field_block(grid_n), task, blas_bound=True), flip_bound
 
 
 def _replicas_for(replicas: int | Mapping[int, int], grid_n: int) -> int:

@@ -20,11 +20,11 @@ only the transform runs in float32, on one cast of the scaled noise, with a
 float32 copy of the sine matrix (or dstn above the cut). The draws do not
 move, so a hit or a count can differ from its float64 twin only where a value
 lies within FIELD_FLOAT32_DELTA, the float32 error of a field, of the
-threshold. Those maps pin numpy's OpenBLAS to one thread (mc.map_blocks with
-one_blas_thread), so the float32 products run on one BLAS thread per worker
-and give the same bits at any worker count and on any host default. Every
-other consumer (covariance, decomposition, harmonic values, the dense
-backend) stays on float64 in serial maps at the host's BLAS thread count.
+threshold. Those maps are BLAS-bound (mc.map_blocks with blas_bound) and run
+on every usable CPU. Every other consumer (covariance, decomposition,
+harmonic values, the dense backend) stays on float64 in serial maps. All of
+them run on the one BLAS thread mc pins numpy's OpenBLAS to at import, so
+they give the same bits at any worker count and on any host default.
 
 Code that reads only one box of each field takes sample_box, the box of the
 fields sample_fields draws from the same stream. Up to the cut it draws each

@@ -255,16 +255,6 @@ def growth_cap(initial: int, growth: float, means: Sequence[float]) -> float:
     return max(float(initial), growth**n * initial * best_tail)
 
 
-def _growth_cap_exact(initial: int, growth: float, means: Sequence[float]) -> Fraction:
-    g = Fraction(growth)
-    n = len(means)
-    best = max(
-        math.prod((Fraction(m) for m in means[i:]), start=Fraction(1))
-        for i in range(n)
-    )
-    return max(Fraction(initial), g**n * initial * best)
-
-
 @dataclass(frozen=True)
 class PropBound:
     """Growth threshold and the probability bound that goes with it.

@@ -8,11 +8,11 @@ bit-identical for a fixed (master seed, plan) at any worker count.
 
 The worker count is one scoped setting, ``with workers(n):``, read by every
 map in this module. Unset, it leaves each map to its default: 1 (serial),
-except for maps of BLAS-bound blocks (``map_blocks(..., one_blas_thread=True)``,
+except for maps of BLAS-bound blocks (``map_blocks(..., blas_bound=True)``,
 the float32 threshold field maps), which run on every CPU the process may
-use. Such a map runs with numpy's OpenBLAS pinned to one thread for its whole
-length, whatever its worker count, so its products are the same at any
-worker count and on any host default; where the pin is unavailable it runs
+use. Importing this module sets numpy's OpenBLAS to one thread for the rest
+of the process, so every product gives the same bits at any worker count and
+on any host default; where that pin is unavailable, BLAS-bound maps too run
 serially unless ``workers(n)`` is open. The calling thread is one of a map's
 workers, and a map nested inside a task runs serially.
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import math
 import os
 import threading
@@ -186,11 +185,10 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
-@functools.cache
 def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """The thread-count getter and setter of the OpenBLAS numpy's matmul
-    calls, or None. Looked up at first use, through numpy's extension
-    module, whose handle also resolves its dependencies' symbols."""
+    calls, or None. Looked up through numpy's extension module, whose handle
+    also resolves its dependencies' symbols."""
     import ctypes
 
     try:
@@ -211,38 +209,18 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
-_blas_lock = threading.Lock()
-_blas_pins = 0
-_blas_saved = 1
-
-
-@contextlib.contextmanager
-def _one_blas_thread() -> Iterator[bool]:
-    """Pin OpenBLAS to one thread inside the block; yields whether it could.
-
-    Held for a whole map, never per block: a block that restored the count
-    would change it under another thread's running product. Overlapping
-    pins share one, and the last to exit restores the count read by the
-    first, also when the block raises.
-    """
-    global _blas_pins, _blas_saved
+def _pin_blas() -> bool:
+    """Set numpy's OpenBLAS to one thread; returns whether it could."""
     blas = _openblas()
-    if blas is None:
-        yield False
-        return
-    getter, setter = blas
-    with _blas_lock:
-        if _blas_pins == 0:
-            _blas_saved = getter()
-            setter(1)
-        _blas_pins += 1
-    try:
-        yield True
-    finally:
-        with _blas_lock:
-            _blas_pins -= 1
-            if _blas_pins == 0:
-                setter(_blas_saved)
+    if blas is not None:
+        blas[1](1)
+    return blas is not None
+
+
+# Pinned once, at import, and never restored: every product, float32 or
+# float64, in a map or not, then runs on one BLAS thread, so a report is a
+# function of its seed alone and small products skip OpenBLAS's thread start.
+_BLAS_PINNED = _pin_blas()
 
 
 def _map_indices(
@@ -326,7 +304,7 @@ def map_blocks(
     block: int,
     task: Callable[[Generator, int], np.ndarray],
     *,
-    one_blas_thread: bool = False,
+    blas_bound: bool = False,
 ) -> np.ndarray:
     """Run task(rng, size) once per block of `block` consecutive replicas.
 
@@ -336,9 +314,9 @@ def map_blocks(
     replica along its first axis; the blocks' values are concatenated in
     replica order. Exceptions in workers propagate.
 
-    one_blas_thread marks blocks whose time goes to BLAS products: the map
-    pins numpy's OpenBLAS to one thread while it runs and, with workers
-    unset, runs on every usable CPU (serially where the pin is unavailable).
+    blas_bound marks blocks whose time goes to BLAS products: with workers
+    unset, the map runs on every usable CPU if the import-time pin took, and
+    serially otherwise.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
@@ -356,11 +334,8 @@ def map_blocks(
         return replica_rng(plan.master_seed, b)
 
     blocks = -(-plan.replicas // block)
-    if not one_blas_thread:
-        return np.concatenate(_map_indices(blocks, stream, run))
-    with _one_blas_thread() as pinned:
-        threads = _usable_cpus() if pinned else 1
-        return np.concatenate(_map_indices(blocks, stream, run, threads))
+    threads = _usable_cpus() if blas_bound and _BLAS_PINNED else 1
+    return np.concatenate(_map_indices(blocks, stream, run, threads))
 
 
 def _normal_ci(mean: float, stderr: float) -> tuple[float, float]:

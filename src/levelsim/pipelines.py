@@ -10,7 +10,6 @@ are derived per stage, aggregation is replica-ordered, and the worker count
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,13 +36,11 @@ from .gff import (
     Box,
     CoverConstructionError,
     GreenOperator,
-    NestedPartitions,
     coarse_exceedance_probe,
     counting_check,
     dirichlet_extend,
     estimate_daviaud_exponent,
     expected_level_count,
-    flat_partition,
     harmonic_measure,
     nested_partitions,
     sample_box,
@@ -52,6 +49,7 @@ from .gff import (
     uniform_schedule,
 )
 from .reports import (
+    Check,
     Report,
     abs_check,
     bound_check,
@@ -107,6 +105,27 @@ def _certify(family, *query: float) -> tuple[rates.VariationalSolution, float, f
     return closed, gap, max(closed.constraint_residual, cert.constraint_residual)
 
 
+def _certification_checks(
+    gap: float, residual: float, detail: str = ""
+) -> tuple[Check, Check]:
+    """The certification_gap and constraint_residual checks of a rates report."""
+    return (
+        bound_check(
+            "certification_gap",
+            gap,
+            tol.RATE_VALUE_TOL,
+            anchor="closed-form supremum value",
+            detail=detail,
+        ),
+        bound_check(
+            "constraint_residual",
+            residual,
+            tol.RATE_RESIDUAL_TOL,
+            anchor="active growth constraint at the maximizer",
+        ),
+    )
+
+
 def run_rates(seed: int, queries: int = tol.RATE_QUERIES) -> Report:
     """Certify both closed-form rate functions against the grid oracle."""
     rng = mc.replica_rng(seed, 0)
@@ -148,18 +167,10 @@ def run_rates(seed: int, queries: int = tol.RATE_QUERIES) -> Report:
     )
 
     checks = (
-        bound_check(
-            "certification_gap",
+        *_certification_checks(
             max(max_gap_i, max_gap_j),
-            tol.RATE_VALUE_TOL,
-            anchor="closed-form supremum value",
-            detail=f"worst gap over {2 * queries} admissible queries",
-        ),
-        bound_check(
-            "constraint_residual",
             max_residual,
-            tol.RATE_RESIDUAL_TOL,
-            anchor="active growth constraint at the maximizer",
+            f"worst gap over {2 * queries} admissible queries",
         ),
         flag_check(
             "anchor_points",
@@ -235,22 +246,7 @@ def run_rate_point(
         certified = True
 
     if certified:
-        checks.append(
-            bound_check(
-                "certification_gap",
-                max_gap,
-                tol.RATE_VALUE_TOL,
-                anchor="closed-form supremum value",
-            )
-        )
-        checks.append(
-            bound_check(
-                "constraint_residual",
-                max_residual,
-                tol.RATE_RESIDUAL_TOL,
-                anchor="active growth constraint at the maximizer",
-            )
-        )
+        checks.extend(_certification_checks(max_gap, max_residual))
     return Report(
         subcommand="rates",
         inputs={"a": a, "x": x, "eta": eta},
@@ -944,25 +940,6 @@ def run_daviaud(
 # cover-check: deterministic partition geometry
 
 
-def _margin_exhaustive(parts: NestedPartitions) -> bool:
-    """Re-derive every level from scratch and compare kept children exactly."""
-    for lvl, kids in enumerate(parts.children):
-        child_side_exp = parts.schedule.exponents[lvl + 1]
-        side = max(1, round((parts.grid_n / 4) ** child_side_exp))
-        for j, child_idx in enumerate(kids):
-            parent = parts.levels[lvl][j]
-            need = parts.margin * parent.side
-            expected = [
-                tile
-                for tile in flat_partition(parent, side)
-                if Fraction(parent.boundary_gap(tile)) >= need
-            ]
-            actual = [parts.levels[lvl + 1][k] for k in child_idx]
-            if expected != actual:
-                return False
-    return True
-
-
 def run_cover_check(
     grid_n: int | None = None, delta: float = tol.SCHEDULE_DELTA
 ) -> Report:
@@ -978,7 +955,7 @@ def run_cover_check(
     checks.append(
         flag_check(
             f"margin_rule_n{margin_n}",
-            margin_parts.margin_ok() and _margin_exhaustive(margin_parts),
+            margin_parts.margin_ok(),
             anchor="kept children stay a quarter side from the parent boundary",
             detail=f"levels {[len(l) for l in margin_parts.levels]}",
         )

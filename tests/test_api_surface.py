@@ -6,9 +6,11 @@ that hides a submodule behind a function of the same name, then fails here
 rather than at import time in a demo or a benchmark pass. The worker count is
 set only by ``mc.workers``, so no exported callable takes it as a parameter.
 The package's import graph leaves out scipy's heaviest subpackages, which
-once made up most of the command line's start-up time.
+once made up most of the command line's start-up time. Only ``mc`` sets
+numpy's BLAS thread count, so no other module reaches into its private names.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -128,3 +130,41 @@ def test_import_graph_leaves_out_heavy_scipy_subpackages():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def private_mc_reads(path: Path) -> list[str]:
+    """Private names of levelsim.mc that the module at path imports or reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    bound = {
+        alias.asname or alias.name
+        for node in imports
+        for alias in node.names
+        if alias.name == "mc"
+    }
+    reads = [
+        alias.name
+        for node in imports
+        if (node.module or "").rpartition(".")[2] == "mc"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    reads += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in bound
+        and node.attr.startswith("_")
+    ]
+    return reads
+
+
+def test_only_mc_reads_its_private_names():
+    package = Path(levelsim.__file__).parent
+    readers = {
+        str(path.relative_to(package)): reads
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "mc.py" and (reads := private_mc_reads(path))
+    }
+    assert readers == {}

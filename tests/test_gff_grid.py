@@ -1,5 +1,6 @@
 """Boxes, core region, nested partitions, and the shift cover."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,18 @@ class TestNestedPartitions:
         two = nested_partitions(64, uniform_schedule(64, levels=2))
         starred2, flat2, ok2 = counting_check(two)
         assert (starred2, flat2, ok2) == (16, 256, True)
+
+    def test_margin_ok_needs_exactly_the_margin_tiles(self):
+        parts = nested_partitions(64, uniform_schedule(64, levels=2))
+        kids = parts.children[1]
+        # a kept child dropped: every remaining child still meets the margin
+        dropped = (kids[0][1:],) + kids[1:]
+        assert not replace(parts, children=(parts.children[0], dropped)).margin_ok()
+        # a tile inside the margin kept in place of a legal one
+        inner = parts.levels[1][0]
+        edge = Box(inner.row0, inner.col0, 1, 1)
+        moved = (edge,) + parts.levels[2][1:]
+        assert not replace(parts, levels=parts.levels[:2] + (moved,)).margin_ok()
 
     def test_margin_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Seed derivation, deterministic parallel execution, and aggregation."""
 
-import contextlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,13 +102,13 @@ class TestWorkers:
         assert all(serial for _, serial in results)
 
     def test_blas_map_nested_in_a_task_stays_serial(self):
-        # unset, a one-BLAS-thread map would take every usable CPU; inside a
+        # unset, a BLAS-bound map would take every usable CPU; inside a
         # task it runs on the task's own thread
         def inner(rng, size):
             return np.full(size, threading.get_ident())
 
         def task(rng):
-            nested = mc.map_blocks(mc.ReplicaPlan(6, 2), 1, inner, one_blas_thread=True)
+            nested = mc.map_blocks(mc.ReplicaPlan(6, 2), 1, inner, blas_bound=True)
             return set(nested.tolist()) == {threading.get_ident()}
 
         with mc.workers(2):
@@ -177,56 +179,36 @@ class TestCallerShare:
 
 
 def test_blas_map_without_the_pin_runs_serially(monkeypatch):
-    monkeypatch.setattr(mc, "_openblas", lambda: None)
+    monkeypatch.setattr(mc, "_BLAS_PINNED", False)
     ids = mc.map_blocks(
-        mc.ReplicaPlan(9, 1), 1, lambda rng, size: [threading.get_ident()], one_blas_thread=True
+        mc.ReplicaPlan(9, 1), 1, lambda rng, size: [threading.get_ident()], blas_bound=True
     )
     assert set(ids.tolist()) == {threading.get_ident()}
 
 
+def run_fresh(args: list[str], blas_threads: int) -> str:
+    """Stdout of a fresh interpreter on this package, started with OpenBLAS's
+    default thread count set to blas_threads."""
+    src = str(Path(mc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.skipif(mc._openblas() is None, reason="no OpenBLAS thread control")
 class TestBlasPin:
-    @pytest.fixture(autouse=True)
-    def two_threads(self):
-        # start from 2, so that a count left at 1 shows
-        getter, setter = mc._openblas()
-        default = getter()
-        setter(2)
-        try:
-            yield
-        finally:
-            setter(default)
+    def test_import_pins_openblas_to_one_thread(self):
+        code = "import levelsim; print(levelsim.mc._openblas()[0]())"
+        assert run_fresh(["-c", code], 2).split() == ["1"]
 
-    @staticmethod
-    def blas_threads():
-        getter, _ = mc._openblas()
-        return getter()
-
-    def test_blocks_run_on_one_blas_thread_and_the_count_returns(self):
-        before = self.blas_threads()
-        seen = []
-
-        def task(rng, size):
-            seen.append(self.blas_threads())
-            return rng.random(size)
-
-        for c in (None, 1, 3):
-            with mc.workers(c) if c else contextlib.nullcontext():
-                mc.map_blocks(mc.ReplicaPlan(12, 3), 2, task, one_blas_thread=True)
-            assert self.blas_threads() == before == 2
-        assert set(seen) == {1}
-
-    def test_count_returns_after_a_block_raises(self):
-        before = self.blas_threads()
-
-        def task(rng, size):
-            raise RuntimeError("boom")
-
-        for c in (None, 1, 2):
-            with mc.workers(c) if c else contextlib.nullcontext():
-                with pytest.raises(RuntimeError, match="boom"):
-                    mc.map_blocks(mc.ReplicaPlan(8, 3), 2, task, one_blas_thread=True)
-            assert self.blas_threads() == before == 2
+    def test_report_does_not_depend_on_the_host_blas_threads(self):
+        # on two threads, decompose-var's float64 products at N = 256 once
+        # moved increment_variance_level1 in its last digits
+        argv = ["-m", "levelsim", "decompose-var", "--grid-n", "256"]
+        argv += ["--replicas", "100", "--seed", "1"]
+        assert run_fresh(argv, 1) == run_fresh(argv, 2)
 
 
 class TestParallelMap:
@@ -264,11 +246,11 @@ class TestMapBlocks:
 
     def test_concurrency_does_not_change_results(self):
         plan = mc.ReplicaPlan(103, 42)
-        runs = [mc.map_blocks(plan, 8, self.draw, one_blas_thread=True)]
+        runs = [mc.map_blocks(plan, 8, self.draw, blas_bound=True)]
         for c in (1, 4):
             for pin in (False, True):
                 with mc.workers(c):
-                    runs.append(mc.map_blocks(plan, 8, self.draw, one_blas_thread=pin))
+                    runs.append(mc.map_blocks(plan, 8, self.draw, blas_bound=pin))
         assert len({run.tobytes() for run in runs}) == 1
 
     def test_short_last_block(self):
