@@ -14,9 +14,12 @@ and hands each wave's finished particles with their replica ids to one of
 two consumers. sample_positions returns one replica's time-t positions;
 count_at_or_above reduces every wave to per-replica counts at a level, so a
 block's memory stays at its live cohort, and the counting estimators run on
-it in replica blocks. The sweep consumes randomness in a different order
-from the chronological engine, so the two match in distribution, not draw
-for draw.
+it in replica blocks. Each wave of n pending particles draws n Exp(1)
+lifetimes, then n standard normal steps, from the block's one stream, and
+does its arithmetic in place in the wave's own buffers; that draw order fixes
+every count the estimators report. The sweep consumes randomness in a
+different order from the chronological engine, so the two match in
+distribution, not draw for draw.
 """
 
 from __future__ import annotations
@@ -264,6 +267,17 @@ def _waves(t: float, rng: Generator, size: int, particle_cap: int):
     lifetime outlives t are finished with one Gaussian step to time t, the
     rest take the step to their branch time and split in place into two. The
     guard counts the block's particles, finished and pending.
+
+    Draw order: a wave of n pending particles draws n lifetimes, then n
+    steps, and forms branch_t = birth_t + life, x = birth_x + step *
+    sqrt(min(life, t - birth_t)) and live = branch_t < t. The arithmetic runs
+    in the wave's own buffers: the births turn into branch times and
+    positions in place, and the steps are drawn into the lifetimes' buffer
+    once the branch times are formed. The only new arrays are one span
+    buffer, the finished particles' copies (compress) and the children (one
+    repeated index, three takes), so a sweep peaks at about 50 bytes per
+    particle of its largest cohort. Every yielded array is a copy the
+    consumer owns.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -272,21 +286,27 @@ def _waves(t: float, rng: Generator, size: int, particle_cap: int):
     rep = np.arange(size)
     done_count = 0
     while birth_t.size:
-        life = rng.standard_exponential(birth_t.size)
-        step = rng.standard_normal(birth_t.size)
-        x = birth_x + step * np.sqrt(np.minimum(life, t - birth_t))
-        branch_t = birth_t + life
-        live = branch_t < t
-        keep = live.nonzero()[0]
+        n = birth_t.size
+        buf = rng.standard_exponential(n)
+        span = np.subtract(t, birth_t)
+        np.minimum(buf, span, out=span)
+        birth_t += buf  # branch times
+        rng.standard_normal(out=buf)  # steps
+        np.sqrt(span, out=span)
+        span *= buf
+        birth_x += span  # positions
+        del buf, span
+        live = birth_t < t
         done = ~live
-        yield x[done], rep[done]
-        done_count += x.size - keep.size
-        if done_count + 2 * keep.size > particle_cap:
-            reached = float(branch_t[keep].min()) if keep.size else t
-            raise PopulationCapError(reached, done_count + 2 * keep.size, particle_cap)
-        birth_t = np.repeat(branch_t[keep], 2)
-        birth_x = np.repeat(x[keep], 2)
-        rep = np.repeat(rep[keep], 2)
+        yield birth_x.compress(done), rep.compress(done)
+        pick = live.nonzero()[0].repeat(2)
+        done_count += n - pick.size // 2
+        if done_count + pick.size > particle_cap:
+            reached = float(birth_t[live].min()) if pick.size else t
+            raise PopulationCapError(reached, done_count + pick.size, particle_cap)
+        birth_t = birth_t.take(pick)
+        birth_x = birth_x.take(pick)
+        rep = rep.take(pick)
 
 
 def sample_positions(
@@ -306,9 +326,11 @@ def count_at_or_above(t: float, level: float, rng: Generator, size: int) -> np.n
     One generation-wave sweep over a block of `size` replicas, reduced wave by
     wave, so the block never holds all its final positions. At size 1 it
     consumes the same draws as sample_positions; level -inf counts the
-    population.
+    population. A NaN level is refused, since no position compares with it.
     """
+    if math.isnan(level):
+        raise ValueError("level must not be NaN")
     counts = np.zeros(size, dtype=np.int64)
     for x, rep in _waves(t, rng, size, DEFAULT_PARTICLE_CAP):
-        counts += np.bincount(rep[x >= level], minlength=size)
+        counts += np.bincount(rep.compress(x >= level), minlength=size)
     return counts

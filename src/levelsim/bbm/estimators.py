@@ -144,6 +144,8 @@ def estimate_max_tail(
     With zero successes the point decay is undefined and the reported lower
     bound on it comes from the exact upper confidence limit.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     hits = int(np.count_nonzero(replica_counts(t, x * t, replicas, seed)))
     estimate = mc.binomial_estimate(hits, replicas)
     decay = None if estimate.mean == 0 else -math.log(estimate.mean) / t

@@ -82,7 +82,10 @@ def solve_kpp(
     ys = [y for _, y in pts]
     margin = math.sqrt(times[-1] * math.log(1.0 / truncation) / 2.0)
     j_lo = math.ceil((margin - min(0.0, *ys)) / dy)
-    j_hi = math.ceil((max(0.0, *ys) + margin) / dy)
+    # the interpolation reads the node above the highest query point, which
+    # a margin below dy (a tiny t) would otherwise leave off the grid
+    top = max(0.0, *ys)
+    j_hi = max(math.ceil((top + margin) / dy), math.floor(top / dy) + 2)
     grid = np.arange(-j_lo, j_hi) * dy
     n = grid.size
 

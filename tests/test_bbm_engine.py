@@ -1,5 +1,6 @@
 """Branching diffusion engines and their counting estimators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -248,6 +249,60 @@ class TestBlockSweep:
         assert err.population > 100
         assert 0.0 < err.time_reached < 6.0
 
+    def test_nan_level_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            count_at_or_above(4.0, math.nan, mc.replica_rng(1, 0), 3)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.size.to_bytes(8, "little"))
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestStreamPins:
+    """SHA-256 of the sweep's outputs, which fix every reported count.
+
+    Any change to what the generation-wave sweep draws, in which order, or
+    to the arithmetic on those draws moves these digests; the draw-for-draw
+    test above would not see a change both consumers share.
+    """
+
+    @pytest.mark.parametrize(
+        "t, digest",
+        [
+            (1.0, "1ceb815440271b43664392b7be70d967c309831a3be2b1183f93d06b4458fdbb"),
+            (5.0, "3d9d9a77605536ff45acccf7370d69ab9dd0606b1405c3d974172fe88971fd43"),
+            (8.0, "f86b7aa0c645b0e98d4f46b6d2c5d9626c367f5220ef5666270c7dc07c5bd95b"),
+        ],
+    )
+    def test_sample_positions(self, t, digest):
+        xs = [sample_positions(t, mc.replica_rng(83, i)) for i in range(6)]
+        assert _digest(xs) == digest
+
+    @pytest.mark.parametrize(
+        "t, size, digest",
+        [
+            (8.0, 1, "6f7ae261876ff1466b1c1e4aa069d746c026ddea2d4b5d053d797172957f40a3"),
+            (8.0, 21, "93efb086f4d4fd1d82f97f5dc4fae8c7706f413c10a624d9c7ad03acce1b7065"),
+            (4.0, 1191, "3bf5500b5cbe64f8a05e7e86014b4367b1a775cd1f2537524a9c81d592079580"),
+        ],
+    )
+    def test_count_at_or_above(self, t, size, digest):
+        counts = [
+            count_at_or_above(t, level, mc.replica_rng(83, size), size)
+            for level in (-math.inf, 0.0, 0.5 * t)
+        ]
+        assert all(c.dtype == np.int64 for c in counts)
+        assert _digest(counts) == digest
+
+    def test_particle_cap_progress(self):
+        with pytest.raises(PopulationCapError) as info:
+            list(engine._waves(6.0, mc.replica_rng(107, 0), 8, 100))
+        assert (info.value.time_reached, info.value.population) == (1.252483518734882, 115)
+
 
 class TestDoomedHorizon:
     def test_threshold_is_the_geometric_tail(self):
@@ -393,6 +448,15 @@ class TestMaxTail:
         # P(max >= x t) <= e^{-psi(x) t} so the measured decay exceeds psi
         assert tail.decay > 1.0
         assert tail.decay_upper < tail.decay
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_refused(self, x, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before validating x")
+
+        monkeypatch.setattr(estimators, "count_at_or_above", never)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_max_tail(4.0, x, replicas=10, seed=1)
 
     def test_zero_hits_reported_via_upper_limit(self):
         tail = estimate_max_tail(2.0, 4.0, replicas=50, seed=53)

@@ -79,6 +79,18 @@ class TestCounts:
         assert rate == pytest.approx(mean_log / t, abs=3 * TRUNC / t)
 
 
+class TestTinyHorizon:
+    def test_margin_below_dy_still_brackets_every_query(self):
+        # at t = 1e-6 the walls' margin is far below dy, so the grid must
+        # still keep a node above the highest query point
+        t, x = 1e-6, tol.BIGGINS_X
+        for grid in tol.KPP_GRIDS:
+            p = max_tail_probability([t], x, *grid, TRUNC)[0]
+            assert p == pytest.approx(0.5, abs=1e-3)
+            rate = log_count_rate(t, x, *grid, TRUNC)
+            assert 0.0 < rate < 1.0
+
+
 class TestAgainstMonteCarlo:
     def test_max_tail_at_t3(self):
         t, x, replicas = 3.0, tol.MAX_TAIL_X, 4000

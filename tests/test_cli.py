@@ -553,6 +553,20 @@ class TestFailingChecks:
         assert doc["passed"] is False
         assert last_stderr_json(err)["passed"] is False
 
+    def test_tiny_horizon_ends_with_a_report(self, capsys, monkeypatch):
+        # the exact anchor at t = 1e-5 reads a KPP grid whose walls' margin is
+        # below dy; the fixed-size stages are cut down, as they do not reach it
+        for name in ("BBM_MEAN_REPLICAS", "BBM_COUNT_REPLICAS", "MAX_TAIL_REPLICAS"):
+            monkeypatch.setattr(tol, name, 20)
+        code, out, err = run_cli(
+            ["bbm-exponents", "--seed", "1", "--t", "1e-5", "--replicas", "3"], capsys
+        )
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["inputs"]["exponent_t"] == 1e-5
+        assert any(c["name"] == "level_exponent_t1e-05" for c in doc["checks"])
+
 
 class TestStrictJson:
     @pytest.mark.parametrize(
