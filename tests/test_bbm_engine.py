@@ -303,6 +303,40 @@ class TestStreamPins:
             list(engine._waves(6.0, mc.replica_rng(107, 0), 8, 100))
         assert (info.value.time_reached, info.value.population) == (1.252483518734882, 115)
 
+    # the chronological engine: sorted, so the pins fix the draws and not the
+    # order in which the engine stores its particles
+    _SNAPSHOTS = BbmRunConfig(5.0, snapshot_times=(0.0, 1.0, 2.5, 4.0, 5.0))
+
+    def test_simulate_bbm(self):
+        arrays = [
+            np.sort(pop.positions)
+            for seed in range(4)
+            for pop in simulate_bbm(self._SNAPSHOTS, mc.replica_rng(113, seed))
+        ]
+        assert _digest(arrays) == (
+            "b40322cd5f0d30f24746a869a2a8fe532bd6cc32ab200190947d93945f107037"
+        )
+
+    @pytest.mark.parametrize(
+        "cap, digest",
+        [
+            (1, "4e9b8182f5b974f34234ad16ca9b893b4a2c5eddfc5632ee7fa3109471a625dc"),
+            (10, "3e28006bff4c1537790c397c6b89b0ba77a8a33f6c7dc2753fc301d84ca77c8c"),
+            (math.inf, "372eef86fa6e9dcb0541e697e5c1cc71232cae4f18e4a1cb3505025aa7cdc95f"),
+        ],
+    )
+    def test_simulate_nbbm(self, cap, digest):
+        arrays = []
+        for seed in range(4):
+            run = simulate_nbbm(self._SNAPSHOTS, cap, mc.replica_rng(127, seed))
+            for snap in run.snapshots:
+                arrays += [
+                    np.sort(snap.positions),
+                    np.array([snap.bbm_max_position]),
+                    np.array([snap.bbm_count], dtype=np.int64),
+                ]
+        assert _digest(arrays) == digest
+
 
 class TestDoomedHorizon:
     def test_threshold_is_the_geometric_tail(self):
