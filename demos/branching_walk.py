@@ -27,13 +27,14 @@ def main() -> None:
     final = pops[-1]
     print(f"population at t={t}: {final.count} particles (mean e^t = {math.exp(t):.1f})")
 
-    # trace the rightmost particle back through the recorded snapshots
-    top = int(np.argmax(final.positions))
-    node = final.node_ids[top]
-    print(f"rightmost particle sits at {final.positions[top]:+.4f}")
-    for pop in pops:
-        ancestor = final.tree.ancestor_at(node, pop.time)
-        print(f"  ancestor at t={pop.time:.1f}: position {pop.position_of(ancestor):+.4f}")
+    # trace the rightmost particle back through the recorded snapshots: each
+    # snapshot's ancestors index the previous snapshot's positions
+    line = [int(np.argmax(final.positions))]
+    print(f"rightmost particle sits at {final.positions[line[0]]:+.4f}")
+    for pop in pops[:0:-1]:
+        line.append(int(pop.ancestors[line[-1]]))
+    for pop, k in zip(pops, reversed(line)):
+        print(f"  ancestor at t={pop.time:.1f}: position {pop.positions[k]:+.4f}")
 
     # level counts vs the exact first moment e^t P(N(0,t) >= xt), all 2000
     # replicas in one block: one stream, one wave sweep, counts reduced per wave

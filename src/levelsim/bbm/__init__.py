@@ -7,7 +7,6 @@ from .engine import (
     DEFAULT_PARTICLE_CAP,
     BbmPopulation,
     BbmRunConfig,
-    BbmTree,
     NbbmSnapshot,
     NbbmTrajectory,
     PopulationCapError,
@@ -41,7 +40,6 @@ from .paths import (
 __all__ = [
     "BbmPopulation",
     "BbmRunConfig",
-    "BbmTree",
     "DEFAULT_PARTICLE_CAP",
     "DiscretizationPlan",
     "DominanceSweep",

@@ -2,11 +2,14 @@
 
 Particles branch into two at rate 1 and move as standard Brownian motions;
 each Gaussian step is drawn exactly over the time it spans, so neither engine
-has a discretization bias. The chronological engine keeps the genealogy and
-is uniformized: with n live particles the next branch comes Exp(1)/n later,
-at a uniformly picked particle. Positions are settled lazily: a particle's
-when it branches, the capped members' before the leftmost is culled, and all
-at each snapshot.
+has a discretization bias. The chronological engine is uniformized: with n
+live particles the next branch comes Exp(1)/n later, at a uniformly picked
+particle. Positions are settled lazily: a particle's when it branches, the
+capped members' before the leftmost is culled, and all at each snapshot.
+Each particle carries the index of its ancestor in the previous snapshot; a
+branch's new child copies it, and each snapshot hands the indices out and
+then resets every particle's to its own, so the engine keeps one step of
+genealogy and no tree.
 
 The generation-wave sweep keeps no genealogy: it settles a block of
 independent replicas at once, each started by one particle at the origin,
@@ -25,14 +28,13 @@ distribution, not draw for draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator
 
 __all__ = [
     "BbmRunConfig",
-    "BbmTree",
     "BbmPopulation",
     "NbbmSnapshot",
     "NbbmTrajectory",
@@ -89,40 +91,19 @@ class BbmRunConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-class BbmTree:
-    """Append-only genealogy: parent pointers and birth times per node."""
-
-    def __init__(self):
-        self.parent: list[int] = [-1]
-        self.birth_time: list[float] = [0.0]
-
-    def ancestor_at(self, node: int, time: float) -> int:
-        """The unique ancestor of node alive at the given time."""
-        if not 0 <= node < len(self.parent):
-            raise ValueError(f"node {node} not in tree of size {len(self.parent)}")
-        while self.birth_time[node] > time:
-            node = self.parent[node]
-        return node
-
-
 @dataclass(frozen=True)
 class BbmPopulation:
-    """Immutable snapshot: node ids (sorted) and positions at one time."""
+    """Immutable snapshot at one time: the positions, and for each particle
+    the index into the previous snapshot's positions of the particle it
+    descends from (all 0 at the first snapshot: the root)."""
 
     time: float
-    node_ids: np.ndarray
     positions: np.ndarray
-    tree: BbmTree = field(repr=False)
+    ancestors: np.ndarray
 
     @property
     def count(self) -> int:
-        return int(self.node_ids.size)
-
-    def position_of(self, node: int) -> float:
-        idx = int(np.searchsorted(self.node_ids, node))
-        if idx >= self.node_ids.size or self.node_ids[idx] != node:
-            raise KeyError(f"node {node} not alive at time {self.time}")
-        return float(self.positions[idx])
+        return int(self.positions.size)
 
 
 @dataclass(frozen=True)
@@ -160,11 +141,11 @@ class NbbmTrajectory:
 def _run(
     cfg: BbmRunConfig, rng: Generator, cap_n: float
 ) -> tuple[list[BbmPopulation], list[NbbmSnapshot]]:
-    tree = BbmTree()
-    # slot i holds a live particle: node id, position as settled at time
-    # last[i], and whether it belongs to the capped system
+    # slot i holds a live particle: position as settled at time last[i], the
+    # index of its ancestor in the previous snapshot, and whether it belongs
+    # to the capped system
     pos, last = np.zeros(64), np.zeros(64)
-    node, member = np.zeros(64, dtype=np.int64), np.ones(64, dtype=bool)
+    ancestor, member = np.zeros(64, dtype=np.int64), np.ones(64, dtype=bool)
     n = members = 1
     now = 0.0
 
@@ -186,16 +167,12 @@ def _run(
             pos[i] += rng.standard_normal() * math.sqrt(now - last[i])
             last[i] = now
             if n == pos.size:
-                pos, last, node, member = (
-                    np.concatenate([a, np.zeros_like(a)]) for a in (pos, last, node, member)
+                pos, last, ancestor, member = (
+                    np.concatenate([a, np.zeros_like(a)])
+                    for a in (pos, last, ancestor, member)
                 )
-            # a binary tree with n leaves has 2n - 1 nodes: the children of
-            # this branch are nodes 2n - 1 and 2n
-            parent = int(node[i])
-            node[i], node[n] = 2 * n - 1, 2 * n
-            tree.parent += [parent, parent]
-            tree.birth_time += [now, now]
-            pos[n], last[n], member[n] = pos[i], now, member[i]
+            pos[n], last[n] = pos[i], now
+            ancestor[n], member[n] = ancestor[i], member[i]
             n += 1
             members += int(member[i])
             if members > cap_n:
@@ -206,17 +183,18 @@ def _run(
         # the clock is memoryless, so the draw that overshot s_time is dropped
         now = s_time
         settle(slice(0, n), s_time)
-        order = np.argsort(node[:n])
-        values = pos[order]
-        populations.append(BbmPopulation(s_time, node[order], values, tree))
+        values = pos[:n].copy()
+        populations.append(BbmPopulation(s_time, values, ancestor[:n].copy()))
         culled_snaps.append(
-            NbbmSnapshot(s_time, values[member[order]], float(values.max()), n)
+            NbbmSnapshot(s_time, values[member[:n]], float(values.max()), n)
         )
+        ancestor[:n] = np.arange(n)
     return populations, culled_snaps
 
 
 def simulate_bbm(cfg: BbmRunConfig, rng: Generator) -> list[BbmPopulation]:
-    """Exact simulation; one population per snapshot time."""
+    """Exact simulation; one population per snapshot time, each with the
+    index of every particle's ancestor in the one before."""
     populations, _ = _run(cfg, rng, math.inf)
     return populations
 

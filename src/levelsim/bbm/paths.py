@@ -3,7 +3,9 @@
 A run over [0, t] is observed at the grid times s_i = i*t^delta (the last
 step is clipped to t); the space mesh is t^delta_prime. E1 confines every
 particle to [-C*t, C*t] at each s_i, E2 caps each particle's one-step
-descendant count at t^2 * e^(t^delta).
+descendant count at t^2 * e^(t^delta). Both read the run's snapshots at the
+grid times: E2 counts, for each particle at s_i, the particles at s_{i+1}
+whose ancestor index names it.
 """
 
 from __future__ import annotations
@@ -88,47 +90,35 @@ class EventReport:
     e2_violations: tuple[tuple[int, int, int], ...]
 
 
-def _match_snapshots(
-    populations: Sequence[BbmPopulation], grid: np.ndarray
-) -> list[BbmPopulation]:
-    by_time = {round(p.time, 12): p for p in populations}
-    matched = []
-    for s in grid:
-        pop = by_time.get(round(float(s), 12))
-        if pop is None:
-            raise ValueError(f"no snapshot at grid time {s}")
-        matched.append(pop)
-    return matched
-
-
 def check_events(
     populations: Sequence[BbmPopulation], plan: DiscretizationPlan
 ) -> EventReport:
     """E1: every particle inside [-C*t, C*t] at each grid time. E2: each
     particle's descendant count one grid step later stays below t^2*e^(t^delta).
 
-    Violations carry (grid index, node id, position | count).
+    populations are one run's snapshots at exactly plan.times(), each with
+    its ancestors indexing the previous one's positions. Violations carry
+    (grid index, particle index at that grid time, position | count).
     """
     grid = plan.times()
-    snaps = _match_snapshots(populations, grid)
-    bound = plan.cutoff * plan.t
-    e1_violations = []
-    for i, snap in enumerate(snaps):
-        for node, position in zip(snap.node_ids, snap.positions):
-            if abs(position) > bound:
-                e1_violations.append((i, int(node), float(position)))
-    threshold = plan.t**2 * math.exp(plan.t**plan.delta)
-    tree = snaps[-1].tree
-    e2_violations = []
-    for i in range(len(snaps) - 1):
-        s_i = float(grid[i])
-        ancestors = np.array(
-            [tree.ancestor_at(int(n), s_i) for n in snaps[i + 1].node_ids]
+    times = [pop.time for pop in populations]
+    if not np.array_equal(times, grid):
+        raise ValueError(
+            f"snapshot times {times} are not the grid times {grid.tolist()}"
         )
-        nodes, counts = np.unique(ancestors, return_counts=True)
-        for node, count in zip(nodes, counts):
-            if count >= threshold:
-                e2_violations.append((i, int(node), int(count)))
+    bound = plan.cutoff * plan.t
+    e1_violations = [
+        (i, int(k), float(pop.positions[k]))
+        for i, pop in enumerate(populations)
+        for k in np.flatnonzero(np.abs(pop.positions) > bound)
+    ]
+    threshold = plan.t**2 * math.exp(plan.t**plan.delta)
+    e2_violations = []
+    for i, pop in enumerate(populations[1:]):
+        counts = np.bincount(pop.ancestors)
+        e2_violations += [
+            (i, int(k), int(counts[k])) for k in np.flatnonzero(counts >= threshold)
+        ]
     return EventReport(
         not e1_violations,
         not e2_violations,

@@ -126,8 +126,8 @@ PIPELINES = {
                  _late("run_bbm_exponents"), True, (
             _SEED,
             replace(_REPLICAS, kwarg="biggins_replicas"),
-            Param("t", float, "time horizon for the exponent run", 0.0,
-                  kwarg="biggins_t"),
+            Param("t", float, "time horizon for the exponent run", tol.KPP_MIN_T,
+                  ends="[)", kwarg="biggins_t"),
             Param("x", float, "level slope for the exponent run", 0.0, math.sqrt(2),
                   kwarg="biggins_x"),
             Param("delta", float, "mesh exponent: adds a path-discretization event "

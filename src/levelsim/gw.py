@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_POPULATION_CAP = 10**12
+# Largest state space exact_exceedance convolves over.
+EXACT_STATE_LIMIT = 200_000
 
 
 class DivergentMgfError(ValueError):
@@ -50,9 +52,10 @@ class DivergentMgfError(ValueError):
 class OffspringLaw:
     """One reproduction law. Build through the classmethods.
 
-    kind: 'deterministic' | 'geometric' | 'poisson' | 'table'.
+    kind: 'geometric' | 'poisson' | 'table'.
     geometric is supported on {1, 2, ...} with P(k) = (1-p)^(k-1) p.
-    table maps nonnegative integer counts to probabilities summing to 1.
+    table maps nonnegative integer counts to probabilities summing to 1;
+    deterministic(k) is the table with the single entry k.
     """
 
     kind: str
@@ -63,7 +66,7 @@ class OffspringLaw:
     def deterministic(cls, k: int) -> "OffspringLaw":
         if k < 0 or k != int(k):
             raise ValueError(f"offspring count must be a nonnegative integer, got {k}")
-        return cls("deterministic", float(k))
+        return cls.table({k: 1.0})
 
     @classmethod
     def geometric(cls, p: float) -> "OffspringLaw":
@@ -93,8 +96,6 @@ class OffspringLaw:
 
     @property
     def mean(self) -> float:
-        if self.kind == "deterministic":
-            return self.param
         if self.kind == "geometric":
             return 1.0 / self.param
         if self.kind == "poisson":
@@ -104,16 +105,12 @@ class OffspringLaw:
     @property
     def max_support(self) -> int | None:
         """Largest possible count, or None for unbounded laws."""
-        if self.kind == "deterministic":
-            return int(self.param)
         if self.kind == "table":
             return self.pmf[-1][0]
         return None
 
     def log_mgf(self, lam: float) -> float:
         """log E[e^{lam * nu}]; raises DivergentMgfError past the geometric radius."""
-        if self.kind == "deterministic":
-            return lam * self.param
         if self.kind == "poisson":
             return self.param * math.expm1(lam)
         if self.kind == "geometric":
@@ -140,8 +137,6 @@ class OffspringLaw:
         counts = np.asarray(counts, dtype=np.int64)
         if (counts < 0).any():
             raise ValueError("counts must be >= 0")
-        if self.kind == "deterministic":
-            return counts * int(self.param)
         if self.kind == "poisson":
             return rng.poisson(self.param * counts)
         if self.kind == "geometric":
@@ -167,11 +162,8 @@ class OffspringLaw:
         if top is None:
             raise ValueError(f"{self.kind} law has unbounded support")
         arr = np.zeros(top + 1)
-        if self.kind == "deterministic":
-            arr[int(self.param)] = 1.0
-        else:
-            for k, p in self.pmf:
-                arr[k] = p
+        for k, p in self.pmf:
+            arr[k] = p
         return arr
 
 
@@ -368,11 +360,11 @@ def empirical_exceedance(
     )
 
 
-def exact_exceedance(plan: GwPlan, threshold: float, state_limit: int = 200_000) -> float:
+def exact_exceedance(plan: GwPlan, threshold: float) -> float:
     """Exact P(Z_n >= ceil(threshold)) by generation-wise convolution.
 
-    Finite-support laws only; the reachable state space must stay below
-    state_limit entries. Intended for the tiny cases that anchor the
+    Finite-support laws only; the reachable state space must stay within
+    EXACT_STATE_LIMIT entries. Intended for the tiny cases that anchor the
     statistical checks with zero tolerance.
     """
     k = math.ceil(threshold)
@@ -382,9 +374,9 @@ def exact_exceedance(plan: GwPlan, threshold: float, state_limit: int = 200_000)
         step = law.pmf_array()  # raises for unbounded support
         top = dist.size - 1
         new_size = top * (step.size - 1) + 1
-        if new_size > state_limit:
+        if new_size > EXACT_STATE_LIMIT:
             raise ValueError(
-                f"state space {new_size} exceeds limit {state_limit}; "
+                f"state space {new_size} exceeds limit {EXACT_STATE_LIMIT}; "
                 "exact convolution is for tiny cases"
             )
         new_dist = np.zeros(new_size)

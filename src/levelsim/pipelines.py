@@ -423,7 +423,8 @@ def run_bbm_exponents(
     horizons KPP_BIGGINS_T and KPP_MAX_TAIL_T, where the finite-horizon
     correction has shrunk below half the band. Those rates carry a
     grid-convergence check: halving dy and dt must move them by less than
-    KPP_GRID_TOL.
+    KPP_GRID_TOL. A horizon t below KPP_MIN_T, which the grids cannot
+    resolve, is refused with ValueError before any draw.
 
     Passing path_delta switches on a one-run path-discretization diagnostic:
     one run is observed on the coarse time grid and the spatial-box (E1) and
@@ -432,6 +433,11 @@ def run_bbm_exponents(
     b_t = tol.BIGGINS_T if biggins_t is None else biggins_t
     b_x = tol.BIGGINS_X if biggins_x is None else biggins_x
     b_reps = tol.BIGGINS_REPLICAS if biggins_replicas is None else biggins_replicas
+    if not b_t >= tol.KPP_MIN_T:
+        raise ValueError(
+            f"t must be at least {tol.KPP_MIN_T:g}, the shortest horizon the exact "
+            f"FKPP anchor resolves; got {b_t}"
+        )
     # Built before any sampling, so a bad diagnostic input fails at once.
     dplan = None
     if path_delta is not None:

@@ -66,6 +66,14 @@ KPP_GRID_TOL = 0.005
 # It moves a log-probability or a mean log-count by about this much, so a
 # rate at t >= 1 by under 3e-6, three orders below KPP_GRID_TOL.
 KPP_TRUNCATION = 1e-6
+# Shortest bbm-exponents horizon: its Monte Carlo mean log-count at t is
+# checked against the exact rate at t. Over the grids above, |fine - coarse|
+# of log_count_rate(t, 0.5) is 4.3e-2 at t = 0.01 and 5.8e-3 at t = 0.1,
+# above KPP_GRID_TOL, then 2.0e-3 at t = 0.3 and 2.4e-4 at t = 1. Far below
+# dy^2 both grids agree on a wrong value, 0.347 at t = 1e-5 against the
+# small-t limit of about 0.473, so the grid check cannot stand in for this
+# floor. KPP_TRUNCATION's error analysis also assumes t >= 1.
+KPP_MIN_T = 1.0
 
 # C6: capped-system dominance
 NBBM_T = 6.0

@@ -68,11 +68,6 @@ class TestChronologicalEngine:
         assert err.cap == 64
         assert 0.0 < err.time_reached < 50.0
 
-    def test_position_of_unknown_node(self):
-        pops = simulate_bbm(BbmRunConfig(0.5), mc.replica_rng(4, 0))
-        with pytest.raises(KeyError):
-            pops[-1].position_of(10**9)
-
     def test_population_size_is_geometric(self):
         # binary splitting at rate 1 makes the count at t=1 geometric(e^-1)
         counts = np.array(
@@ -90,14 +85,13 @@ class TestChronologicalEngine:
         assert stats.chisquare(observed, expected).pvalue > 0.001
 
     def test_tagged_node_is_standard_brownian(self):
-        # a uniformly picked node at t=2, read back by id, is exactly N(0, 2)
+        # a uniformly picked particle at t=2 is exactly N(0, 2)
         t = 2.0
         values = []
         for i in range(2000):
             rng = mc.replica_rng(67, i)
             final = simulate_bbm(BbmRunConfig(t), rng)[-1]
-            node = int(final.node_ids[int(rng.integers(final.count))])
-            values.append(final.position_of(node))
+            values.append(final.positions[int(rng.integers(final.count))])
         ks = stats.kstest(values, stats.norm(scale=math.sqrt(t)).cdf)
         assert ks.pvalue > 0.001
 
@@ -106,25 +100,30 @@ class TestLineage:
     def test_lineage_is_a_path_through_the_tree(self):
         cfg = BbmRunConfig(3.0, snapshot_times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
         pops = simulate_bbm(cfg, mc.replica_rng(6, 0))
-        final = pops[-1]
-        node = int(final.node_ids[int(np.argmax(final.positions))])
-        tree = final.tree
-        chain = [tree.ancestor_at(node, pop.time) for pop in pops]
-        # each ancestor is alive in its own snapshot; the line ends at the node
-        positions = [pop.position_of(a) for pop, a in zip(pops, chain)]
-        assert chain[-1] == node
-        assert positions[-1] == final.positions.max()
-        # ancestors at successive snapshots are linked by parent pointers
-        for early, late in zip(chain, chain[1:]):
-            walk = late
-            while walk != early and walk != -1:
-                walk = tree.parent[walk]
-            assert walk == early
+        # the first snapshot descends from the root, and no particle dies, so
+        # every particle of a snapshot has a descendant at the next one
+        assert pops[0].ancestors.tolist() == [0] * pops[0].count
+        for early, late in zip(pops, pops[1:]):
+            assert late.ancestors.dtype == np.int64
+            assert late.ancestors.shape == late.positions.shape
+            descendants = np.bincount(late.ancestors, minlength=early.count)
+            assert descendants.size == early.count
+            assert descendants.min() >= 1
 
-    def test_ancestor_rejects_unknown_node(self):
-        pops = simulate_bbm(BbmRunConfig(0.5), mc.replica_rng(6, 0))
-        with pytest.raises(ValueError):
-            pops[-1].tree.ancestor_at(10**9, 0.1)
+    def test_ancestor_steps_are_brownian(self):
+        # a uniformly picked particle at t=3.5 moved N(0, 1/2) since its
+        # ancestor at t=3. About a third of them were born in between; naming
+        # any other particle as their ancestor adds the spread of two lines
+        # since they split, a variance of order t.
+        cfg = BbmRunConfig(3.5, snapshot_times=(3.0, 3.5))
+        values = []
+        for i in range(1000):
+            rng = mc.replica_rng(73, i)
+            early, late = simulate_bbm(cfg, rng)
+            k = int(rng.integers(late.count))
+            values.append(late.positions[k] - early.positions[late.ancestors[k]])
+        ks = stats.kstest(values, stats.norm(scale=math.sqrt(0.5)).cdf)
+        assert ks.pvalue > 0.001
 
 
 class TestVectorizedSweep:

@@ -68,21 +68,38 @@ class TestEvents:
         plan = DiscretizationPlan(t=4.0, delta=0.75)
         pops = self._run(plan, 8)
         shift = 2.0 * plan.cutoff * plan.t
-        moved = BbmPopulation(
-            pops[1].time, pops[1].node_ids, pops[1].positions + shift, pops[1].tree
-        )
+        moved = BbmPopulation(pops[1].time, pops[1].positions + shift, pops[1].ancestors)
         report = check_events([pops[0], moved, pops[2]], plan)
         assert not report.e1
         assert report.e2
-        assert all(idx == 1 for idx, _, _ in report.e1_violations)
+        assert report.e1_violations == tuple(
+            (1, k, float(p)) for k, p in enumerate(moved.positions)
+        )
         assert all(abs(p) > plan.cutoff * plan.t for _, _, p in report.e1_violations)
-        assert len(report.e1_violations) == moved.count
 
     def test_missing_snapshot_rejected(self):
         plan = DiscretizationPlan(t=4.0, delta=0.75)
         pops = self._run(plan, 8)
         with pytest.raises(ValueError, match="grid time"):
             check_events(pops[:-1], plan)
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_descendant_burst_violates_e2(self, below):
+        # hand-built snapshots: particle 1 at s_1 has ceil(threshold) - below
+        # descendants at s_2, the other two particles one each
+        plan = DiscretizationPlan(t=4.0, delta=0.75)
+        s0, s1, s2 = plan.times()
+        burst = math.ceil(plan.t**2 * math.exp(plan.t**plan.delta)) - below
+        ancestors = np.array([0] + [1] * burst + [2])
+        pops = [
+            BbmPopulation(s0, np.zeros(1), np.zeros(1, dtype=np.int64)),
+            BbmPopulation(s1, np.zeros(3), np.zeros(3, dtype=np.int64)),
+            BbmPopulation(s2, np.zeros(ancestors.size), ancestors),
+        ]
+        report = check_events(pops, plan)
+        assert report.e1
+        assert report.e2 is bool(below)
+        assert report.e2_violations == (() if below else ((1, 1, burst),))
 
     def test_burst_failures_stay_under_union_bound(self):
         plan = DiscretizationPlan(t=4.0, delta=0.75)

@@ -138,6 +138,23 @@ class TestValidation:
             assert code == 2
             assert last_stderr_json(err)["field"] == field
 
+    def test_tiny_horizon_is_refused(self, capsys, monkeypatch):
+        # at t = 1e-5 both KPP grids agree on a wrong exact anchor (0.347 for
+        # a small-t limit of 0.473), so bbm-exponents refuses t below
+        # KPP_MIN_T instead of checking its Monte Carlo mean against it
+        def never(*args, **kwargs):
+            raise AssertionError("an unresolved horizon reached the pipeline")
+
+        monkeypatch.setattr(pipelines, "run_bbm_exponents", never)
+        for value in ("1e-5", "0.99"):
+            code, out, err = run_cli(
+                ["bbm-exponents", "--seed", "1", "--t", value, "--replicas", "3"], capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert last_stderr_json(err)["field"] == "t"
+            assert f"[{tol.KPP_MIN_T:g}, inf)" in err
+
 
 RUN_FUNCTIONS = [name for name in dir(pipelines) if name.startswith("run_")]
 
@@ -552,20 +569,6 @@ class TestFailingChecks:
         doc = json.loads(out)
         assert doc["passed"] is False
         assert last_stderr_json(err)["passed"] is False
-
-    def test_tiny_horizon_ends_with_a_report(self, capsys, monkeypatch):
-        # the exact anchor at t = 1e-5 reads a KPP grid whose walls' margin is
-        # below dy; the fixed-size stages are cut down, as they do not reach it
-        for name in ("BBM_MEAN_REPLICAS", "BBM_COUNT_REPLICAS", "MAX_TAIL_REPLICAS"):
-            monkeypatch.setattr(tol, name, 20)
-        code, out, err = run_cli(
-            ["bbm-exponents", "--seed", "1", "--t", "1e-5", "--replicas", "3"], capsys
-        )
-        assert code in (0, 1)
-        assert "Traceback" not in err
-        doc = json.loads(out)
-        assert doc["inputs"]["exponent_t"] == 1e-5
-        assert any(c["name"] == "level_exponent_t1e-05" for c in doc["checks"])
 
 
 class TestStrictJson:

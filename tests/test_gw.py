@@ -193,7 +193,7 @@ class TestBlockLaws:
             gw.OffspringLaw.poisson(1.5),
             gw.OffspringLaw.table({0: 0.2, 1: 0.3, 2: 0.5}),
         ],
-        ids=lambda law: law.kind,
+        ids=["deterministic", "geometric", "poisson", "table"],
     )
     def test_block_mixes_extinct_and_live_replicas(self, law):
         counts = np.array([0, 1000, 0, 1, 0, 40_000], dtype=np.int64)

@@ -267,6 +267,14 @@ class TestBbmExponents:
         )
         jsonschema.validate(json.loads(render_report(report, "json")), schema)
 
+    def test_unresolved_horizon_is_refused_before_any_draw(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started below KPP_MIN_T")
+
+        monkeypatch.setattr(pipelines, "replica_counts", never)
+        with pytest.raises(ValueError, match="at least"):
+            pipelines.run_bbm_exponents(seed=1, biggins_t=0.5 * tol.KPP_MIN_T)
+
 
 class TestNbbm:
     def test_dominance_small_sweep(self):
