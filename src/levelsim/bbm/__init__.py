@@ -4,7 +4,6 @@ laws of the maximum and the level counts from the Fisher-KPP equation, and
 the E1/E2 events on the coarse lattice of the path argument."""
 
 from .engine import (
-    DEFAULT_PARTICLE_CAP,
     BbmPopulation,
     BbmRunConfig,
     NbbmSnapshot,
@@ -40,7 +39,6 @@ from .paths import (
 __all__ = [
     "BbmPopulation",
     "BbmRunConfig",
-    "DEFAULT_PARTICLE_CAP",
     "DiscretizationPlan",
     "DominanceSweep",
     "EventReport",

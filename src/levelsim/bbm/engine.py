@@ -33,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
+from .. import tolerances as tol
+
 __all__ = [
     "BbmRunConfig",
     "BbmPopulation",
@@ -45,9 +47,6 @@ __all__ = [
     "count_at_or_above",
     "refuse_doomed_horizon",
 ]
-
-DEFAULT_PARTICLE_CAP = 10**7
-
 
 class PopulationCapError(RuntimeError):
     """Population guard tripped; carries how far the run got."""
@@ -66,17 +65,14 @@ class PopulationCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class BbmRunConfig:
-    """Run horizon, observation times and the population guard."""
+    """Run horizon and observation times."""
 
     t_end: float
     snapshot_times: tuple[float, ...] | None = None
-    particle_cap: int = DEFAULT_PARTICLE_CAP
 
     def __post_init__(self):
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.particle_cap < 1:
-            raise ValueError(f"particle_cap must be >= 1, got {self.particle_cap}")
         times = self.snapshot_times
         if times is None:
             object.__setattr__(self, "snapshot_times", (float(self.t_end),))
@@ -148,6 +144,7 @@ def _run(
     ancestor, member = np.zeros(64, dtype=np.int64), np.ones(64, dtype=bool)
     n = members = 1
     now = 0.0
+    cap = tol.BBM_PARTICLE_CAP  # the population guard, read once per run
 
     def settle(idx, to_time: float) -> None:
         dt = to_time - last[idx]
@@ -161,8 +158,8 @@ def _run(
             now += rng.standard_exponential() / n
             if now > s_time:
                 break
-            if n + 1 > cfg.particle_cap:
-                raise PopulationCapError(now, n, cfg.particle_cap)
+            if n + 1 > cap:
+                raise PopulationCapError(now, n, cap)
             i = int(rng.random() * n)
             pos[i] += rng.standard_normal() * math.sqrt(now - last[i])
             last[i] = now
@@ -219,13 +216,13 @@ def refuse_doomed_horizon(t: float, replicas: int) -> None:
     """Raise PopulationCapError, before any draw, when the guard must trip.
 
     One replica's population at time t is Geometric(e^-t), so it exceeds the
-    default cap with probability (1 - e^-t)^cap. Runs that expect at least
-    one such replica among theirs are refused; time_reached 0 says nothing
-    was drawn.
+    guard, cap = BBM_PARTICLE_CAP, with probability (1 - e^-t)^cap. Runs that
+    expect at least one such replica among theirs are refused; time_reached 0
+    says nothing was drawn.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    cap = DEFAULT_PARTICLE_CAP
+    cap = tol.BBM_PARTICLE_CAP
     tail = math.exp(cap * math.log1p(-math.exp(-t)))
     if replicas * tail >= 1.0:
         raise PopulationCapError(
@@ -237,14 +234,15 @@ def refuse_doomed_horizon(t: float, replicas: int) -> None:
         )
 
 
-def _waves(t: float, rng: Generator, size: int, particle_cap: int):
+def _waves(t: float, rng: Generator, size: int):
     """Generation waves of `size` replicas; yields each wave's finished
     (positions, replica ids).
 
     Each wave settles the whole pending cohort at once: particles whose Exp(1)
     lifetime outlives t are finished with one Gaussian step to time t, the
     rest take the step to their branch time and split in place into two. The
-    guard counts the block's particles, finished and pending.
+    guard counts the block's particles, finished and pending, against
+    BBM_PARTICLE_CAP.
 
     Draw order: a wave of n pending particles draws n lifetimes, then n
     steps, and forms branch_t = birth_t + life, x = birth_x + step *
@@ -263,6 +261,7 @@ def _waves(t: float, rng: Generator, size: int, particle_cap: int):
     birth_x = np.zeros(size)
     rep = np.arange(size)
     done_count = 0
+    cap = tol.BBM_PARTICLE_CAP
     while birth_t.size:
         n = birth_t.size
         buf = rng.standard_exponential(n)
@@ -279,23 +278,21 @@ def _waves(t: float, rng: Generator, size: int, particle_cap: int):
         yield birth_x.compress(done), rep.compress(done)
         pick = live.nonzero()[0].repeat(2)
         done_count += n - pick.size // 2
-        if done_count + pick.size > particle_cap:
+        if done_count + pick.size > cap:
             reached = float(birth_t[live].min()) if pick.size else t
-            raise PopulationCapError(reached, done_count + pick.size, particle_cap)
+            raise PopulationCapError(reached, done_count + pick.size, cap)
         birth_t = birth_t.take(pick)
         birth_x = birth_x.take(pick)
         rep = rep.take(pick)
 
 
-def sample_positions(
-    t: float, rng: Generator, particle_cap: int = DEFAULT_PARTICLE_CAP
-) -> np.ndarray:
+def sample_positions(t: float, rng: Generator) -> np.ndarray:
     """Positions of every particle of one replica at time t.
 
     Same branching law as the chronological engine, by the generation-wave
     sweep at a block of one.
     """
-    return np.concatenate([x for x, _ in _waves(t, rng, 1, particle_cap)])
+    return np.concatenate([x for x, _ in _waves(t, rng, 1)])
 
 
 def count_at_or_above(t: float, level: float, rng: Generator, size: int) -> np.ndarray:
@@ -309,6 +306,6 @@ def count_at_or_above(t: float, level: float, rng: Generator, size: int) -> np.n
     if math.isnan(level):
         raise ValueError("level must not be NaN")
     counts = np.zeros(size, dtype=np.int64)
-    for x, rep in _waves(t, rng, size, DEFAULT_PARTICLE_CAP):
+    for x, rep in _waves(t, rng, size):
         counts += np.bincount(rep.compress(x >= level), minlength=size)
     return counts

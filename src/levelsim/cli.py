@@ -142,7 +142,7 @@ PIPELINES = {
                  _late("run_gff_cov"), True, (
             _SEED,
             replace(_REPLICAS, kwarg="samples"),
-            Param("grid_n", int, "grid side (dense oracle)", 8, 64, "[]"),
+            Param("grid_n", int, "grid side (dense oracle)", 8, tol.DENSE_GREEN_N_MAX, "[]"),
         )),
         Pipeline("daviaud", "level-set size exponents across grid sizes",
                  _late("run_daviaud"), True, (

@@ -2,14 +2,7 @@
 killed-walk Green's function, harmonic decomposition over boxes, multiscale
 starred partitions with shift covers, level sets and exceedance probes."""
 
-from .decompose import (
-    HarmonicDecomposition,
-    coarse_increments,
-    coarse_values,
-    decompose_box,
-    harmonic_at,
-    harmonic_measure,
-)
+from .decompose import harmonic_at, harmonic_measure
 from .green import FieldTooLargeError, GreenOperator, dirichlet_extend, interior_laplacian
 from .grid import (
     Box,
@@ -29,12 +22,10 @@ from .levels import (
     CoarseTailProbe,
     DaviaudEstimate,
     DaviaudPoint,
-    LevelSet,
     ProbeRefusedError,
     coarse_exceedance_probe,
     estimate_daviaud_exponent,
     expected_level_count,
-    level_set,
     level_threshold,
     rounding_flip_bound,
 )
@@ -49,18 +40,13 @@ __all__ = [
     "FieldTooLargeError",
     "GAMMA",
     "GreenOperator",
-    "HarmonicDecomposition",
-    "LevelSet",
     "NestedPartitions",
     "ProbeRefusedError",
     "Schedule",
     "ShiftCover",
     "coarse_exceedance_probe",
-    "coarse_increments",
-    "coarse_values",
     "core_region",
     "counting_check",
-    "decompose_box",
     "dirichlet_extend",
     "estimate_daviaud_exponent",
     "expected_level_count",
@@ -68,7 +54,6 @@ __all__ = [
     "harmonic_at",
     "harmonic_measure",
     "interior_laplacian",
-    "level_set",
     "level_threshold",
     "nested_partitions",
     "rounding_flip_bound",

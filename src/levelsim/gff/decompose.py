@@ -1,54 +1,28 @@
 """Harmonic splitting of a field over nested boxes.
 
 Over a box D the field splits as field = harmonic + residual, where harmonic
-extends the frame values of D and the residual is a zero-boundary field on D
-independent of everything outside. Evaluating the harmonic part of a child
-box at the child's center gives the coarse value of the field at that scale;
-differences of coarse values across one nesting step are the increments whose
-variances grow linearly in the scale gap.
-"""
+extends the frame values of D (green.dirichlet_extend) and the residual is a
+zero-boundary field on D independent of everything outside. harmonic_at reads
+the harmonic part at one site as a weighted sum of frame values, the row that
+harmonic_measure returns. Read at a child box's center it gives the coarse
+value of the field at that scale; differences of coarse values across one
+nesting step, both read at the child's center, are the increments whose
+variances grow linearly in the scale gap."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .green import _lock, _lu, dirichlet_extend
+from .green import _lock, _lu
+# kept for perfbench/spans.py, whose SITES rebind dirichlet_extend here
+from .green import dirichlet_extend  # noqa: F401
 from .grid import Box
 
-__all__ = [
-    "HarmonicDecomposition",
-    "decompose_box",
-    "harmonic_measure",
-    "harmonic_at",
-    "coarse_values",
-    "coarse_increments",
-]
+__all__ = ["harmonic_measure", "harmonic_at"]
 
 # harmonic-measure rows in box-local coordinates, keyed by (height, width,
 # local site); translation invariance makes one row serve every such box
 _row_cache: dict[tuple[int, int, int, int], tuple[np.ndarray, ...]] = {}
-
-
-@dataclass(frozen=True)
-class HarmonicDecomposition:
-    """Field restricted to a box, split into harmonic and residual parts."""
-
-    box: Box
-    harmonic: np.ndarray
-    residual: np.ndarray
-    center_site: tuple[int, int]
-    center_value: float
-
-
-def decompose_box(field: np.ndarray, box: Box) -> HarmonicDecomposition:
-    """Split field over box; the residual is exactly zero on the box frame."""
-    harmonic = dirichlet_extend(field, box)
-    residual = field[box.slices()] - harmonic
-    center = box.center()
-    value = float(harmonic[center[0] - box.row0, center[1] - box.col0])
-    return HarmonicDecomposition(box, harmonic, residual, center, value)
 
 
 def _require_site(box: Box, site: tuple[int, int]) -> tuple[int, int]:
@@ -111,21 +85,3 @@ def harmonic_at(fields: np.ndarray, box: Box, site: tuple[int, int]) -> np.ndarr
     rows, cols, weights = harmonic_measure(box, site)
     vals = fields[..., rows, cols] @ weights
     return float(vals) if fields.ndim == 2 else vals
-
-
-def coarse_values(fields: np.ndarray, box: Box) -> np.ndarray:
-    """Coarse value of each field at box scale: harmonic part at the center."""
-    return harmonic_at(fields, box, box.center())
-
-
-def coarse_increments(fields: np.ndarray, parent: Box, child: Box) -> np.ndarray:
-    """Coarse-value increments child minus parent, both read at the child
-    center. Requires the child frame strictly inside the parent, so the
-    increment is a functional of the parent's residual part alone."""
-    if parent.boundary_gap(child) < 1:
-        raise ValueError(
-            f"child {child} touches the frame of parent {parent}; "
-            "increments need the child frame strictly interior"
-        )
-    site = child.center()
-    return harmonic_at(fields, child, site) - harmonic_at(fields, parent, site)

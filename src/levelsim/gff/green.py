@@ -150,9 +150,10 @@ class GreenOperator:
 
     def dense_matrix(self) -> np.ndarray:
         """Full interior Green matrix, small grids only (validation backend)."""
-        if self.grid_n > 64:
+        if self.grid_n > tol.DENSE_GREEN_N_MAX:
             raise ValueError(
-                f"dense Green matrix limited to N <= 64, got {self.grid_n}"
+                f"dense Green matrix limited to N <= {tol.DENSE_GREEN_N_MAX}, "
+                f"got {self.grid_n}"
             )
         n = self.n
         lu = _lu(n, n)

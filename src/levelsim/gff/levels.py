@@ -46,8 +46,6 @@ from .sample import sample_fields, sample_interiors_float32
 __all__ = [
     "GAMMA",
     "level_threshold",
-    "LevelSet",
-    "level_set",
     "expected_level_count",
     "rounding_flip_bound",
     "DaviaudPoint",
@@ -71,29 +69,6 @@ def level_threshold(grid_n: int, level: float) -> float:
     if level <= 0:
         raise ValueError(f"level fraction must be positive, got {level}")
     return 2.0 * GAMMA * level * math.log(grid_n)
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """Sites at or above the eta threshold on one field."""
-
-    eta: float
-    threshold: float
-    count: int
-    sites: np.ndarray
-
-
-def level_set(field: np.ndarray, eta: float) -> LevelSet:
-    """Exact threshold count and site list; frame sites never qualify."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    grid_n = field.shape[0]
-    if field.shape != (grid_n, grid_n):
-        raise ValueError(f"field must be square, got shape {field.shape}")
-    thr = level_threshold(grid_n, eta)
-    mask = field >= thr
-    sites = np.argwhere(mask).astype(np.int64)
-    return LevelSet(eta, thr, int(mask.sum()), sites)
 
 
 def expected_level_count(grid_n: int, eta: float) -> float:

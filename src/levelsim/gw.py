@@ -39,11 +39,6 @@ __all__ = [
     "exact_exceedance",
 ]
 
-DEFAULT_POPULATION_CAP = 10**12
-# Largest state space exact_exceedance convolves over.
-EXACT_STATE_LIMIT = 200_000
-
-
 class DivergentMgfError(ValueError):
     """Moment generating function is infinite at the requested argument."""
 
@@ -302,23 +297,20 @@ def prop_bound(
 
 
 def simulate_gw(
-    plan: GwPlan,
-    rng: Generator,
-    size: int,
-    population_cap: int = DEFAULT_POPULATION_CAP,
+    plan: GwPlan, rng: Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """`size` independent trajectories and the replicas censored at the cap.
 
     Returns the counts Z_0..Z_n as a (size, n+1) int64 array, drawn by one
     `sample_totals` call per generation, and a boolean mask of the replicas
-    whose count passed population_cap. A censored replica draws no more, and
-    its later generations read 0. Extinction is absorbing.
+    whose count passed GW_POPULATION_CAP. A censored replica draws no more,
+    and its later generations read 0. Extinction is absorbing.
     """
+    cap = tol.GW_POPULATION_CAP
     top = max(law.max_support or 0 for law in plan.laws)
-    if population_cap * top >= 2**63:
+    if cap * top >= 2**63:
         raise ValueError(
-            f"population_cap {population_cap} times offspring count {top} "
-            "overflows int64"
+            f"population cap {cap} times offspring count {top} overflows int64"
         )
     counts = np.zeros((size, plan.generations + 1), dtype=np.int64)
     counts[:, 0] = plan.initial
@@ -326,7 +318,7 @@ def simulate_gw(
     for i, law in enumerate(plan.laws):
         live = ~censored
         counts[live, i + 1] = law.sample_totals(counts[live, i], rng)
-        censored |= counts[:, i + 1] > population_cap
+        censored |= counts[:, i + 1] > cap
     return counts, censored
 
 
@@ -343,13 +335,12 @@ def empirical_exceedance(
     plan: GwPlan,
     threshold: float,
     replica_plan: mc.ReplicaPlan,
-    population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> ExceedanceEstimate:
     """Monte Carlo exceedance probability at ceil(threshold)."""
     k = math.ceil(threshold)
 
     def task(rng: Generator, size: int) -> np.ndarray:
-        counts, censored = simulate_gw(plan, rng, size, population_cap)
+        counts, censored = simulate_gw(plan, rng, size)
         return np.stack([censored | (counts[:, -1] >= k), censored], axis=1)
 
     hits, censored = mc.map_blocks(replica_plan, tol.GW_BLOCK, task).sum(axis=0)
@@ -364,22 +355,28 @@ def exact_exceedance(plan: GwPlan, threshold: float) -> float:
     """Exact P(Z_n >= ceil(threshold)) by generation-wise convolution.
 
     Finite-support laws only; the reachable state space must stay within
-    EXACT_STATE_LIMIT entries. Intended for the tiny cases that anchor the
-    statistical checks with zero tolerance.
+    EXACT_STATE_LIMIT entries at every generation. Both are checked before
+    any convolution. Intended for the tiny cases that anchor the statistical
+    checks with zero tolerance.
     """
     k = math.ceil(threshold)
+    limit = tol.EXACT_STATE_LIMIT
+    reach = plan.initial  # largest population generation i can reach
+    for law in plan.laws:
+        if law.max_support is None:
+            raise ValueError(f"{law.kind} law has unbounded support")
+        reach *= law.max_support
+        if reach + 1 > limit:
+            raise ValueError(
+                f"state space {reach + 1} exceeds limit {limit}; "
+                "exact convolution is for tiny cases"
+            )
     dist = np.zeros(plan.initial + 1)
     dist[plan.initial] = 1.0
     for law in plan.laws:
-        step = law.pmf_array()  # raises for unbounded support
+        step = law.pmf_array()
         top = dist.size - 1
-        new_size = top * (step.size - 1) + 1
-        if new_size > EXACT_STATE_LIMIT:
-            raise ValueError(
-                f"state space {new_size} exceeds limit {EXACT_STATE_LIMIT}; "
-                "exact convolution is for tiny cases"
-            )
-        new_dist = np.zeros(new_size)
+        new_dist = np.zeros(top * (step.size - 1) + 1)
         new_dist[0] += dist[0]
         conv = np.ones(1)  # 0-fold convolution: point mass at 0
         for z in range(1, top + 1):

@@ -157,14 +157,15 @@ def run_rates(seed: int, queries: int = tol.RATE_QUERIES) -> Report:
 
     bbm_anchor = rates.solve_bbm_variational(0.75, 1.0)
     gff_anchor = rates.solve_gff_variational(0.6, 0.8)
-    anchors_ok = (
-        abs(bbm_anchor.value + 1.0) < 1e-12
-        and abs(bbm_anchor.maximizer[0] - 1.0 / 7.0) < 1e-12
-        and abs(bbm_anchor.maximizer[1] - 4.0 / 7.0) < 1e-12
-        and abs(gff_anchor.value + 0.8) < 1e-12
-        and abs(gff_anchor.maximizer[0] - 0.9) < 1e-12
-        and abs(gff_anchor.maximizer[1] - 0.3) < 1e-12
+    anchor_gaps = (
+        bbm_anchor.value + 1.0,
+        bbm_anchor.maximizer[0] - 1.0 / 7.0,
+        bbm_anchor.maximizer[1] - 4.0 / 7.0,
+        gff_anchor.value + 0.8,
+        gff_anchor.maximizer[0] - 0.9,
+        gff_anchor.maximizer[1] - 0.3,
     )
+    anchors_ok = all(abs(gap) < tol.RATE_ANCHOR_TOL for gap in anchor_gaps)
 
     checks = (
         *_certification_checks(
@@ -180,7 +181,7 @@ def run_rates(seed: int, queries: int = tol.RATE_QUERIES) -> Report:
         bound_check(
             "steepness_identity",
             max_identity_gap,
-            1e-12,
+            tol.RATE_STEEPNESS_TOL,
             anchor="level rate at eta equals twice the particle rate at sqrt(2)*eta",
         ),
     )
@@ -1105,7 +1106,7 @@ def run_decompose_var(
         np.maximum((residual @ residual) * (boundary * boundary).sum(axis=0), 1e-300)
     )
     max_corr = float(np.max(np.abs((residual @ boundary) / denom)))
-    corr_limit = 4.0 / math.sqrt(samples)
+    corr_limit = tol.DECOMP_SIGMA / math.sqrt(samples)
 
     first_field = sample_box(grid_n, root, 1, mc.replica_rng(mc.derive_seed(seed, 2), 0))[0]
     harmonic = dirichlet_extend(first_field, corr_box)
@@ -1130,7 +1131,7 @@ def run_decompose_var(
         flag_check(
             "increment_variance_oracle",
             abs(pooled_var - exact_pooled)
-            <= 4.0 * exact_pooled * math.sqrt(2.0 / samples),
+            <= tol.DECOMP_SIGMA * exact_pooled * math.sqrt(2.0 / samples),
             anchor="exact local Green diagonals (parent minus child)",
             detail=f"empirical {pooled_var!r} vs exact {exact_pooled!r}",
         ),

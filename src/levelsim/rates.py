@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "SQRT2",
     "psi",
     "rate_i",
     "rate_j",
@@ -36,8 +35,6 @@ __all__ = [
     "certify_bbm",
     "certify_gff",
 ]
-
-SQRT2 = math.sqrt(2.0)
 
 # Rounding allowance on the lower edge of the admissible region of rate_i.
 _BOUNDARY_SLACK = 1e-14

@@ -11,6 +11,11 @@ from __future__ import annotations
 RATE_QUERIES = 100
 RATE_VALUE_TOL = 1e-6
 RATE_RESIDUAL_TOL = 1e-9
+# rates: the two closed-form anchor points, and the identity
+# rate_j(a, eta) = 2 rate_i(a, sqrt(2) eta) over the sweep, both in floating
+# point arithmetic on closed forms
+RATE_ANCHOR_TOL = 1e-12
+RATE_STEEPNESS_TOL = 1e-12
 
 # C2: branching-bound sweep
 GW_SWEEP_REPLICAS = 10_000
@@ -18,6 +23,12 @@ GW_SIGMA = 2.0
 # replicas per Galton-Watson block (one stream and one draw per generation
 # each), so a sweep's memory stays bounded at any replica count
 GW_BLOCK = 1000
+# A replica whose count passes this is censored: it draws no more and counts
+# as an exceedance.
+GW_POPULATION_CAP = 10**12
+# Largest state space, initial * prod of the laws' largest offspring counts
+# + 1, that exact_exceedance convolves over.
+EXACT_STATE_LIMIT = 200_000
 
 # C3: first moments of the branching diffusion
 BBM_MEAN_T = 5.0
@@ -81,8 +92,8 @@ NBBM_CAPS = (10, 100)
 NBBM_REPLICAS = 1_000
 NBBM_SNAPSHOTS = (1.5, 3.0, 4.5, 6.0)
 # Largest expected number of chronological branch events, replicas * (e^t - 1),
-# one dominance sweep may run. The engine ran ~2.1e5 events/s at t = 10, so
-# this is about 8 min; the default sweep expects 4e5 per cap.
+# one dominance sweep may run. The engine ran 1.8-1.9e5 events/s on a free
+# run at t = 10, so this is about 9 min; the default sweep expects 4e5 per cap.
 NBBM_EVENTS_MAX = 10**8
 
 # C7: field sampler vs covariance oracle
@@ -90,6 +101,8 @@ COV_GRID_N = 32
 COV_SAMPLES = 20_000
 COV_PAIRS = 200
 COV_SIGMA = 4.0
+# Largest grid side of the dense Green matrix, the gff-cov oracle.
+DENSE_GREEN_N_MAX = 64
 # fields per replica block; each block draws from its own stream
 COV_BLOCK = 100
 KS_LEVEL = 0.01
@@ -114,6 +127,9 @@ DECOMP_N = 256
 DECOMP_SAMPLES = 800
 DECOMP_VAR_REL_TOL = 0.25
 DECOMP_BLOCK = 50
+# standard errors allowed in the increment variance against its exact value,
+# and in the residual's correlation with the boundary values
+DECOMP_SIGMA = 4.0
 MEAN_VALUE_TOL = 1e-10
 
 # C10, C11: depth delta of the multiscale schedule, which has
@@ -152,6 +168,9 @@ FIELD_FLOAT32_DELTA = 1e-4
 # about this many particles: max(1, BBM_BLOCK_PARTICLES // ceil(e^t))
 # replicas, so 1191 at t = 4, 21 at t = 8 and 1 at t = 12.
 BBM_BLOCK_PARTICLES = 2**16
+# Population guard of both engines: a run, or a block of the wave sweep,
+# that would hold more particles raises PopulationCapError.
+BBM_PARTICLE_CAP = 10**7
 
 # C13: determinism
 DETERMINISM_CONCURRENCY = 4

@@ -3,8 +3,11 @@ re-exports only what its submodules define.
 
 A deletion that leaves a name behind in an ``__all__`` list, or a re-export
 that hides a submodule behind a function of the same name, then fails here
-rather than at import time in a demo or a benchmark pass. The worker count is
-set only by ``mc.workers``, so no exported callable takes it as a parameter.
+rather than at import time in a demo or a benchmark pass. An exported name
+that nothing under ``src/``, ``demos/`` or ``perfbench/`` references is dead
+surface. The worker count is set only by ``mc.workers`` and the population
+guards only by ``tolerances.py``, so no exported callable takes either as a
+parameter.
 The package's import graph leaves out scipy's heaviest subpackages, which
 once made up most of the command line's start-up time. Only ``mc`` sets
 numpy's BLAS thread count, so no other module reaches into its private names.
@@ -15,10 +18,13 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import levelsim
 
@@ -94,15 +100,64 @@ def parameters(obj):
         return {}
 
 
-def test_no_exported_callable_takes_a_worker_count():
+@pytest.mark.parametrize("keyword", ["max_concurrency", "particle_cap", "population_cap"])
+def test_no_exported_callable_takes_a_removed_setting(keyword):
     takers = [
         (module.__name__, name)
         for module in modules()
         for name in getattr(module, "__all__", ())
-        if callable(obj := getattr(module, name))
-        and "max_concurrency" in parameters(obj)
+        if callable(obj := getattr(module, name)) and keyword in parameters(obj)
     ]
     assert takers == []
+
+
+ROOT = Path(levelsim.__file__).resolve().parents[2]
+
+
+def referenced_names() -> set[str]:
+    """Every name referenced under src/, demos/ and perfbench/, besides where
+    it is defined, listed or re-exported.
+
+    A reference is a variable loaded, an attribute looked up, a name imported
+    outside a package's ``__init__``, or an identifier inside a string: the
+    command line's registry and perfbench's trace sites look functions up by
+    name, and a docstring may name the setting it documents. A def, a class,
+    an assignment and an ``__all__`` entry only bind or list a name."""
+    names = set()
+    for top in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            listed = {
+                id(element)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for element in ast.walk(node.value)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    if isinstance(node.ctx, ast.Load):
+                        names.add(getattr(node, "id", None) or node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    if path.name != "__init__.py":
+                        dotted = [getattr(node, "module", None) or ""]
+                        dotted += [alias.name for alias in node.names]
+                        names.update(part for d in dotted for part in d.split("."))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if id(node) not in listed:
+                        names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def test_every_exported_name_is_referenced():
+    referenced = referenced_names()
+    unreferenced = [
+        (module.__name__, name)
+        for module in modules()
+        for name in getattr(module, "__all__", ())
+        if name not in referenced
+    ]
+    assert unreferenced == []
 
 
 # scipy.stats pulls in the other two and alone made up about half the time of

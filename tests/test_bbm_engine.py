@@ -36,8 +36,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             BbmRunConfig(0.0)
         with pytest.raises(ValueError):
-            BbmRunConfig(1.0, particle_cap=0)
-        with pytest.raises(ValueError):
             BbmRunConfig(1.0, snapshot_times=(0.5, 0.5))
         with pytest.raises(ValueError):
             BbmRunConfig(1.0, snapshot_times=(0.5, 1.5))
@@ -59,10 +57,10 @@ class TestChronologicalEngine:
             counts = [p.count for p in pops]
             assert counts == sorted(counts)
 
-    def test_population_cap_raises_with_progress(self):
-        cfg = BbmRunConfig(50.0, particle_cap=64)
+    def test_population_cap_raises_with_progress(self, monkeypatch):
+        monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 64)
         with pytest.raises(PopulationCapError) as info:
-            simulate_bbm(cfg, mc.replica_rng(3, 0))
+            simulate_bbm(BbmRunConfig(50.0), mc.replica_rng(3, 0))
         err = info.value
         assert err.population <= 64
         assert err.cap == 64
@@ -171,9 +169,10 @@ class TestVectorizedSweep:
         )
         assert est.within(math.exp(t), 3.5)
 
-    def test_particle_cap(self):
+    def test_particle_cap(self, monkeypatch):
+        monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 100)
         with pytest.raises(PopulationCapError):
-            sample_positions(12.0, mc.replica_rng(1, 0), particle_cap=100)
+            sample_positions(12.0, mc.replica_rng(1, 0))
 
 
 class TestBlockSweep:
@@ -188,7 +187,7 @@ class TestBlockSweep:
 
     def test_block_counts_reduce_the_waves(self):
         t, size, level = 3.0, 40, 1.0
-        waves = list(engine._waves(t, mc.replica_rng(89, 0), size, 10**6))
+        waves = list(engine._waves(t, mc.replica_rng(89, 0), size))
         xs = np.concatenate([x for x, _ in waves])
         ids = np.concatenate([rep for _, rep in waves])
         assert set(ids.tolist()) == set(range(size))
@@ -240,9 +239,10 @@ class TestBlockSweep:
         counts = count_at_or_above(t, x * t, mc.replica_rng(103, 0), 2000)
         assert mc.summarize(counts).within(expected_count_oracle(t, x), 3.5)
 
-    def test_particle_cap_trips_inside_a_block(self):
+    def test_particle_cap_trips_inside_a_block(self, monkeypatch):
+        monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 100)
         with pytest.raises(PopulationCapError) as info:
-            list(engine._waves(6.0, mc.replica_rng(107, 0), 8, 100))
+            list(engine._waves(6.0, mc.replica_rng(107, 0), 8))
         err = info.value
         assert err.cap == 100
         assert err.population > 100
@@ -297,9 +297,10 @@ class TestStreamPins:
         assert all(c.dtype == np.int64 for c in counts)
         assert _digest(counts) == digest
 
-    def test_particle_cap_progress(self):
+    def test_particle_cap_progress(self, monkeypatch):
+        monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 100)
         with pytest.raises(PopulationCapError) as info:
-            list(engine._waves(6.0, mc.replica_rng(107, 0), 8, 100))
+            list(engine._waves(6.0, mc.replica_rng(107, 0), 8))
         assert (info.value.time_reached, info.value.population) == (1.252483518734882, 115)
 
     # the chronological engine: sorted, so the pins fix the draws and not the
@@ -345,7 +346,7 @@ class TestDoomedHorizon:
         with pytest.raises(PopulationCapError) as info:
             refuse_doomed_horizon(16.0, 4)
         assert info.value.time_reached == 0.0
-        assert info.value.cap == engine.DEFAULT_PARTICLE_CAP
+        assert info.value.cap == tol.BBM_PARTICLE_CAP
         assert "refused before sampling" in str(info.value)
 
     def test_shipped_horizons_pass(self):

@@ -1,4 +1,6 @@
-"""Harmonic/residual splitting and coarse increments across scales."""
+"""The harmonic/residual split over a box and coarse increments across
+scales, through the primitives the pipelines call: dirichlet_extend for the
+whole harmonic part, harmonic_at for its value at one site."""
 
 import math
 
@@ -6,14 +8,7 @@ import numpy as np
 import pytest
 
 from levelsim import mc
-from levelsim.gff import (
-    Box,
-    GreenOperator,
-    coarse_increments,
-    coarse_values,
-    decompose_box,
-    sample_fields,
-)
+from levelsim.gff import Box, GreenOperator, dirichlet_extend, harmonic_at, sample_fields
 
 GAMMA2 = 2.0 / math.pi
 
@@ -31,41 +26,42 @@ def draw(grid_n, count, seed):
     return np.concatenate(batches)[:count]
 
 
-class TestDecompose:
-    def test_split_reconstructs_field(self):
-        field = sample_fields(32, 1, mc.replica_rng(60, 0))[0]
-        box = Box(8, 10, 14, 12)
-        parts = decompose_box(field, box)
-        assert np.allclose(parts.harmonic + parts.residual, field[box.slices()])
+def residual(field, box):
+    return field[box.slices()] - dirichlet_extend(field, box)
 
+
+def increments(fields, parent, child):
+    """Coarse value of child minus that of parent, both read at the child's
+    center."""
+    site = child.center()
+    return harmonic_at(fields, child, site) - harmonic_at(fields, parent, site)
+
+
+class TestDecompose:
     def test_residual_vanishes_on_frame(self):
         field = sample_fields(32, 1, mc.replica_rng(61, 0))[0]
-        parts = decompose_box(field, Box(6, 6, 18, 18))
-        res = parts.residual
+        res = residual(field, Box(6, 6, 18, 18))
         assert np.allclose(res[0, :], 0.0, atol=1e-10)
         assert np.allclose(res[-1, :], 0.0, atol=1e-10)
         assert np.allclose(res[:, 0], 0.0, atol=1e-10)
         assert np.allclose(res[:, -1], 0.0, atol=1e-10)
 
     def test_center_value_reads_harmonic_part(self):
-        field = sample_fields(32, 1, mc.replica_rng(62, 0))[0]
+        fields = sample_fields(32, 4, mc.replica_rng(62, 0))
         box = Box(8, 8, 15, 15)
-        parts = decompose_box(field, box)
-        assert parts.center_site == box.center()
         r, c = box.center()
-        assert parts.center_value == pytest.approx(
-            parts.harmonic[r - box.row0, c - box.col0]
-        )
-        assert coarse_values(field, box) == pytest.approx(parts.center_value)
+        extended = [
+            dirichlet_extend(field, box)[r - box.row0, c - box.col0] for field in fields
+        ]
+        assert harmonic_at(fields, box, (r, c)) == pytest.approx(extended, abs=1e-12)
+        assert harmonic_at(fields[0], box, (r, c)) == pytest.approx(extended[0], abs=1e-12)
 
     def test_residual_covariance_is_greens_function_of_the_box(self):
         # the residual over a side-16 box is a zero-boundary field of its own
         grid_n, side = 32, 16
         box = centered_box(grid_n, side)
         fields = draw(grid_n, 1000, seed=63)
-        residuals = np.stack(
-            [decompose_box(field, box).residual for field in fields]
-        )
+        residuals = np.stack([residual(field, box) for field in fields])
         g = GreenOperator(side)
         pairs = [((8, 8), (8, 8)), ((8, 8), (8, 9)), ((5, 5), (10, 10)), ((3, 12), (12, 3))]
         for x, y in pairs:
@@ -88,7 +84,7 @@ class TestCoarseValues:
             box = centered_box(grid_n, side)
             local = ((side - 2) // 2, (side - 2) // 2)
             exact = g_center - GreenOperator(side).variance(local)
-            values = coarse_values(fields, box)
+            values = harmonic_at(fields, box, box.center())
             emp = float(np.var(values, ddof=1))
             se = exact * math.sqrt(2.0 / (values.size - 1))
             assert abs(emp - exact) < 4.0 * se
@@ -100,7 +96,7 @@ class TestCoarseIncrements:
         grid_n = 64
         parent, child = centered_box(grid_n, 32), centered_box(grid_n, 16)
         fields = draw(grid_n, 1500, seed=66)
-        inc = coarse_increments(fields, parent, child)
+        inc = increments(fields, parent, child)
         exact = GreenOperator(32).variance((15, 15)) - GreenOperator(16).variance(
             (7, 7)
         )
@@ -112,11 +108,7 @@ class TestCoarseIncrements:
         grid_n = 64
         parent, child = centered_box(grid_n, 32), centered_box(grid_n, 16)
         fields = draw(grid_n, 1500, seed=67)
-        inc = coarse_increments(fields, parent, child)
+        inc = increments(fields, parent, child)
         se = float(np.std(inc, ddof=1) / math.sqrt(inc.size))
         assert abs(float(inc.mean())) < 3.5 * se
 
-    def test_child_touching_frame_rejected(self):
-        parent = Box(0, 0, 16, 16)
-        with pytest.raises(ValueError, match="strictly interior"):
-            coarse_increments(np.zeros((5, 32, 32)), parent, Box(0, 4, 8, 8))

@@ -235,8 +235,8 @@ class TestBlockLaws:
         plan = plan_of(laws, 1)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            counts, censored = gw.simulate_gw(plan, mc.replica_rng(4, 0), 3, 10**12)
-            est = gw.empirical_exceedance(plan, 1e30, mc.ReplicaPlan(5, 4), 10**12)
+            counts, censored = gw.simulate_gw(plan, mc.replica_rng(4, 0), 3)
+            est = gw.empirical_exceedance(plan, 1e30, mc.ReplicaPlan(5, 4))
         assert (counts[:, :6] == [10**i for i in range(0, 18, 3)]).all()
         assert (counts[:, 6:] == 0).all()
         assert censored.all()
@@ -260,12 +260,11 @@ class TestExceedance:
         est = gw.empirical_exceedance(plan, 9.0, mc.ReplicaPlan(500, 2))
         assert est.estimate.mean == 0.0
 
-    def test_censored_runs_count_as_exceedances(self):
+    def test_censored_runs_count_as_exceedances(self, monkeypatch):
+        monkeypatch.setattr(tol, "GW_POPULATION_CAP", 10)
         laws = [gw.OffspringLaw.deterministic(3)] * 4
         plan = plan_of(laws, 2)
-        est = gw.empirical_exceedance(
-            plan, 100.0, mc.ReplicaPlan(50, 7), population_cap=10
-        )
+        est = gw.empirical_exceedance(plan, 100.0, mc.ReplicaPlan(50, 7))
         # growth passes the cap in every run before the final generation
         assert est.censored == 50
         assert est.estimate.mean == 1.0
@@ -286,6 +285,27 @@ class TestExceedance:
         plan = plan_of([gw.OffspringLaw.deterministic(500)], 1000)
         with pytest.raises(ValueError, match="state space"):
             gw.exact_exceedance(plan, 1e6)
+
+    def test_exact_refuses_before_any_convolution(self, monkeypatch):
+        # the first generation reaches 150001 states, within the limit; only
+        # the last one, at 300001, exceeds it
+        laws = [
+            gw.OffspringLaw.table({0: 0.5, 150_000: 0.5}),
+            gw.OffspringLaw.deterministic(2),
+        ]
+        plan = plan_of(laws, 1)
+        assert 150_001 <= tol.EXACT_STATE_LIMIT < 300_001
+        calls = []
+        real = np.convolve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", counting)
+        with pytest.raises(ValueError, match="state space 300001"):
+            gw.exact_exceedance(plan, 1.0)
+        assert calls == []
 
     def test_gw_verify_draws_one_stream_per_block(self, monkeypatch):
         calls = []
