@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Zero-boundary Gaussian field: sampling backends vs the exact covariance.
 
-The spectral sampler (sine transform) and the dense Cholesky sampler target
-the same law; the killed-walk Green's function computed by sparse linear
-solves is the covariance oracle both must match. The on-diagonal entry at
-the center grows like (2/pi) log N, the constant behind every threshold.
+The spectral sampler (sine transform) and the dense sampler (rows of the
+Cholesky factor of G, read off the banded Cholesky factor of the grid
+Laplacian) target the same law; the killed-walk Green's function computed by
+sparse linear solves is the covariance oracle both must match. The
+on-diagonal entry at the center grows like (2/pi) log N, the constant behind
+every threshold.
 """
 
 import math

@@ -29,7 +29,13 @@ from .levels import (
     level_threshold,
     rounding_flip_bound,
 )
-from .sample import sample_box, sample_fields, sample_interiors_float32, spectral_scale
+from .sample import (
+    sample_box,
+    sample_fields,
+    sample_interiors_float32,
+    sample_sites,
+    spectral_scale,
+)
 
 __all__ = [
     "Box",
@@ -60,6 +66,7 @@ __all__ = [
     "sample_box",
     "sample_fields",
     "sample_interiors_float32",
+    "sample_sites",
     "shift_cover",
     "spectral_scale",
     "uniform_schedule",

@@ -2,21 +2,24 @@
 
 The zero-boundary field on the N x N grid has covariance G(x, y) = expected
 visits to y of a simple random walk from x killed on the boundary frame,
-i.e. G = (I - P)^{-1} = 4 (4I - A)^{-1} on the (N-2)^2 interior. Two
+i.e. G = (I - P)^{-1} = 4 (4I - A)^{-1} on the (N-2)^2 interior. Three
 independent routes are exposed: sparse LU solves (columns of G, Dirichlet
-extensions) and the product-sine spectral form (full diagonal); tests play
-them against each other. The spectral basis, the sine matrix (cached once
-per N) and the mode gaps, lives here and is shared with the field sampler.
+extensions), the product-sine spectral form (full diagonal) and the banded
+Cholesky factor of 4I - A (rows of chol(G), the dense sampler's route);
+tests play them against each other. The spectral basis, the sine matrix
+(cached once per N) and the mode gaps, lives here and is shared with the
+field sampler.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .. import tolerances as tol
 from .grid import Box
@@ -30,6 +33,8 @@ __all__ = [
 
 _lock = threading.Lock()
 _lu_cache: dict[tuple[int, int], spla.SuperLU] = {}
+# keyed by N: the banded upper Cholesky factor of the interior 4I - A
+_band_cache: dict[int, np.ndarray] = {}
 # keyed by (N, dtype): the float32 copy serves the sampler's threshold route
 _sine_cache: dict[tuple[int, np.dtype], np.ndarray] = {}
 
@@ -84,12 +89,32 @@ def _lu(n_rows: int, n_cols: int) -> spla.SuperLU:
     return lu
 
 
+def _band_factor(grid_n: int) -> np.ndarray:
+    """U with U'U = 4I - A on the interior, in LAPACK's upper band storage
+    (row n - d holds the d-th superdiagonal): a row site couples to the next
+    site of its row (distance 1, none across a row end) and to the site
+    below (distance n), so the bandwidth is n = N - 2."""
+    with _lock:
+        u = _band_cache.get(grid_n)
+        if u is None:
+            n = grid_n - 2
+            ab = np.zeros((n + 1, n * n))
+            ab[0, n:] = -1.0
+            ab[n - 1, 1:] = -1.0
+            ab[n - 1, ::n] = 0.0
+            ab[n] = 4.0
+            u, _ = dpbtrf(ab)
+            _band_cache[grid_n] = u
+    return u
+
+
 class GreenOperator:
     """Green's function access for one grid size.
 
     Entries and columns come from sparse LU solves of (4I - A) g = 4 e_y;
     the diagonal additionally has a closed spectral form through the
-    orthogonal sine basis, kept as an independent route.
+    orthogonal sine basis, and rows of its Cholesky factor come from the
+    banded factor of 4I - A, each kept as an independent route.
     """
 
     def __init__(self, grid_n: int):
@@ -148,17 +173,25 @@ class GreenOperator:
         out[1:-1, 1:-1] = t @ (1.0 / _mode_gaps(self.grid_n)) @ t.T
         return out
 
-    def dense_matrix(self) -> np.ndarray:
-        """Full interior Green matrix, small grids only (validation backend)."""
-        if self.grid_n > tol.DENSE_GREEN_N_MAX:
-            raise ValueError(
-                f"dense Green matrix limited to N <= {tol.DENSE_GREEN_N_MAX}, "
-                f"got {self.grid_n}"
-            )
+    def cholesky_rows(self, sites: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Rows of the lower Cholesky factor L of the interior G for the given
+        interior (row, col) sites, as a (k, (N-2)^2) array; L L' = G.
+
+        4I - A = U'U is unchanged by the site reversal J, so
+        L = 2 J U^{-1} J exactly (Rue, JRSS B 63, 2001): row s of L is row
+        m-1-s of 2 U^{-1}, reversed, one banded triangular solve
+        U' x = e_{m-1-s} per site: O(n^4) for the factor, O(n^3) a row.
+        """
+        sites = np.asarray(sites, dtype=np.intp).reshape(-1, 2)
+        if any(self.is_boundary((int(r), int(c))) for r, c in sites):
+            raise ValueError("Cholesky rows exist only at interior sites")
         n = self.n
-        lu = _lu(n, n)
-        rhs = 4.0 * np.eye(n * n)
-        return lu.solve(rhs)
+        m = n * n
+        flat = (sites[:, 0] - 1) * n + (sites[:, 1] - 1)
+        unit = np.zeros((m, len(flat)))
+        unit[m - 1 - flat, np.arange(len(flat))] = 1.0
+        x, _ = dtbtrs(_band_factor(self.grid_n), unit, uplo="U", trans="T")
+        return 2.0 * x[::-1].T
 
 
 def dirichlet_extend(field: np.ndarray, box: Box) -> np.ndarray:

@@ -8,9 +8,10 @@ S symmetric; green.py caches it and owns the mode gaps): two BLAS products per
 field, whose cost does not depend on how N - 1 factors, where FFT-based DST-I
 is slowest at prime N - 1 (N = 128).
 Above the cut the O(n^3) product loses to scipy.fft.dstn, which takes over;
-the route depends on N alone. The dense backend draws through a Cholesky
-factor of the explicitly assembled Green matrix and exists to validate the
-spectral route on small grids.
+the route depends on N alone. The dense route, sample_sites, validates it:
+white noise times rows of chol(G), each one banded solve against the banded
+Cholesky factor of 4I - A (green.py), with no Green matrix assembled; the
+dense backend of sample_fields is that route at every interior site.
 
 Code that only asks whether a site is at or above a threshold takes
 sample_interiors_float32: the daviaud level counts and the coarse-tail probe
@@ -22,7 +23,7 @@ move, so a hit or a count can differ from its float64 twin only where a value
 lies within FIELD_FLOAT32_DELTA, the float32 error of a field, of the
 threshold. Those maps are BLAS-bound (mc.map_blocks with blas_bound) and run
 on every usable CPU. Every other consumer (covariance, decomposition,
-harmonic values, the dense backend) stays on float64 in serial maps. All of
+harmonic values, the dense route) stays on float64 in serial maps. All of
 them run on the one BLAS thread mc pins numpy's OpenBLAS to at import, so
 they give the same bits at any worker count and on any host default.
 
@@ -41,6 +42,7 @@ request above FIELD_BYTES_MAX with FieldTooLargeError.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.fft
@@ -53,13 +55,13 @@ from .grid import Box
 __all__ = [
     "spectral_scale",
     "sample_fields",
+    "sample_sites",
     "sample_box",
     "sample_interiors_float32",
 ]
 
 _lock = threading.Lock()
 _scale_cache: dict[int, np.ndarray] = {}
-_chol_cache: dict[int, np.ndarray] = {}
 
 
 def spectral_scale(grid_n: int) -> np.ndarray:
@@ -71,17 +73,6 @@ def spectral_scale(grid_n: int) -> np.ndarray:
             scale = 1.0 / np.sqrt(_mode_gaps(grid_n))
             _scale_cache[grid_n] = scale
     return scale
-
-
-def _cholesky(grid_n: int) -> np.ndarray:
-    with _lock:
-        chol = _chol_cache.get(grid_n)
-    if chol is None:
-        g = GreenOperator(grid_n).dense_matrix()
-        chol = np.linalg.cholesky(g)
-        with _lock:
-            _chol_cache[grid_n] = chol
-    return chol
 
 
 def _check_request(grid_n: int, count: int, nbytes: int, what: str) -> None:
@@ -119,20 +110,33 @@ def sample_fields(
     if backend not in ("spectral", "dense"):
         raise ValueError(f"unknown backend {backend!r}; use 'spectral' or 'dense'")
     n = grid_n - 2
-    # the output, the noise and the transformed noise, plus the Green matrix
-    # and its Cholesky factor when dense
+    # the output, the noise and the transformed noise, plus the unit vectors,
+    # the solves and the rows of chol(G) when dense
     nbytes = 8 * count * (grid_n * grid_n + 2 * n * n)
     if backend == "dense":
-        nbytes += 2 * 8 * n**4
+        nbytes += 3 * 8 * n**4
     _check_request(grid_n, count, nbytes, backend)
     out = np.zeros((count, grid_n, grid_n))
     if backend == "spectral":
         out[:, 1:-1, 1:-1] = _spectral_interior(grid_n, count, rng, np.float64)
     else:
-        chol = _cholesky(grid_n)
-        noise = rng.standard_normal((count, n * n))
-        out[:, 1:-1, 1:-1] = (noise @ chol.T).reshape(count, n, n)
+        # every interior (row, col), row by row: the interior's flat order
+        sites = np.argwhere(np.ones((n, n), dtype=bool)) + 1
+        out[:, 1:-1, 1:-1] = sample_sites(grid_n, sites, count, rng).reshape(count, n, n)
     return out
+
+
+def sample_sites(
+    grid_n: int, sites: Sequence[tuple[int, int]], count: int, rng: Generator
+) -> np.ndarray:
+    """The (count, k) values at k interior (row, col) sites of count fields
+    on the dense route, noise @ rows of chol(G), from the (count, (N-2)^2)
+    normals sample_fields(..., backend="dense") draws from the same stream."""
+    m, k = (grid_n - 2) ** 2, len(sites)
+    # the noise and the product, then the unit vectors, the solves and the rows
+    _check_request(grid_n, count, 8 * (count * (m + k) + 3 * k * m), "dense")
+    rows = GreenOperator(grid_n).cholesky_rows(sites)
+    return rng.standard_normal((count, m)) @ rows.T
 
 
 def sample_box(grid_n: int, box: Box, count: int, rng: Generator) -> np.ndarray:

@@ -45,6 +45,7 @@ from .gff import (
     nested_partitions,
     sample_box,
     sample_fields,
+    sample_sites,
     shift_cover,
     uniform_schedule,
 )
@@ -756,12 +757,10 @@ def run_gff_cov(
     """Empirical covariance vs the linear-solve oracle, plus diagonal growth."""
     _require_two_samples(samples)
     center = _center_site(grid_n)
-    # Drawn first, on its own stream: the one-call dense oracle is the
-    # largest field request here, so an oversized one fails before any work.
+    # Drawn first, on its own stream: the dense centre draw holds every sample's
+    # noise at once, the largest field request here, so an oversized one fails first.
     dense_rng = mc.replica_rng(mc.derive_seed(seed, 2), 0)
-    dense_center = sample_fields(grid_n, samples, dense_rng, backend="dense")[
-        :, center[0], center[1]
-    ]
+    dense_center = sample_sites(grid_n, [center], samples, dense_rng)[:, 0]
     pair_rng = mc.replica_rng(seed, 0)
     xs = [center]
     ys = [center]

@@ -101,7 +101,8 @@ COV_GRID_N = 32
 COV_SAMPLES = 20_000
 COV_PAIRS = 200
 COV_SIGMA = 4.0
-# Largest grid side of the dense Green matrix, the gff-cov oracle.
+# Largest gff-cov grid side. Its dense draw holds every sample's (N-2)^2
+# normals at once, so at N = 64 the field budget admits about 34.9k samples.
 DENSE_GREEN_N_MAX = 64
 # fields per replica block; each block draws from its own stream
 COV_BLOCK = 100

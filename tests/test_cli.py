@@ -487,12 +487,14 @@ class TestRuntimeFailures:
         assert finished == []
 
     def test_oversized_dense_oracle_exits_3_before_sampling(self, capsys, monkeypatch):
-        # the default 20000 dense samples at N=64 need about 2 GiB
+        # the dense route's centre draw holds all samples' noise at once: 40000
+        # samples at N=64 need about 1.15 GiB, above the 1 GiB field budget
         def never(*args, **kwargs):
             raise AssertionError("spectral blocks ran before the budget check")
 
         monkeypatch.setattr(pipelines.mc, "map_blocks", never)
-        code, out, err = run_cli(["gff-cov", "--seed", "1", "--grid-n", "64"], capsys)
+        argv = ["gff-cov", "--seed", "1", "--grid-n", "64", "--replicas", "40000"]
+        code, out, err = run_cli(argv, capsys)
         assert code == 3
         assert out == ""
         assert "field budget" in last_stderr_json(err)["error"]

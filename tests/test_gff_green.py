@@ -1,4 +1,5 @@
-"""Killed-walk Green's function: LU route against the spectral route."""
+"""Killed-walk Green's function: LU route against the spectral route, and the
+banded Cholesky rows against dense algebra."""
 
 import math
 
@@ -87,19 +88,27 @@ class TestGreenOperator:
             site = tuple(int(v) for v in rng.integers(1, 19, 2))
             assert diag[site] == pytest.approx(g.variance(site), abs=1e-10)
 
-    def test_dense_matrix_agrees_with_columns(self):
-        g = GreenOperator(9)
-        dense = g.dense_matrix()
-        n = 7
-        for site in ((1, 1), (4, 5), (7, 7)):
-            flat = (site[0] - 1) * n + (site[1] - 1)
-            assert np.allclose(
-                dense[:, flat].reshape(n, n), g.column(site)[1:-1, 1:-1], atol=1e-10
-            )
+    @pytest.mark.parametrize("grid_n", [3, 4, 5, 8, 13, 16])
+    def test_cholesky_rows_match_dense_algebra(self, grid_n):
+        # n = 1 and 2 are the band's edge cases; larger n have zeros at row ends
+        n = grid_n - 2
+        lap = interior_laplacian(n, n).toarray()
+        chol = np.linalg.cholesky(4.0 * np.linalg.inv(lap))
+        sites = [(r, c) for r in range(1, grid_n - 1) for c in range(1, grid_n - 1)]
+        rows = GreenOperator(grid_n).cholesky_rows(sites)
+        assert np.max(np.abs(rows - chol)) <= 1e-12
 
-    def test_dense_matrix_size_limit(self):
-        with pytest.raises(ValueError):
-            GreenOperator(128).dense_matrix()
+    def test_cholesky_rows_of_a_subset_are_rows_of_the_factor(self):
+        g = GreenOperator(13)
+        sites = [(r, c) for r in range(1, 12) for c in range(1, 12)]
+        full = g.cholesky_rows(sites)
+        picked = [(6, 6), (1, 11), (11, 1), (3, 8)]
+        flat = [(r - 1) * 11 + (c - 1) for r, c in picked]
+        assert np.max(np.abs(g.cholesky_rows(picked) - full[flat])) <= 1e-14
+
+    def test_cholesky_rows_refuse_boundary_sites(self):
+        with pytest.raises(ValueError, match="interior"):
+            GreenOperator(10).cholesky_rows([(5, 5), (9, 3)])
 
     def test_oversized_diagonal_is_refused_before_allocation(self):
         # about 1.5 TiB of sine matrices: refused, not allocated

@@ -18,8 +18,10 @@ from levelsim.gff import (
     sample_box,
     sample_fields,
     sample_interiors_float32,
+    sample_sites,
     spectral_scale,
 )
+from levelsim.gff import green
 from levelsim.gff.levels import _float32_threshold
 
 
@@ -156,6 +158,45 @@ class TestBox:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestSites:
+    """sample_sites is the dense backend's values at the given sites, drawn
+    through rows of the banded Cholesky factor, never a whole factor."""
+
+    @pytest.mark.parametrize("grid_n", [3, 8, 17])
+    def test_equals_the_dense_backend_on_one_stream(self, grid_n):
+        sites = [((grid_n - 1) // 2, (grid_n - 1) // 2), (1, 1), (grid_n - 2, 1)]
+        sites_rng, fields_rng = mc.replica_rng(40, grid_n), mc.replica_rng(40, grid_n)
+        got = sample_sites(grid_n, sites, 50, sites_rng)
+        fields = sample_fields(grid_n, 50, fields_rng, backend="dense")
+        rows, cols = np.array(sites).T
+        assert np.max(np.abs(got - fields[:, rows, cols])) <= 1e-12
+        assert np.array_equal(sites_rng.standard_normal(8), fields_rng.standard_normal(8))
+
+    def test_center_draw_holds_no_square_factor(self, monkeypatch):
+        # an (n^2)^2 factor at N = 32 alone is 6.5 MB on top of 7.2 MB of noise
+        monkeypatch.setattr(green, "_band_cache", {})
+        tracemalloc.start()
+        try:
+            sample_sites(32, [(15, 15)], 1000, mc.replica_rng(41, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_validation(self):
+        rng = mc.replica_rng(42, 0)
+        with pytest.raises(ValueError, match="interior"):
+            sample_sites(16, [(0, 5)], 10, rng)
+        with pytest.raises(ValueError):
+            sample_sites(16, [(5, 5)], 0, rng)
+
+    def test_oversized_request_is_refused_before_drawing(self):
+        rng, fresh = mc.replica_rng(43, 0), mc.replica_rng(43, 0)
+        with pytest.raises(FieldTooLargeError, match="field budget"):
+            sample_sites(64, [(31, 31)], 40_000, rng)
+        assert rng.standard_normal() == fresh.standard_normal()
 
 
 class TestFloat32Route:

@@ -204,11 +204,16 @@ class TestBlasPin:
         assert run_fresh(["-c", code], 2).split() == ["1"]
 
     def test_report_does_not_depend_on_the_host_blas_threads(self):
-        # on two threads, decompose-var's float64 products at N = 256 once
-        # moved increment_variance_level1 in its last digits
-        argv = ["-m", "levelsim", "decompose-var", "--grid-n", "256"]
-        argv += ["--replicas", "100", "--seed", "1"]
-        assert run_fresh(argv, 1) == run_fresh(argv, 2)
+        runs = (
+            # on two threads, decompose-var's float64 products at N = 256 once
+            # moved increment_variance_level1 in its last digits
+            ["decompose-var", "--grid-n", "256", "--replicas", "100", "--seed", "1"],
+            # the dense route's banded solves run on scipy's OpenBLAS, not numpy's
+            ["gff-cov", "--grid-n", "32", "--replicas", "1000", "--seed", "1"],
+        )
+        for argv in runs:
+            argv = ["-m", "levelsim", *argv]
+            assert run_fresh(argv, 1) == run_fresh(argv, 2)
 
 
 class TestParallelMap:
