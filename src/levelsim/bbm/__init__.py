@@ -8,7 +8,6 @@ from .engine import (
     BbmRunConfig,
     NbbmSnapshot,
     NbbmTrajectory,
-    PopulationCapError,
     count_at_or_above,
     refuse_doomed_horizon,
     sample_positions,
@@ -17,7 +16,6 @@ from .engine import (
 )
 from .estimators import (
     DominanceSweep,
-    EventBudgetError,
     LevelExponent,
     MaxTail,
     NoDataError,
@@ -47,8 +45,6 @@ __all__ = [
     "NbbmSnapshot",
     "NbbmTrajectory",
     "NoDataError",
-    "EventBudgetError",
-    "PopulationCapError",
     "check_events",
     "check_nbbm_dominance",
     "count_at_or_above",

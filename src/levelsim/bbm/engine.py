@@ -40,27 +40,12 @@ __all__ = [
     "BbmPopulation",
     "NbbmSnapshot",
     "NbbmTrajectory",
-    "PopulationCapError",
     "simulate_bbm",
     "simulate_nbbm",
     "sample_positions",
     "count_at_or_above",
     "refuse_doomed_horizon",
 ]
-
-class PopulationCapError(RuntimeError):
-    """Population guard tripped; carries how far the run got."""
-
-    def __init__(
-        self, time_reached: float, population: int, cap: int, message: str | None = None
-    ):
-        self.time_reached = time_reached
-        self.population = population
-        self.cap = cap
-        super().__init__(
-            message
-            or f"population {population} exceeded cap {cap} at time {time_reached:.6g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -134,6 +119,15 @@ class NbbmTrajectory:
         return all(s.dominated for s in self.snapshots)
 
 
+def _cap_error(stage: str, reached: float, population: int, cap: int) -> tol.WorkRefusedError:
+    """The guard's refusal: stage names the engine, simulate_bbm for the
+    chronological one and count_at_or_above for the wave sweep."""
+    return tol.WorkRefusedError(
+        f"population {population} exceeded cap {cap} at time {reached:.6g}",
+        stage, "particles", population, cap, reached,
+    )
+
+
 def _run(
     cfg: BbmRunConfig, rng: Generator, cap_n: float
 ) -> tuple[list[BbmPopulation], list[NbbmSnapshot]]:
@@ -159,7 +153,7 @@ def _run(
             if now > s_time:
                 break
             if n + 1 > cap:
-                raise PopulationCapError(now, n, cap)
+                raise _cap_error("bbm.simulate_bbm", now, n, cap)
             i = int(rng.random() * n)
             pos[i] += rng.standard_normal() * math.sqrt(now - last[i])
             last[i] = now
@@ -213,24 +207,23 @@ def simulate_nbbm(cfg: BbmRunConfig, cap_n: float, rng: Generator) -> NbbmTrajec
 
 
 def refuse_doomed_horizon(t: float, replicas: int) -> None:
-    """Raise PopulationCapError, before any draw, when the guard must trip.
+    """Raise WorkRefusedError, before any draw, when the guard must trip.
 
     One replica's population at time t is Geometric(e^-t), so it exceeds the
     guard, cap = BBM_PARTICLE_CAP, with probability (1 - e^-t)^cap. Runs that
-    expect at least one such replica among theirs are refused; time_reached 0
-    says nothing was drawn.
+    expect at least one such replica among theirs are refused: the error's
+    predicted is that expected number, its limit 1.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     cap = tol.BBM_PARTICLE_CAP
     tail = math.exp(cap * math.log1p(-math.exp(-t)))
     if replicas * tail >= 1.0:
-        raise PopulationCapError(
-            0.0,
-            0,
-            cap,
+        raise tol.WorkRefusedError(
             f"t={t:g} expects {replicas * tail:.3g} of {replicas} replicas to exceed "
             f"the population cap {cap}; refused before sampling",
+            "bbm.refuse_doomed_horizon", f"replicas above {cap} particles",
+            replicas * tail, 1.0,
         )
 
 
@@ -280,7 +273,7 @@ def _waves(t: float, rng: Generator, size: int):
         done_count += n - pick.size // 2
         if done_count + pick.size > cap:
             reached = float(birth_t[live].min()) if pick.size else t
-            raise PopulationCapError(reached, done_count + pick.size, cap)
+            raise _cap_error("bbm.count_at_or_above", reached, done_count + pick.size, cap)
         birth_t = birth_t.take(pick)
         birth_x = birth_x.take(pick)
         rep = rep.take(pick)

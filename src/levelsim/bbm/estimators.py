@@ -32,7 +32,6 @@ __all__ = [
     "expected_count_oracle",
     "replica_counts",
     "NoDataError",
-    "EventBudgetError",
     "LevelExponent",
     "estimate_level_exponent",
     "MaxTail",
@@ -68,19 +67,6 @@ def replica_counts(t: float, level: float, replicas: int, seed: int) -> np.ndarr
 
 class NoDataError(RuntimeError):
     """Every replica produced a zero count; no exponent can be formed."""
-
-
-class EventBudgetError(RuntimeError):
-    """Raised before any draw when a dominance sweep expects more branch
-    events than NBBM_EVENTS_MAX."""
-
-    def __init__(self, expected_events: float, t: float, replicas: int):
-        self.expected_events = expected_events
-        super().__init__(
-            f"t={t:g} with {replicas} replicas expects {expected_events:.3g} branch "
-            f"events, above the budget of {tol.NBBM_EVENTS_MAX:.3g}; refused before "
-            "sampling: lower t or replicas"
-        )
 
 
 @dataclass(frozen=True)
@@ -184,7 +170,13 @@ def check_nbbm_dominance(
     refuse_doomed_horizon(t, replicas)
     expected_events = replicas * math.expm1(t)
     if expected_events > tol.NBBM_EVENTS_MAX:
-        raise EventBudgetError(expected_events, t, replicas)
+        raise tol.WorkRefusedError(
+            f"t={t:g} with {replicas} replicas expects {expected_events:.3g} branch "
+            f"events, above the budget of {tol.NBBM_EVENTS_MAX:.3g}; refused before "
+            "sampling: lower t or replicas",
+            "bbm.check_nbbm_dominance", "branch events", expected_events,
+            tol.NBBM_EVENTS_MAX,
+        )
 
     def task(rng) -> list[float]:
         trajectory = simulate_nbbm(cfg, cap_n, rng)

@@ -13,8 +13,9 @@ win over config values.  Randomized subcommands require an explicit
 byte-identical report files across runs.
 
 Exit codes: 0 when every declared check passes, 1 when a check fails,
-2 for usage or config errors, 3 for runtime failures (refused probes,
-population-cap overflow, oversized field requests, unwritable output paths).
+2 for usage or config errors, 3 for runtime failures: work a guard refuses
+(one WorkRefusedError, one diagnostic shape), a level exponent with no data,
+and an unwritable output path.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import pipelines, tolerances as tol
-from .bbm import EventBudgetError, NoDataError, PopulationCapError
-from .gff import FieldTooLargeError, ProbeRefusedError
+from .bbm import NoDataError
 from .reports import Report, emit_report
 
 
@@ -299,17 +299,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         params = _merge(args, pipeline)
         _validate(pipeline, params)
         report = _dispatch(pipeline, params)
-    except ProbeRefusedError as exc:
-        _diagnostic(
-            str(exc),
-            predicted_probability=exc.predicted_probability,
-            replicas=exc.replicas,
-        )
+    except tol.WorkRefusedError as exc:
+        reached = {} if exc.reached is None else {"reached": exc.reached}
+        _diagnostic(str(exc), stage=exc.stage, quantity=exc.quantity,
+                    predicted=exc.predicted, limit=exc.limit, **reached)
         return 3
-    except EventBudgetError as exc:
-        _diagnostic(str(exc), expected_events=exc.expected_events)
-        return 3
-    except (PopulationCapError, NoDataError, FieldTooLargeError) as exc:
+    except NoDataError as exc:
         _diagnostic(str(exc))
         return 3
     except UsageError as exc:

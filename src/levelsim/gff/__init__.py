@@ -3,7 +3,7 @@ killed-walk Green's function, harmonic decomposition over boxes, multiscale
 starred partitions with shift covers, level sets and exceedance probes."""
 
 from .decompose import harmonic_at, harmonic_measure
-from .green import FieldTooLargeError, GreenOperator, dirichlet_extend, interior_laplacian
+from .green import GreenOperator, dirichlet_extend, interior_laplacian
 from .grid import (
     Box,
     CoverConstructionError,
@@ -22,7 +22,6 @@ from .levels import (
     CoarseTailProbe,
     DaviaudEstimate,
     DaviaudPoint,
-    ProbeRefusedError,
     coarse_exceedance_probe,
     estimate_daviaud_exponent,
     expected_level_count,
@@ -43,11 +42,9 @@ __all__ = [
     "CoverConstructionError",
     "DaviaudEstimate",
     "DaviaudPoint",
-    "FieldTooLargeError",
     "GAMMA",
     "GreenOperator",
     "NestedPartitions",
-    "ProbeRefusedError",
     "Schedule",
     "ShiftCover",
     "coarse_exceedance_probe",

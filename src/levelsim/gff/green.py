@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence
+from decimal import Decimal
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +26,6 @@ from .. import tolerances as tol
 from .grid import Box
 
 __all__ = [
-    "FieldTooLargeError",
     "interior_laplacian",
     "GreenOperator",
     "dirichlet_extend",
@@ -39,9 +39,9 @@ _band_cache: dict[int, np.ndarray] = {}
 _sine_cache: dict[tuple[int, np.dtype], np.ndarray] = {}
 
 
-class FieldTooLargeError(RuntimeError):
-    """Raised before allocation when the working set of a field request, or
-    of the Green diagonal, exceeds tolerances.FIELD_BYTES_MAX."""
+def _gib(nbytes: int) -> str:
+    """nbytes in GiB to three figures, by Decimal past the float range."""
+    return f"{nbytes / 2**30 if nbytes < 2**1000 else Decimal(nbytes >> 30):.3g}"
 
 
 def interior_laplacian(n_rows: int, n_cols: int) -> sp.csc_matrix:
@@ -157,15 +157,16 @@ class GreenOperator:
         lam_{jk} = (cos(pi j/(N-1)) + cos(pi k/(N-1)))/2,
         G(x, x) = sum_{jk} (S_{xj} S_{xk})^2 / (1 - lam_{jk}) which evaluates
         as T sigma T' with T = S*S elementwise. Refused with
-        FieldTooLargeError before allocation above the field budget.
+        WorkRefusedError before allocation above the field budget.
         """
         # the cached sine matrix, T, the inverse gaps, T sigma and the output
         nbytes = 5 * 8 * self.n * self.n
         if nbytes > tol.FIELD_BYTES_MAX:
-            raise FieldTooLargeError(
+            raise tol.WorkRefusedError(
                 f"the Green diagonal at N={self.grid_n} needs about "
-                f"{nbytes / 2**30:.3g} GiB, above the "
-                f"{tol.FIELD_BYTES_MAX / 2**30:g} GiB field budget; use a smaller grid"
+                f"{_gib(nbytes)} GiB, above the "
+                f"{tol.FIELD_BYTES_MAX / 2**30:g} GiB field budget; use a smaller grid",
+                "gff.GreenOperator.diagonal", "bytes", nbytes, tol.FIELD_BYTES_MAX,
             )
         sine = _sine_matrix(self.grid_n)
         t = sine * sine

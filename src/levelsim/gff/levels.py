@@ -28,6 +28,7 @@ threads raised its peak memory more than they saved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -51,7 +52,6 @@ __all__ = [
     "DaviaudPoint",
     "DaviaudEstimate",
     "estimate_daviaud_exponent",
-    "ProbeRefusedError",
     "CoarseTailProbe",
     "coarse_exceedance_probe",
 ]
@@ -220,19 +220,6 @@ def estimate_daviaud_exponent(
     return DaviaudEstimate(eta, limit, tuple(points), fit)
 
 
-class ProbeRefusedError(ValueError):
-    """Raised when the predicted event probability is too small to estimate
-    at the requested replica budget."""
-
-    def __init__(self, predicted_probability: float, replicas: int):
-        self.predicted_probability = predicted_probability
-        self.replicas = replicas
-        super().__init__(
-            f"predicted exceedance probability {predicted_probability:.3g} is below "
-            f"10/replicas = {10.0 / replicas:.3g}; increase replicas or lower b"
-        )
-
-
 @dataclass(frozen=True)
 class CoarseTailProbe:
     """One-size estimate of the coarse exceedance probability. At zeta = 0,
@@ -271,9 +258,21 @@ def coarse_exceedance_probe(
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     predicted_exponent = 2.0 * (b * b / (1.0 - zeta) - (1.0 - zeta))
-    predicted_probability = min(1.0, grid_n ** (-predicted_exponent))
+    # N**(-e) is at least 1 for e <= 0; past the float range, where N**(-e)
+    # overflows converting N, it comes from log N, which takes any int
+    if predicted_exponent <= 0.0:
+        predicted_probability = 1.0
+    elif grid_n < 2**1000:
+        predicted_probability = grid_n ** (-predicted_exponent)
+    else:
+        predicted_probability = math.exp(-predicted_exponent * math.log(grid_n))
     if predicted_probability < 10.0 / replicas:
-        raise ProbeRefusedError(predicted_probability, replicas)
+        raise tol.WorkRefusedError(
+            f"predicted exceedance probability {predicted_probability:.3g} is below "
+            f"10/replicas = {10.0 / replicas:.3g}; increase replicas or lower b",
+            "gff.coarse_exceedance_probe", "exceedance probability",
+            predicted_probability, 10.0 / replicas,
+        )
 
     thr = level_threshold(grid_n, b)
     plan = mc.ReplicaPlan(replicas, seed)
@@ -283,13 +282,18 @@ def coarse_exceedance_probe(
             plan, grid_n, thr, lambda interiors, thr32: interiors.max(axis=(1, 2)) >= thr32
         )
     else:
-        side = max(1, round(grid_n**zeta))
-        boxes = flat_partition(Box(0, 0, grid_n, grid_n), side)
+
+        @functools.cache
+        def boxes() -> list[Box]:
+            # tiled once the first block has passed the field budget: at a grid
+            # too large to sample the tiles alone could exhaust memory
+            side = max(1, round(grid_n**zeta))
+            return flat_partition(Box(0, 0, grid_n, grid_n), side)
 
         def coarse(rng, size) -> np.ndarray:
             fields = sample_fields(grid_n, size, rng)
             hits = np.zeros(size, dtype=bool)
-            for box in boxes:
+            for box in boxes():
                 hits |= harmonic_at(fields, box, box.center()) >= thr
             return hits
 

@@ -1,17 +1,16 @@
 """Zero-boundary Gaussian field samplers.
 
-The spectral backend scales white noise by (1 - lam_{jk})^{-1/2} in the
-product-sine eigenbasis of the interior walk kernel and applies an orthonormal
-DST-I in both axes. Up to N = SINE_MATRIX_MAX_N the transform is the matrix
-product S @ x @ S with the n x n orthonormal DST-I matrix S (n = N - 2,
-S symmetric; green.py caches it and owns the mode gaps): two BLAS products per
-field, whose cost does not depend on how N - 1 factors, where FFT-based DST-I
-is slowest at prime N - 1 (N = 128).
+The spectral route, sample_fields, scales white noise by (1 - lam_{jk})^{-1/2}
+in the product-sine eigenbasis of the interior walk kernel and applies an
+orthonormal DST-I in both axes. Up to N = SINE_MATRIX_MAX_N the transform is
+the matrix product S @ x @ S with the n x n orthonormal DST-I matrix S
+(n = N - 2, S symmetric; green.py caches it and owns the mode gaps): two BLAS
+products per field, whose cost does not depend on how N - 1 factors, where
+FFT-based DST-I is slowest at prime N - 1 (N = 128).
 Above the cut the O(n^3) product loses to scipy.fft.dstn, which takes over;
 the route depends on N alone. The dense route, sample_sites, validates it:
 white noise times rows of chol(G), each one banded solve against the banded
-Cholesky factor of 4I - A (green.py), with no Green matrix assembled; the
-dense backend of sample_fields is that route at every interior site.
+Cholesky factor of 4I - A (green.py), with no Green matrix assembled.
 
 Code that only asks whether a site is at or above a threshold takes
 sample_interiors_float32: the daviaud level counts and the coarse-tail probe
@@ -36,7 +35,7 @@ it does about a sixth of the whole-field flops. Above the cut it slices whole
 dstn fields from sample_fields, under that route's budget check.
 
 Before it allocates, each route estimates its working set and refuses a
-request above FIELD_BYTES_MAX with FieldTooLargeError.
+request above FIELD_BYTES_MAX with WorkRefusedError.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import scipy.fft
 from numpy.random import Generator
 
 from .. import tolerances as tol
-from .green import FieldTooLargeError, GreenOperator, _mode_gaps, _sine_matrix
+from .green import GreenOperator, _gib, _mode_gaps, _sine_matrix
 from .grid import Box
 
 __all__ = [
@@ -75,7 +74,7 @@ def spectral_scale(grid_n: int) -> np.ndarray:
     return scale
 
 
-def _check_request(grid_n: int, count: int, nbytes: int, what: str) -> None:
+def _check_request(grid_n: int, count: int, nbytes: int, what: str, stage: str) -> None:
     """Validate a field request and refuse it, before any allocation, when its
     working set of nbytes exceeds the field budget."""
     if grid_n < 3:
@@ -83,10 +82,11 @@ def _check_request(grid_n: int, count: int, nbytes: int, what: str) -> None:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if nbytes > tol.FIELD_BYTES_MAX:
-        raise FieldTooLargeError(
+        raise tol.WorkRefusedError(
             f"sampling {count} {what} field(s) at N={grid_n} needs about "
-            f"{nbytes / 2**30:.3g} GiB, above the {tol.FIELD_BYTES_MAX / 2**30:g} GiB "
-            "field budget; use a smaller grid or fewer replicas"
+            f"{_gib(nbytes)} GiB, above the {tol.FIELD_BYTES_MAX / 2**30:g} GiB "
+            "field budget; use a smaller grid or fewer replicas",
+            stage, "bytes", nbytes, tol.FIELD_BYTES_MAX,
         )
 
 
@@ -103,26 +103,14 @@ def _spectral_interior(grid_n: int, count: int, rng: Generator, dtype) -> np.nda
     return scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
 
 
-def sample_fields(
-    grid_n: int, count: int, rng: Generator, backend: str = "spectral"
-) -> np.ndarray:
+def sample_fields(grid_n: int, count: int, rng: Generator) -> np.ndarray:
     """Draw `count` independent fields as a (count, N, N) array, zero frame."""
-    if backend not in ("spectral", "dense"):
-        raise ValueError(f"unknown backend {backend!r}; use 'spectral' or 'dense'")
     n = grid_n - 2
-    # the output, the noise and the transformed noise, plus the unit vectors,
-    # the solves and the rows of chol(G) when dense
+    # the output, the noise and the transformed noise
     nbytes = 8 * count * (grid_n * grid_n + 2 * n * n)
-    if backend == "dense":
-        nbytes += 3 * 8 * n**4
-    _check_request(grid_n, count, nbytes, backend)
+    _check_request(grid_n, count, nbytes, "spectral", "gff.sample_fields")
     out = np.zeros((count, grid_n, grid_n))
-    if backend == "spectral":
-        out[:, 1:-1, 1:-1] = _spectral_interior(grid_n, count, rng, np.float64)
-    else:
-        # every interior (row, col), row by row: the interior's flat order
-        sites = np.argwhere(np.ones((n, n), dtype=bool)) + 1
-        out[:, 1:-1, 1:-1] = sample_sites(grid_n, sites, count, rng).reshape(count, n, n)
+    out[:, 1:-1, 1:-1] = _spectral_interior(grid_n, count, rng, np.float64)
     return out
 
 
@@ -130,11 +118,13 @@ def sample_sites(
     grid_n: int, sites: Sequence[tuple[int, int]], count: int, rng: Generator
 ) -> np.ndarray:
     """The (count, k) values at k interior (row, col) sites of count fields
-    on the dense route, noise @ rows of chol(G), from the (count, (N-2)^2)
-    normals sample_fields(..., backend="dense") draws from the same stream."""
+    on the dense route: one (count, (N-2)^2) draw of standard normals times
+    the rows of chol(G) at the sites. The draw does not depend on the sites,
+    so on one stream any sites read the same columns as every site does."""
     m, k = (grid_n - 2) ** 2, len(sites)
     # the noise and the product, then the unit vectors, the solves and the rows
-    _check_request(grid_n, count, 8 * (count * (m + k) + 3 * k * m), "dense")
+    nbytes = 8 * (count * (m + k) + 3 * k * m)
+    _check_request(grid_n, count, nbytes, "dense", "gff.sample_sites")
     rows = GreenOperator(grid_n).cholesky_rows(sites)
     return rng.standard_normal((count, m)) @ rows.T
 
@@ -150,7 +140,7 @@ def sample_box(grid_n: int, box: Box, count: int, rng: Generator) -> np.ndarray:
     n = grid_n - 2
     # the box, one field's noise and its product with the box's sine rows
     nbytes = 8 * (count * box.height * box.width + (n + box.height) * n)
-    _check_request(grid_n, count, nbytes, "box")
+    _check_request(grid_n, count, nbytes, "box", "gff.sample_box")
     # the box's interior rows r0..r1-1 and columns c0..c1-1; interior site
     # (r, c) is sine-matrix index (r - 1, c - 1)
     r0, r1 = max(box.row0, 1), min(box.row_end, grid_n - 1)
@@ -174,5 +164,6 @@ def sample_interiors_float32(grid_n: int, count: int, rng: Generator) -> np.ndar
     against a float64 threshold rounds the threshold to float32)."""
     n = grid_n - 2
     # the float64 noise, its float32 copy and the float32 product
-    _check_request(grid_n, count, (8 + 4 + 4) * count * n * n, "float32")
+    nbytes = (8 + 4 + 4) * count * n * n
+    _check_request(grid_n, count, nbytes, "float32", "gff.sample_interiors_float32")
     return _spectral_interior(grid_n, count, rng, np.float32)

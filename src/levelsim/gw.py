@@ -355,9 +355,9 @@ def exact_exceedance(plan: GwPlan, threshold: float) -> float:
     """Exact P(Z_n >= ceil(threshold)) by generation-wise convolution.
 
     Finite-support laws only; the reachable state space must stay within
-    EXACT_STATE_LIMIT entries at every generation. Both are checked before
-    any convolution. Intended for the tiny cases that anchor the statistical
-    checks with zero tolerance.
+    EXACT_STATE_LIMIT entries at every generation, or WorkRefusedError is
+    raised. Both are checked before any convolution. Intended for the tiny
+    cases that anchor the statistical checks with zero tolerance.
     """
     k = math.ceil(threshold)
     limit = tol.EXACT_STATE_LIMIT
@@ -367,9 +367,10 @@ def exact_exceedance(plan: GwPlan, threshold: float) -> float:
             raise ValueError(f"{law.kind} law has unbounded support")
         reach *= law.max_support
         if reach + 1 > limit:
-            raise ValueError(
+            raise tol.WorkRefusedError(
                 f"state space {reach + 1} exceeds limit {limit}; "
-                "exact convolution is for tiny cases"
+                "exact convolution is for tiny cases",
+                "gw.exact_exceedance", "states", reach + 1, limit,
             )
     dist = np.zeros(plan.initial + 1)
     dist[plan.initial] = 1.0

@@ -2,10 +2,28 @@
 
 Single source of truth: the command-line experiments and the acceptance test
 suite both read these values, so a tolerance can never drift between what is
-promised and what is tested. Names group by check number C1..C13.
+promised and what is tested. Names group by check number C1..C13. Every work
+budget here is enforced by raising WorkRefusedError.
 """
 
 from __future__ import annotations
+
+
+class WorkRefusedError(RuntimeError):
+    """Work a budget below cannot afford: stage is the refusing function's
+    dotted name, predicted the quantity it counted against limit, and reached
+    the simulated time a mid-run guard tripped at (None: refused before any
+    draw)."""
+
+    def __init__(self, message: str, stage: str, quantity: str, predicted: float,
+                 limit: float, reached: float | None = None):
+        super().__init__(message)
+        self.stage = stage
+        self.quantity = quantity
+        self.predicted = predicted
+        self.limit = limit
+        self.reached = reached
+
 
 # C1: rate-function certification
 RATE_QUERIES = 100
@@ -170,7 +188,8 @@ FIELD_FLOAT32_DELTA = 1e-4
 # replicas, so 1191 at t = 4, 21 at t = 8 and 1 at t = 12.
 BBM_BLOCK_PARTICLES = 2**16
 # Population guard of both engines: a run, or a block of the wave sweep,
-# that would hold more particles raises PopulationCapError.
+# that would hold more particles is refused with WorkRefusedError, as is a
+# horizon at which some replica is expected to.
 BBM_PARTICLE_CAP = 10**7
 
 # C13: determinism

@@ -11,6 +11,9 @@ parameter.
 The package's import graph leaves out scipy's heaviest subpackages, which
 once made up most of the command line's start-up time. Only ``mc`` sets
 numpy's BLAS thread count, so no other module reaches into its private names.
+Every exception class the package defines is a ``ValueError``, which the
+command line maps to exit 2, or one ``cli.main`` catches by name for exit 3,
+so none can escape as a traceback with exit 1, the code of a failed check.
 """
 
 import ast
@@ -27,6 +30,7 @@ from pathlib import Path
 import pytest
 
 import levelsim
+import levelsim.cli
 
 
 def modules():
@@ -223,3 +227,28 @@ def test_only_mc_reads_its_private_names():
         if path.name != "mc.py" and (reads := private_mc_reads(path))
     }
     assert readers == {}
+
+
+def caught_by_name(function) -> set[str]:
+    """Names of the exception classes the function's except clauses list."""
+    caught = set()
+    for node in ast.walk(ast.parse(inspect.getsource(function))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types_ = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(getattr(t, "id", None) or t.attr for t in types_)
+    return caught
+
+
+def test_every_package_error_has_an_exit_code():
+    caught = caught_by_name(levelsim.cli.main)
+    uncaught = [
+        f"{module.__name__}.{name}"
+        for module in modules()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+        and not issubclass(obj, ValueError)
+        and name not in caught
+    ]
+    assert uncaught == []

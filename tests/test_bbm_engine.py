@@ -13,7 +13,6 @@ from levelsim.bbm import engine, estimators
 from levelsim.bbm import (
     BbmRunConfig,
     NoDataError,
-    PopulationCapError,
     check_nbbm_dominance,
     count_at_or_above,
     estimate_level_exponent,
@@ -59,12 +58,13 @@ class TestChronologicalEngine:
 
     def test_population_cap_raises_with_progress(self, monkeypatch):
         monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 64)
-        with pytest.raises(PopulationCapError) as info:
+        with pytest.raises(tol.WorkRefusedError) as info:
             simulate_bbm(BbmRunConfig(50.0), mc.replica_rng(3, 0))
         err = info.value
-        assert err.population <= 64
-        assert err.cap == 64
-        assert 0.0 < err.time_reached < 50.0
+        assert (err.stage, err.quantity) == ("bbm.simulate_bbm", "particles")
+        assert err.predicted <= 64
+        assert err.limit == 64
+        assert 0.0 < err.reached < 50.0
 
     def test_population_size_is_geometric(self):
         # binary splitting at rate 1 makes the count at t=1 geometric(e^-1)
@@ -171,7 +171,7 @@ class TestVectorizedSweep:
 
     def test_particle_cap(self, monkeypatch):
         monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 100)
-        with pytest.raises(PopulationCapError):
+        with pytest.raises(tol.WorkRefusedError):
             sample_positions(12.0, mc.replica_rng(1, 0))
 
 
@@ -241,12 +241,13 @@ class TestBlockSweep:
 
     def test_particle_cap_trips_inside_a_block(self, monkeypatch):
         monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 100)
-        with pytest.raises(PopulationCapError) as info:
+        with pytest.raises(tol.WorkRefusedError) as info:
             list(engine._waves(6.0, mc.replica_rng(107, 0), 8))
         err = info.value
-        assert err.cap == 100
-        assert err.population > 100
-        assert 0.0 < err.time_reached < 6.0
+        assert (err.stage, err.quantity) == ("bbm.count_at_or_above", "particles")
+        assert err.limit == 100
+        assert err.predicted > 100
+        assert 0.0 < err.reached < 6.0
 
     def test_nan_level_is_refused(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -299,9 +300,9 @@ class TestStreamPins:
 
     def test_particle_cap_progress(self, monkeypatch):
         monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 100)
-        with pytest.raises(PopulationCapError) as info:
+        with pytest.raises(tol.WorkRefusedError) as info:
             list(engine._waves(6.0, mc.replica_rng(107, 0), 8))
-        assert (info.value.time_reached, info.value.population) == (1.252483518734882, 115)
+        assert (info.value.reached, info.value.predicted) == (1.252483518734882, 115)
 
     # the chronological engine: sorted, so the pins fix the draws and not the
     # order in which the engine stores its particles
@@ -343,11 +344,15 @@ class TestDoomedHorizon:
         # P(N_16 > 10^7) = (1 - e^-16)^(10^7) = 0.3246: three replicas expect
         # 0.97 over the guard and pass, four expect 1.30 and are refused
         refuse_doomed_horizon(16.0, 3)
-        with pytest.raises(PopulationCapError) as info:
+        with pytest.raises(tol.WorkRefusedError) as info:
             refuse_doomed_horizon(16.0, 4)
-        assert info.value.time_reached == 0.0
-        assert info.value.cap == tol.BBM_PARTICLE_CAP
-        assert "refused before sampling" in str(info.value)
+        err = info.value
+        assert err.reached is None
+        assert err.stage == "bbm.refuse_doomed_horizon"
+        assert err.quantity == f"replicas above {tol.BBM_PARTICLE_CAP} particles"
+        assert err.predicted == pytest.approx(4 * (-math.expm1(-16.0)) ** tol.BBM_PARTICLE_CAP)
+        assert err.limit == 1.0
+        assert "refused before sampling" in str(err)
 
     def test_shipped_horizons_pass(self):
         refuse_doomed_horizon(tol.BIGGINS_T, tol.BIGGINS_REPLICAS)
@@ -359,11 +364,11 @@ class TestDoomedHorizon:
 
         monkeypatch.setattr(estimators, "count_at_or_above", never)
         monkeypatch.setattr(estimators, "simulate_nbbm", never)
-        with pytest.raises(PopulationCapError):
+        with pytest.raises(tol.WorkRefusedError):
             estimate_level_exponent(20.0, 0.5, replicas=200, seed=1)
-        with pytest.raises(PopulationCapError):
+        with pytest.raises(tol.WorkRefusedError):
             estimate_max_tail(20.0, 1.6, replicas=200, seed=1)
-        with pytest.raises(PopulationCapError):
+        with pytest.raises(tol.WorkRefusedError):
             check_nbbm_dominance(20.0, 10, replicas=1000, seed=1)
 
 

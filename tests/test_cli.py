@@ -14,6 +14,7 @@ import scipy.fft
 from levelsim import pipelines
 from levelsim import tolerances as tol
 from levelsim.bbm import estimators
+from levelsim.gff import levels
 from levelsim.cli import main
 from levelsim.cli import PIPELINES
 from levelsim.reports import Report
@@ -26,8 +27,25 @@ def run_cli(argv, capsys):
 
 
 def last_stderr_json(err):
+    """The last stderr line, parsed as strict JSON: no NaN or Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token} in the diagnostic")
+
     lines = [l for l in err.strip().splitlines() if l]
-    return json.loads(lines[-1])
+    return json.loads(lines[-1], parse_constant=reject)
+
+
+REFUSAL_KEYS = {"error", "stage", "quantity", "predicted", "limit"}
+
+
+def refusal(err, stage, mid_run=False):
+    """The diagnostic of refused work: the shared keys, plus reached for a
+    guard that tripped mid-run."""
+    diag = last_stderr_json(err)
+    assert diag.keys() == REFUSAL_KEYS | ({"reached"} if mid_run else set())
+    assert diag["stage"] == stage
+    return diag
 
 
 class TestParsing:
@@ -421,7 +439,11 @@ class TestConfigFiles:
 
 
 class TestRuntimeFailures:
-    def test_refused_probe_exits_3(self, capsys):
+    def test_refused_probe_exits_3(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("field blocks ran before the probe's refusal")
+
+        monkeypatch.setattr(pipelines.mc, "map_blocks", never)
         code, out, err = run_cli(
             [
                 "coarse-tail",
@@ -440,9 +462,10 @@ class TestRuntimeFailures:
         )
         assert code == 3
         assert out == ""
-        diag = last_stderr_json(err)
-        assert diag["replicas"] == 100
-        assert diag["predicted_probability"] < 1e-6
+        diag = refusal(err, "gff.coarse_exceedance_probe")
+        assert diag["quantity"] == "exceedance probability"
+        assert diag["limit"] == 10 / 100
+        assert diag["predicted"] == pytest.approx(64.0**-6)
         assert "increase replicas" in diag["error"]
 
     def test_oversized_field_request_exits_3(self, capsys, monkeypatch):
@@ -457,7 +480,30 @@ class TestRuntimeFailures:
         )
         assert code == 3
         assert out == ""
-        assert "field budget" in last_stderr_json(err)["error"]
+        diag = refusal(err, "gff.GreenOperator.diagonal")
+        assert (diag["quantity"], diag["limit"]) == ("bytes", tol.FIELD_BYTES_MAX)
+        assert "field budget" in diag["error"]
+
+    @pytest.mark.parametrize("zeta", ["0.0", "0.5"])
+    @pytest.mark.parametrize("exponent", [200, 400])
+    def test_huge_grid_side_exits_3(self, exponent, zeta, capsys, monkeypatch):
+        # at b = 0.1, e < 0 and the predicted probability is 1 without forming
+        # N**(-e), which overflows; the field budget refuses before any tile
+        # or draw
+        def never(*args, **kwargs):
+            raise AssertionError("the probe ran past the field budget")
+
+        monkeypatch.setattr(levels, "flat_partition", never)
+        monkeypatch.setattr(levels, "harmonic_at", never)
+        argv = ["coarse-tail", "--seed", "1", "--grid-n", str(10**exponent), "--b", "0.1",
+                "--zeta", zeta, "--replicas", "10"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        stage = "gff.GreenOperator.diagonal" if zeta == "0.0" else "gff.sample_fields"
+        diag = refusal(err, stage)
+        assert diag["predicted"] > 10 ** (2 * exponent)
+        assert "field budget" in diag["error"]
 
     def test_oversized_decomposition_block_exits_3_before_sampling(self, capsys, monkeypatch):
         # above the sine-matrix cut the root window is sliced from whole fields,
@@ -481,7 +527,7 @@ class TestRuntimeFailures:
         code, out, err = run_cli(["decompose-var", "--grid-n", "1024", "--seed", "1"], capsys)
         assert code == 3
         assert out == ""
-        error = last_stderr_json(err)["error"]
+        error = refusal(err, "gff.sample_fields")["error"]
         assert "sampling 50 spectral field(s) at N=1024 needs about 1.17 GiB" in error
         assert "field budget" in error
         assert finished == []
@@ -497,7 +543,7 @@ class TestRuntimeFailures:
         code, out, err = run_cli(argv, capsys)
         assert code == 3
         assert out == ""
-        assert "field budget" in last_stderr_json(err)["error"]
+        assert "field budget" in refusal(err, "gff.sample_sites")["error"]
 
     @pytest.mark.parametrize("sub", ["bbm-exponents", "nbbm"])
     def test_doomed_horizon_exits_3_before_sampling(self, sub, capsys, monkeypatch):
@@ -511,8 +557,22 @@ class TestRuntimeFailures:
         code, out, err = run_cli([sub, "--seed", "1", "--t", "20"], capsys)
         assert code == 3
         assert out == ""
-        assert "refused before sampling" in last_stderr_json(err)["error"]
+        diag = refusal(err, "bbm.refuse_doomed_horizon")
+        assert diag["limit"] == 1.0
+        assert "refused before sampling" in diag["error"]
 
+    def test_population_guard_tripped_mid_run_exits_3(self, capsys, monkeypatch):
+        # a 100-particle guard passes the horizon check at t=4 with 5 replicas,
+        # which expect 0.79 runs over it, and then trips inside a run
+        monkeypatch.setattr(tol, "BBM_PARTICLE_CAP", 100)
+        argv = ["nbbm", "--seed", "3", "--t", "4", "--replicas", "5"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        diag = refusal(err, "bbm.simulate_bbm", mid_run=True)
+        assert (diag["quantity"], diag["limit"]) == ("particles", 100)
+        assert 0.0 < diag["reached"] < 4.0
+        assert "exceeded cap 100" in diag["error"]
 
     def test_oversized_event_budget_exits_3_at_once(self, capsys, monkeypatch):
         # t=14 passes the particle guard but expects ~1.2e9 branch events per cap
@@ -523,8 +583,10 @@ class TestRuntimeFailures:
         code, out, err = run_cli(["nbbm", "--seed", "1", "--t", "14"], capsys)
         assert code == 3
         assert out == ""
-        diag = last_stderr_json(err)
-        assert diag["expected_events"] == pytest.approx(1000 * math.expm1(14))
+        diag = refusal(err, "bbm.check_nbbm_dominance")
+        assert diag["quantity"] == "branch events"
+        assert diag["predicted"] == pytest.approx(1000 * math.expm1(14))
+        assert diag["limit"] == tol.NBBM_EVENTS_MAX
         assert "refused before sampling" in diag["error"]
 
 

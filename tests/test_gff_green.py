@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import levelsim.gff.decompose
+from levelsim import tolerances as tol
 from levelsim.gff import (
     Box,
-    FieldTooLargeError,
     GreenOperator,
     dirichlet_extend,
     harmonic_at,
@@ -112,8 +112,12 @@ class TestGreenOperator:
 
     def test_oversized_diagonal_is_refused_before_allocation(self):
         # about 1.5 TiB of sine matrices: refused, not allocated
-        with pytest.raises(FieldTooLargeError, match="field budget"):
+        with pytest.raises(tol.WorkRefusedError, match="field budget") as info:
             GreenOperator(200_000).diagonal()
+        err = info.value
+        assert (err.stage, err.quantity) == ("gff.GreenOperator.diagonal", "bytes")
+        assert (err.predicted, err.limit) == (40 * 199_998**2, tol.FIELD_BYTES_MAX)
+        assert err.reached is None
 
     def test_center_variance_growth_is_logarithmic(self):
         # slope of G(center) against log N approaches 2/pi

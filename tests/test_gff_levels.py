@@ -10,9 +10,7 @@ from levelsim import mc
 from levelsim import tolerances as tol
 from levelsim.gff import (
     GAMMA,
-    FieldTooLargeError,
     GreenOperator,
-    ProbeRefusedError,
     coarse_exceedance_probe,
     estimate_daviaud_exponent,
     expected_level_count,
@@ -114,11 +112,12 @@ class TestDaviaud:
 
 class TestCoarseTailProbe:
     def test_refuses_hopeless_budget(self):
-        with pytest.raises(ProbeRefusedError) as info:
+        with pytest.raises(tol.WorkRefusedError) as info:
             coarse_exceedance_probe(64, 0.0, 2.0, replicas=100, seed=75)
         err = info.value
-        assert err.replicas == 100
-        assert err.predicted_probability == pytest.approx(64.0 ** (-6.0))
+        assert err.stage == "gff.coarse_exceedance_probe"
+        assert err.limit == 10 / 100
+        assert err.predicted == pytest.approx(64.0 ** (-6.0))
         assert "increase replicas" in str(err)
 
     def test_low_level_max_exceeds_often(self):
@@ -223,9 +222,9 @@ class TestFloat32Consumers:
             raise AssertionError("sampling started before the budget check")
 
         monkeypatch.setattr(levels.mc, "map_blocks", never)
-        with pytest.raises(FieldTooLargeError, match="field budget"):
+        with pytest.raises(tol.WorkRefusedError, match="field budget"):
             estimate_daviaud_exponent([200_000], 0.3, replicas=1, seed=0)
-        with pytest.raises(FieldTooLargeError, match="field budget"):
+        with pytest.raises(tol.WorkRefusedError, match="field budget"):
             coarse_exceedance_probe(200_000, 0.0, 1.0, replicas=10, seed=0)
 
 

@@ -1,4 +1,4 @@
-"""Field samplers: spectral backend validated against the dense backend."""
+"""Field samplers: the spectral route validated against the dense site route."""
 
 import math
 import tracemalloc
@@ -13,7 +13,6 @@ from levelsim import mc
 from levelsim import tolerances as tol
 from levelsim.gff import (
     Box,
-    FieldTooLargeError,
     GreenOperator,
     sample_box,
     sample_fields,
@@ -25,18 +24,28 @@ from levelsim.gff import green
 from levelsim.gff.levels import _float32_threshold
 
 
-def draw_batches(grid_n, total, seed, backend="spectral", batch=1000):
+def dense_fields(grid_n, count, rng):
+    """(count, N, N) fields, zero frame, from sample_sites at every interior
+    site, row by row: the interior's flat order."""
+    n = grid_n - 2
+    sites = np.argwhere(np.ones((n, n), dtype=bool)) + 1
+    out = np.zeros((count, grid_n, grid_n))
+    out[:, 1:-1, 1:-1] = sample_sites(grid_n, sites, count, rng).reshape(count, n, n)
+    return out
+
+
+def draw_batches(grid_n, total, seed, sampler=sample_fields, batch=1000):
     chunks = []
     for i in range(math.ceil(total / batch)):
         rng = mc.replica_rng(seed, i)
-        chunks.append(sample_fields(grid_n, min(batch, total - i * batch), rng, backend))
+        chunks.append(sampler(grid_n, min(batch, total - i * batch), rng))
     return np.concatenate(chunks)
 
 
 class TestShapes:
     def test_single_field_shape_and_zero_frame(self):
-        for backend in ("spectral", "dense"):
-            field = sample_fields(16, 1, mc.replica_rng(1, 0), backend=backend)[0]
+        for sampler in (sample_fields, dense_fields):
+            field = sampler(16, 1, mc.replica_rng(1, 0))[0]
             assert field.shape == (16, 16)
             assert np.all(field[0, :] == 0.0)
             assert np.all(field[-1, :] == 0.0)
@@ -53,19 +62,20 @@ class TestShapes:
             sample_fields(2, 1, rng)
         with pytest.raises(ValueError):
             sample_fields(16, 0, rng)
-        with pytest.raises(ValueError, match="backend"):
-            sample_fields(16, 1, rng, backend="fft")
 
     def test_oversized_request_is_refused_before_allocation(self):
         rng = mc.replica_rng(4, 0)
-        with pytest.raises(FieldTooLargeError, match="GiB"):
+        with pytest.raises(tol.WorkRefusedError, match="GiB") as info:
             sample_fields(200_000, 1, rng)
-        with pytest.raises(FieldTooLargeError):
+        assert (info.value.stage, info.value.quantity) == ("gff.sample_fields", "bytes")
+        assert info.value.limit == tol.FIELD_BYTES_MAX
+        with pytest.raises(tol.WorkRefusedError):
             sample_fields(64, tol.FIELD_BYTES_MAX // (8 * 64 * 64), rng)
-        with pytest.raises(FieldTooLargeError, match="float32"):
+        with pytest.raises(tol.WorkRefusedError, match="float32") as info:
             sample_interiors_float32(200_000, 1, rng)
+        assert info.value.stage == "gff.sample_interiors_float32"
         # the float64 noise, its float32 copy and the float32 product: 16 B a site
-        with pytest.raises(FieldTooLargeError):
+        with pytest.raises(tol.WorkRefusedError):
             sample_interiors_float32(64, tol.FIELD_BYTES_MAX // (16 * 62 * 62) + 1, rng)
 
 
@@ -149,10 +159,10 @@ class TestBox:
         box = Box(24, 24, 16, 16)
         tracemalloc.start()
         try:
-            with pytest.raises(FieldTooLargeError, match="box"):
+            with pytest.raises(tol.WorkRefusedError, match="box"):
                 sample_box(64, box, tol.FIELD_BYTES_MAX // (8 * 16 * 16) + 1, rng)
             # above the cut the request is the whole fields sample_fields draws
-            with pytest.raises(FieldTooLargeError, match="50 spectral field"):
+            with pytest.raises(tol.WorkRefusedError, match="50 spectral field"):
                 sample_box(1024, Box(384, 384, 256, 256), 50, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -161,15 +171,15 @@ class TestBox:
 
 
 class TestSites:
-    """sample_sites is the dense backend's values at the given sites, drawn
-    through rows of the banded Cholesky factor, never a whole factor."""
+    """sample_sites draws the dense route's values at the given sites through
+    rows of the banded Cholesky factor, never a whole factor."""
 
     @pytest.mark.parametrize("grid_n", [3, 8, 17])
-    def test_equals_the_dense_backend_on_one_stream(self, grid_n):
+    def test_subset_equals_the_same_columns_of_every_site_on_one_stream(self, grid_n):
         sites = [((grid_n - 1) // 2, (grid_n - 1) // 2), (1, 1), (grid_n - 2, 1)]
         sites_rng, fields_rng = mc.replica_rng(40, grid_n), mc.replica_rng(40, grid_n)
         got = sample_sites(grid_n, sites, 50, sites_rng)
-        fields = sample_fields(grid_n, 50, fields_rng, backend="dense")
+        fields = dense_fields(grid_n, 50, fields_rng)
         rows, cols = np.array(sites).T
         assert np.max(np.abs(got - fields[:, rows, cols])) <= 1e-12
         assert np.array_equal(sites_rng.standard_normal(8), fields_rng.standard_normal(8))
@@ -194,8 +204,9 @@ class TestSites:
 
     def test_oversized_request_is_refused_before_drawing(self):
         rng, fresh = mc.replica_rng(43, 0), mc.replica_rng(43, 0)
-        with pytest.raises(FieldTooLargeError, match="field budget"):
+        with pytest.raises(tol.WorkRefusedError, match="field budget") as info:
             sample_sites(64, [(31, 31)], 40_000, rng)
+        assert info.value.stage == "gff.sample_sites"
         assert rng.standard_normal() == fresh.standard_normal()
 
 
@@ -269,7 +280,7 @@ class TestCovariance:
     def test_pairwise_covariance_matches_green(self):
         grid_n = 16
         g = GreenOperator(grid_n)
-        fields = draw_batches(grid_n, 3000, seed=14, backend="dense")
+        fields = draw_batches(grid_n, 3000, seed=14, sampler=dense_fields)
         rng = np.random.default_rng(15)
         for _ in range(20):
             x = tuple(int(v) for v in rng.integers(1, grid_n - 1, 2))
@@ -286,8 +297,8 @@ class TestCovariance:
 
     def test_backends_agree_in_distribution(self):
         grid_n = 16
-        spectral = draw_batches(grid_n, 2000, seed=16, backend="spectral")
-        dense = draw_batches(grid_n, 2000, seed=17, backend="dense")
+        spectral = draw_batches(grid_n, 2000, seed=16)
+        dense = draw_batches(grid_n, 2000, seed=17, sampler=dense_fields)
         ks = stats.ks_2samp(spectral[:, 8, 8], dense[:, 8, 8])
         assert ks.pvalue > 0.01
         corner_ks = stats.ks_2samp(spectral[:, 2, 13], dense[:, 2, 13])

@@ -283,8 +283,11 @@ class TestExceedance:
 
     def test_exact_rejects_huge_state_space(self):
         plan = plan_of([gw.OffspringLaw.deterministic(500)], 1000)
-        with pytest.raises(ValueError, match="state space"):
+        with pytest.raises(tol.WorkRefusedError, match="state space") as info:
             gw.exact_exceedance(plan, 1e6)
+        err = info.value
+        assert (err.stage, err.quantity) == ("gw.exact_exceedance", "states")
+        assert (err.predicted, err.limit) == (500_001, tol.EXACT_STATE_LIMIT)
 
     def test_exact_refuses_before_any_convolution(self, monkeypatch):
         # the first generation reaches 150001 states, within the limit; only
@@ -303,7 +306,7 @@ class TestExceedance:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np, "convolve", counting)
-        with pytest.raises(ValueError, match="state space 300001"):
+        with pytest.raises(tol.WorkRefusedError, match="state space 300001"):
             gw.exact_exceedance(plan, 1.0)
         assert calls == []
 
