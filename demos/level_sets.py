@@ -34,7 +34,8 @@ def main() -> None:
         print(f"  N={point.grid_n:4d}: mean count {point.counts.mean:8.2f}, "
               f"exponent {exp.mean:.4f} +/- {exp.stderr:.4f}")
     print(f"  cross-size fit slope {est.fit.slope:.4f} "
-          f"(creeping up toward {est.limit} as N grows)")
+          f"(limit {est.limit}, approached slowly as N grows; "
+          "60 replicas a size leave it noisy)")
 
 
 if __name__ == "__main__":

@@ -120,10 +120,11 @@ class NbbmTrajectory:
 
 
 def _cap_error(stage: str, reached: float, population: int, cap: int) -> tol.WorkRefusedError:
-    """The guard's refusal: stage names the engine, simulate_bbm for the
+    """The guard's refusal of the next step, which would hold population
+    particles, above cap: stage names the engine, simulate_bbm for the
     chronological one and count_at_or_above for the wave sweep."""
     return tol.WorkRefusedError(
-        f"population {population} exceeded cap {cap} at time {reached:.6g}",
+        f"a population of {population} would exceed the cap of {cap} at time {reached:.6g}",
         stage, "particles", population, cap, reached,
     )
 
@@ -153,7 +154,7 @@ def _run(
             if now > s_time:
                 break
             if n + 1 > cap:
-                raise _cap_error("bbm.simulate_bbm", now, n, cap)
+                raise _cap_error("bbm.simulate_bbm", now, n + 1, cap)
             i = int(rng.random() * n)
             pos[i] += rng.standard_normal() * math.sqrt(now - last[i])
             last[i] = now

@@ -26,6 +26,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -249,12 +250,24 @@ def _dispatch(pipeline: Pipeline, p: dict[str, int | float | str]) -> Report:
     return pipeline.run(**{param.kwarg or param.key: p[param.key] for param in chosen})
 
 
+def _json_value(value: object) -> str:
+    try:
+        return json.dumps(value, sort_keys=True)
+    except ValueError:
+        # an int past Python's int-to-string digit limit, such as the byte
+        # count of a field at a --grid-n of thousands of digits: exponent
+        # form, a JSON number
+        return f"{Decimal(value):.6e}"
+
+
 def _diagnostic(message: str, field: str | None = None, **extra) -> None:
     payload: dict[str, object] = {"error": message}
     if field is not None:
         payload["field"] = field
     payload.update(extra)
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    # json.dumps(payload, sort_keys=True), value by value
+    items = (f"{json.dumps(key)}: {_json_value(payload[key])}" for key in sorted(payload))
+    print("{" + ", ".join(items) + "}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):

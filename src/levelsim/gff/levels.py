@@ -9,9 +9,10 @@ estimators report per-size values and trends rather than a single number.
 
 The daviaud level counts and the coarse probe at zeta = 0 only ask whether a
 site is at or above the threshold, so they read float32 interiors from
-sample_interiors_float32: the same float64 normals as sample_fields, with the
-transform in float32. A hit or a count can then differ from its float64 twin
-only where a value lies within FIELD_FLOAT32_DELTA of the threshold, and
+sample_interiors_float32: float32 Box-Muller normals on their own Philox
+streams, scaled and transformed in float32. A hit or a count can then differ
+from its float64 twin, the float64 transform of the same normals, only where
+a value lies within FIELD_FLOAT32_DELTA of the threshold, and
 rounding_flip_bound, reported beside each such estimate, bounds how often
 that happens. Their thresholds are compared exactly: each is replaced by the
 smallest float32 not below it, whatever numpy's promotion rules. The zeta > 0
@@ -21,9 +22,10 @@ Both threshold maps run through _threshold_map: their blocks are float32 sine
 products, so unless mc.workers(n) says otherwise they run on every usable
 CPU, each on the one BLAS thread mc pins numpy's OpenBLAS to at import. Their
 float32 bits depend neither on the worker count nor on the host's default
-BLAS thread count. The zeta > 0 probe stays serial:
-its blocks call sample_fields and harmonic_at, which a tracer may wrap, and
-threads raised its peak memory more than they saved.
+BLAS thread count; the float32 log, sin and cos of the normals follow numpy's
+CPU dispatch, so they are fixed per CPU feature set. The zeta > 0 probe
+stays serial: its blocks call sample_fields and harmonic_at, which a tracer
+may wrap, and threads raised its peak memory more than they saved.
 """
 
 from __future__ import annotations

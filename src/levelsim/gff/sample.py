@@ -14,17 +14,22 @@ Cholesky factor of 4I - A (green.py), with no Green matrix assembled.
 
 Code that only asks whether a site is at or above a threshold takes
 sample_interiors_float32: the daviaud level counts and the coarse-tail probe
-at zeta = 0, which reads the field maximum. It draws exactly the float64
-normals sample_fields draws from the same stream and scales them in float64;
-only the transform runs in float32, on one cast of the scaled noise, with a
-float32 copy of the sine matrix (or dstn above the cut). The draws do not
-move, so a hit or a count can differ from its float64 twin only where a value
-lies within FIELD_FLOAT32_DELTA, the float32 error of a field, of the
-threshold. Those maps are BLAS-bound (mc.map_blocks with blas_bound) and run
-on every usable CPU. Every other consumer (covariance, decomposition,
-harmonic values, the dense route) stays on float64 in serial maps. All of
-them run on the one BLAS thread mc pins numpy's OpenBLAS to at import, so
-they give the same bits at any worker count and on any host default.
+at zeta = 0, which reads the field maximum. It draws its own float32 normals
+by the Box-Muller transform on the same counter-keyed Philox streams
+(_standard_normal_float32: 32-bit words for the radii, float32 uniforms for
+the angles), so its fields are other draws of the law sample_fields draws
+from. It scales them by a float32 copy of spectral_scale and transforms them
+in float32, with a float32 copy of the sine matrix (or dstn above the cut).
+Its float64 twin is the float64 transform of the same float32 normals; a hit
+or a count can differ from the twin's only where a value lies within
+FIELD_FLOAT32_DELTA, the float32 error of a field, of the threshold. Those
+maps are BLAS-bound (mc.map_blocks with blas_bound) and run on every usable
+CPU. Every other consumer (covariance, decomposition, harmonic values, the
+dense route) stays on float64 normals in serial maps. All of them run on the
+one BLAS thread mc pins numpy's OpenBLAS to at import, so they give the same
+bits at any worker count and on any host default. The float32 log, sin and
+cos of the Box-Muller step follow numpy's CPU dispatch, so the threshold
+route's bits are fixed per CPU feature set rather than on every host.
 
 Code that reads only one box of each field takes sample_box, the box of the
 fields sample_fields draws from the same stream. Up to the cut it draws each
@@ -40,6 +45,7 @@ request above FIELD_BYTES_MAX with WorkRefusedError.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Sequence
 
@@ -60,17 +66,20 @@ __all__ = [
 ]
 
 _lock = threading.Lock()
-_scale_cache: dict[int, np.ndarray] = {}
+_scale_cache: dict[tuple[int, np.dtype], np.ndarray] = {}
 
 
-def spectral_scale(grid_n: int) -> np.ndarray:
+def spectral_scale(grid_n: int, dtype=np.float64) -> np.ndarray:
     """Standard deviations (1 - lam_{jk})^{-1/2} on the interior mode grid,
-    lam_{jk} = (cos(pi j/(N-1)) + cos(pi k/(N-1)))/2 for j, k = 1..N-2."""
+    lam_{jk} = (cos(pi j/(N-1)) + cos(pi k/(N-1)))/2 for j, k = 1..N-2.
+    Computed in float64 and cast once to dtype."""
+    key = (grid_n, np.dtype(dtype))
     with _lock:
-        scale = _scale_cache.get(grid_n)
+        scale = _scale_cache.get(key)
         if scale is None:
             scale = 1.0 / np.sqrt(_mode_gaps(grid_n))
-            _scale_cache[grid_n] = scale
+            scale = scale.astype(dtype, copy=False)
+            _scale_cache[key] = scale
     return scale
 
 
@@ -90,17 +99,50 @@ def _check_request(grid_n: int, count: int, nbytes: int, what: str, stage: str) 
         )
 
 
-def _spectral_interior(grid_n: int, count: int, rng: Generator, dtype) -> np.ndarray:
-    """The (count, n, n) interiors of the spectral route in dtype: float64
-    normals scaled in float64, cast once to dtype, then the DST-I in dtype."""
-    n = grid_n - 2
-    noise = rng.standard_normal((count, n, n))
-    noise *= spectral_scale(grid_n)
-    noise = noise.astype(dtype, copy=False)
+def _sine_transform(grid_n: int, noise: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I of scaled (count, n, n) noise in both trailing
+    axes, in noise's dtype: the sine products in place up to the cut, dstn
+    above it."""
     if grid_n <= tol.SINE_MATRIX_MAX_N:
-        sine = _sine_matrix(grid_n, dtype)
+        sine = _sine_matrix(grid_n, noise.dtype)
         return np.matmul(sine @ noise, sine, out=noise)
     return scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
+
+
+def _polar_draws(rng: Generator, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws behind `pairs` Box-Muller pairs: that many 32-bit words for
+    the radii, then that many float32 uniforms in [0, 1) for the angles.
+    The radii take whole words because log u is steep near 0: on the 2^-24
+    lattice of float32 uniforms a normal errs by up to 5e-3 against the
+    exact pair, on the 2^-32 lattice by about 1e-5."""
+    words = rng.integers(2**32, size=pairs, dtype=np.uint32)
+    return words, rng.random(pairs, dtype=np.float32)
+
+
+def _standard_normal_float32(rng: Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Float32 standard normals by the Box-Muller transform: from word k and
+    uniform v, u = (k + 1/2) 2^-32 in float32, so u lies in (0, 1] and
+    r = sqrt(-2 log u) <= 6.76, and the pair is (r cos 2 pi v, r sin 2 pi v).
+    The first half of the output holds the cosines, the second the sines; an
+    odd size drops the last sine. Computed in place in float32."""
+    size = math.prod(shape)
+    pairs = (size + 1) // 2
+    words, angles = _polar_draws(rng, pairs)
+    out = np.empty(2 * pairs, dtype=np.float32)
+    radii, sines = out[:pairs], out[pairs:]
+    radii[...] = words
+    del words
+    radii += np.float32(0.5)
+    radii *= np.float32(2.0**-32)
+    np.log(radii, out=radii)
+    radii *= np.float32(-2.0)
+    np.sqrt(radii, out=radii)
+    angles *= np.float32(2.0 * math.pi)
+    np.sin(angles, out=sines)
+    sines *= radii
+    np.cos(angles, out=angles)
+    radii *= angles
+    return out[:size].reshape(shape)
 
 
 def sample_fields(grid_n: int, count: int, rng: Generator) -> np.ndarray:
@@ -110,7 +152,9 @@ def sample_fields(grid_n: int, count: int, rng: Generator) -> np.ndarray:
     nbytes = 8 * count * (grid_n * grid_n + 2 * n * n)
     _check_request(grid_n, count, nbytes, "spectral", "gff.sample_fields")
     out = np.zeros((count, grid_n, grid_n))
-    out[:, 1:-1, 1:-1] = _spectral_interior(grid_n, count, rng, np.float64)
+    noise = rng.standard_normal((count, n, n))
+    noise *= spectral_scale(grid_n)
+    out[:, 1:-1, 1:-1] = _sine_transform(grid_n, noise)
     return out
 
 
@@ -158,12 +202,17 @@ def sample_box(grid_n: int, box: Box, count: int, rng: Generator) -> np.ndarray:
 
 
 def sample_interiors_float32(grid_n: int, count: int, rng: Generator) -> np.ndarray:
-    """The (count, n, n) float32 interiors of the fields sample_fields draws
-    from the same stream, within FIELD_FLOAT32_DELTA of them; for code that
-    only compares values with a threshold (compare exactly: a float32 array
-    against a float64 threshold rounds the threshold to float32)."""
+    """(count, n, n) float32 interiors of count independent fields: float32
+    Box-Muller normals scaled and transformed in float32, within
+    FIELD_FLOAT32_DELTA of the float64 transform of the same normals; for
+    code that only compares values with a threshold (compare exactly: a
+    float32 array against a float64 threshold rounds the threshold to
+    float32). The stream is not sample_fields': these are other fields."""
     n = grid_n - 2
-    # the float64 noise, its float32 copy and the float32 product
-    nbytes = (8 + 4 + 4) * count * n * n
+    # the normals, their radius words and angle uniforms (half a site each)
+    # and the product
+    nbytes = (4 + 2 + 2 + 4) * count * n * n
     _check_request(grid_n, count, nbytes, "float32", "gff.sample_interiors_float32")
-    return _spectral_interior(grid_n, count, rng, np.float32)
+    noise = _standard_normal_float32(rng, (count, n, n))
+    noise *= spectral_scale(grid_n, np.float32)
+    return _sine_transform(grid_n, noise)

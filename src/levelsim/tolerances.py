@@ -177,9 +177,10 @@ FIELD_BLOCK_SITES = 512**2
 # Largest working set one field request (or one Green diagonal) may allocate.
 FIELD_BYTES_MAX = 2**30
 # Float32 error of a field from the threshold route, sample_interiors_float32:
-# max |float32 - float64| on the same normals measured 4.5e-6 at N = 64,
-# 6.4e-6 at N = 128, 9.3e-6 at N = 256 and 1.5e-5 at N = 512 (the dstn route
-# above the cut: about 2e-6 at N = 768 and 1024). Set near 7x the largest.
+# max |float32 - float64| against the float64 transform of the same float32
+# normals, over four replica blocks, measured 3.9e-6 at N = 64, 5.7e-6 at
+# N = 128, 9.9e-6 at N = 256 and 1.1e-5 at N = 512 (the dstn route above the
+# cut: about 2.1e-6 at N = 768 and 1024). Set near 9x the largest.
 # It feeds only the reported rounding_flip_bound; no check gates on it.
 FIELD_FLOAT32_DELTA = 1e-4
 

@@ -62,9 +62,10 @@ class TestChronologicalEngine:
             simulate_bbm(BbmRunConfig(50.0), mc.replica_rng(3, 0))
         err = info.value
         assert (err.stage, err.quantity) == ("bbm.simulate_bbm", "particles")
-        assert err.predicted <= 64
-        assert err.limit == 64
+        # the refused branch would make the 65th particle
+        assert (err.predicted, err.limit) == (65, 64)
         assert 0.0 < err.reached < 50.0
+        assert str(err).startswith("a population of 65 would exceed the cap of 64 at time ")
 
     def test_population_size_is_geometric(self):
         # binary splitting at rate 1 makes the count at t=1 geometric(e^-1)

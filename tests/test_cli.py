@@ -505,6 +505,24 @@ class TestRuntimeFailures:
         assert diag["predicted"] > 10 ** (2 * exponent)
         assert "field budget" in diag["error"]
 
+    @pytest.mark.parametrize(
+        "zeta, stage, predicted",
+        [("0.0", "gff.GreenOperator.diagonal", "4.000000e+4401"),
+         ("0.5", "gff.sample_fields", "2.400000e+4401")],
+    )
+    def test_byte_count_past_the_int_digit_limit_prints(self, zeta, stage, predicted, capsys):
+        # the byte count of N = 10**2200 has over 4300 digits, which str()
+        # refuses; the diagnostic prints it in exponent form
+        argv = ["coarse-tail", "--seed", "1", "--grid-n", str(10**2200), "--b", "0.1",
+                "--zeta", zeta, "--replicas", "10"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert f'"predicted": {predicted},' in err
+        diag = refusal(err, stage)
+        assert diag["predicted"] == math.inf
+        assert "field budget" in diag["error"]
+
     def test_oversized_decomposition_block_exits_3_before_sampling(self, capsys, monkeypatch):
         # above the sine-matrix cut the root window is sliced from whole fields,
         # so a block of 50 at N=1024 is refused as 50 whole fields would be
@@ -570,9 +588,9 @@ class TestRuntimeFailures:
         assert code == 3
         assert out == ""
         diag = refusal(err, "bbm.simulate_bbm", mid_run=True)
-        assert (diag["quantity"], diag["limit"]) == ("particles", 100)
+        assert (diag["quantity"], diag["predicted"], diag["limit"]) == ("particles", 101, 100)
         assert 0.0 < diag["reached"] < 4.0
-        assert "exceeded cap 100" in diag["error"]
+        assert "a population of 101 would exceed the cap of 100" in diag["error"]
 
     def test_oversized_event_budget_exits_3_at_once(self, capsys, monkeypatch):
         # t=14 passes the particle guard but expects ~1.2e9 branch events per cap

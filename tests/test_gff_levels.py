@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import stats
 
 from levelsim import mc
@@ -17,7 +18,9 @@ from levelsim.gff import (
     level_threshold,
     levels,
     rounding_flip_bound,
+    sample,
     sample_fields,
+    spectral_scale,
 )
 
 
@@ -196,10 +199,17 @@ class TestFloat32Consumers:
         block = levels._field_block(grid_n)
         delta = tol.FIELD_FLOAT32_DELTA
 
+        def twin(size, rng):
+            # the same float32 normals, scaled and transformed in float64
+            n = grid_n - 2
+            noise = sample._standard_normal_float32(rng, (size, n, n)).astype(np.float64)
+            noise *= spectral_scale(grid_n)
+            return scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
+
         def double(seed):
             return np.concatenate(
                 [
-                    sample_fields(grid_n, min(block, replicas - k), mc.replica_rng(seed, i))
+                    twin(min(block, replicas - k), mc.replica_rng(seed, i))
                     for i, k in enumerate(range(0, replicas, block))
                 ]
             )

@@ -1,5 +1,6 @@
 """Field samplers: the spectral route validated against the dense site route."""
 
+import hashlib
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,7 @@ from levelsim.gff import (
     sample_sites,
     spectral_scale,
 )
-from levelsim.gff import green
+from levelsim.gff import green, sample
 from levelsim.gff.levels import _float32_threshold
 
 
@@ -74,9 +75,10 @@ class TestShapes:
         with pytest.raises(tol.WorkRefusedError, match="float32") as info:
             sample_interiors_float32(200_000, 1, rng)
         assert info.value.stage == "gff.sample_interiors_float32"
-        # the float64 noise, its float32 copy and the float32 product: 16 B a site
+        # the float32 normals, their radius words and angle uniforms and the
+        # float32 product: 12 B a site
         with pytest.raises(tol.WorkRefusedError):
-            sample_interiors_float32(64, tol.FIELD_BYTES_MAX // (16 * 62 * 62) + 1, rng)
+            sample_interiors_float32(64, tol.FIELD_BYTES_MAX // (12 * 62 * 62) + 1, rng)
 
 
 class TestSpectralTransform:
@@ -210,9 +212,19 @@ class TestSites:
         assert rng.standard_normal() == fresh.standard_normal()
 
 
+def float64_twin(grid_n, count, rng):
+    """The float64 twin of sample_interiors_float32 on rng's stream: the same
+    float32 normals, scaled and transformed in float64."""
+    n = grid_n - 2
+    noise = sample._standard_normal_float32(rng, (count, n, n)).astype(np.float64)
+    noise *= spectral_scale(grid_n)
+    return scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
+
+
 class TestFloat32Route:
-    """The threshold route transforms the float64 draws of sample_fields in
-    float32, so it tracks them site by site within FIELD_FLOAT32_DELTA."""
+    """The threshold route scales and transforms its float32 normals in
+    float32, so it tracks their float64 transform site by site within
+    FIELD_FLOAT32_DELTA."""
 
     DELTA = tol.FIELD_FLOAT32_DELTA
 
@@ -222,17 +234,17 @@ class TestFloat32Route:
     )
     def test_same_stream_interiors_agree(self, grid_n, count):
         single = sample_interiors_float32(grid_n, count, mc.replica_rng(33, grid_n))
-        double = sample_fields(grid_n, count, mc.replica_rng(33, grid_n))
+        double = float64_twin(grid_n, count, mc.replica_rng(33, grid_n))
         n = grid_n - 2
         assert single.dtype == np.float32
         assert single.shape == (count, n, n)
-        error = np.max(np.abs(single.astype(np.float64) - double[:, 1:-1, 1:-1]))
+        error = np.max(np.abs(single.astype(np.float64) - double))
         assert error <= self.DELTA / 5
 
     def test_hits_and_counts_differ_only_near_the_threshold(self):
         grid_n, count = 64, 64
         single = sample_interiors_float32(grid_n, count, mc.replica_rng(34, 0))
-        double = sample_fields(grid_n, count, mc.replica_rng(34, 0))[:, 1:-1, 1:-1]
+        double = float64_twin(grid_n, count, mc.replica_rng(34, 0))
         maxima = double.max(axis=(1, 2))
         # thresholds on top of float64 maxima, and of sites, stress the ties
         thresholds = np.concatenate(
@@ -249,6 +261,114 @@ class TestFloat32Route:
             near = (np.abs(double - thr) < self.DELTA).sum(axis=(1, 2))
             change = np.abs(sites32.sum(axis=(1, 2)) - sites64.sum(axis=(1, 2)))
             assert np.all(change <= near)
+
+
+class TestFloat32Normals:
+    """The Box-Muller normals of the threshold route, against the standard
+    normal law and against exact Box-Muller pairs on the same draws."""
+
+    PAIRS = 2_000_000
+
+    @pytest.fixture(scope="class")
+    def normals(self):
+        z = sample._standard_normal_float32(mc.replica_rng(35, 0), (2 * self.PAIRS,))
+        assert z.dtype == np.float32
+        return z.astype(np.float64)
+
+    def test_moments(self, normals):
+        m = normals.size
+        mean, var = normals.mean(), normals.var()
+        kurtosis = np.mean((normals - mean) ** 4) / var**2
+        # standard errors of the mean, the variance and the kurtosis of m
+        # standard normals: 1, sqrt(2) and sqrt(24), over sqrt(m)
+        for value, target, sd in ((mean, 0, 1), (var, 1, 2**0.5), (kurtosis, 3, 24**0.5)):
+            assert abs(value - target) * math.sqrt(m) / sd < 4.0
+
+    def test_tail_frequencies(self, normals):
+        m = normals.size
+        for level in (3.0, 4.0):
+            p = 2.0 * stats.norm.sf(level)
+            freq = float((np.abs(normals) > level).mean())
+            assert abs(freq - p) < 4.0 * math.sqrt(p * (1.0 - p) / m)
+
+    def test_ks(self, normals):
+        # the 0.1% critical value of the one-sample KS statistic is 1.95/sqrt(m)
+        statistic = stats.kstest(normals, "norm").statistic
+        assert statistic < 1.95 / math.sqrt(normals.size)
+
+    def test_extreme_words_give_finite_radii(self, monkeypatch):
+        words = np.array([0, 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+        angles = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-24], dtype=np.float32)
+        monkeypatch.setattr(sample, "_polar_draws", lambda rng, pairs: (words, angles))
+        z = sample._standard_normal_float32(None, (10,)).astype(np.float64)
+        assert np.all(np.isfinite(z))
+        radii = np.hypot(z[:5], z[5:])
+        assert np.all(radii >= 0.0)
+        # k = 0 gives the largest radius, sqrt(66 log 2) = 6.76; the top word
+        # rounds u up to 1 and gives radius 0
+        assert radii[0] == pytest.approx(math.sqrt(66.0 * math.log(2.0)), rel=1e-6)
+        assert radii[-1] == 0.0
+        assert radii.max() <= 6.77
+
+    def test_odd_sizes_drop_the_last_sine(self):
+        z = sample._standard_normal_float32(mc.replica_rng(36, 0), (3, 5))
+        even = sample._standard_normal_float32(mc.replica_rng(36, 0), (16,))
+        assert z.shape == (3, 5) and z.dtype == np.float32
+        # both draw 8 pairs: 8 cosines, then 8 sines, the last one dropped
+        assert z.tobytes() == even[:15].tobytes()
+
+    @pytest.mark.parametrize("grid_n", [128, 512])
+    def test_fields_stay_near_exact_pairs(self, grid_n):
+        """Fields of the lattice normals against fields of exact Box-Muller
+        pairs on the same draws, with u = (k + 1/2) 2^-32 and the angle in
+        float64; both transformed in float64."""
+        n = grid_n - 2
+        count = max(1, 2**18 // (n * n))
+        pairs = (count * n * n + 1) // 2
+        words, angles = sample._polar_draws(mc.replica_rng(37, grid_n), pairs)
+        radii = np.sqrt(-2.0 * np.log((words + 0.5) * 2.0**-32))
+        theta = 2.0 * math.pi * angles.astype(np.float64)
+        exact = np.concatenate([radii * np.cos(theta), radii * np.sin(theta)])
+        lattice = sample._standard_normal_float32(mc.replica_rng(37, grid_n), (2 * pairs,))
+        # float32 uniforms for the radius would err by up to 5e-3 here
+        assert np.max(np.abs(lattice - exact)) < 1e-4
+        fields = []
+        for z in (lattice, exact):
+            noise = z[: count * n * n].astype(np.float64).reshape(count, n, n)
+            noise *= spectral_scale(grid_n)
+            fields.append(scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2)))
+        assert np.max(np.abs(fields[0] - fields[1])) <= tol.FIELD_FLOAT32_DELTA / 5
+
+
+class TestFloat32StreamPins:
+    """SHA-256 of the threshold route's draws for one (seed, shape): its
+    radius words, then its angle uniforms. Any change to what it draws, how
+    many or in which order moves these digests. The normals are not pinned:
+    float32 log, sin and cos follow numpy's CPU dispatch."""
+
+    @pytest.mark.parametrize(
+        "grid_n, count, digest",
+        [
+            (64, 2, "7ff5028f8e0f8d299fd9759879d735e34aeec8a995b4aaffed9c3ece8d4dc50a"),
+            (17, 1, "99b20e93a665f212300497bd3192a496ed6ef6a85bfc6f47bb6e7dabe7202f9b"),
+        ],
+    )
+    def test_polar_draws(self, monkeypatch, grid_n, count, digest):
+        draw, drawn = sample._polar_draws, []
+
+        def record(rng, pairs):
+            words, angles = draw(rng, pairs)
+            drawn.append((words.copy(), angles.copy()))
+            return words, angles
+
+        monkeypatch.setattr(sample, "_polar_draws", record)
+        sample_interiors_float32(grid_n, count, mc.replica_rng(38, grid_n))
+        [(words, angles)] = drawn
+        assert (words.dtype, angles.dtype) == (np.uint32, np.float32)
+        assert words.size == angles.size == (count * (grid_n - 2) ** 2 + 1) // 2
+        digest_of = hashlib.sha256(words.tobytes())
+        digest_of.update(angles.tobytes())
+        assert digest_of.hexdigest() == digest
 
 
 class TestMarginals:
