@@ -30,7 +30,6 @@ from .paths import (
     DiscretizationPlan,
     EventReport,
     check_events,
-    default_cutoff,
     e2_failure_bound,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "check_events",
     "check_nbbm_dominance",
     "count_at_or_above",
-    "default_cutoff",
     "e2_failure_bound",
     "estimate_level_exponent",
     "estimate_max_tail",

@@ -2,10 +2,10 @@
 
 A run over [0, t] is observed at the grid times s_i = i*t^delta (the last
 step is clipped to t); the space mesh is t^delta_prime. E1 confines every
-particle to [-C*t, C*t] at each s_i, E2 caps each particle's one-step
-descendant count at t^2 * e^(t^delta). Both read the run's snapshots at the
-grid times: E2 counts, for each particle at s_i, the particles at s_{i+1}
-whose ancestor index names it.
+particle to [-C*t, C*t] at each s_i, with C = PATH_BOX_C; E2 caps each
+particle's one-step descendant count at t^2 * e^(t^delta). Both read the
+run's snapshots at the grid times: E2 counts, for each particle at s_i, the
+particles at s_{i+1} whose ancestor index names it.
 """
 
 from __future__ import annotations
@@ -16,21 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import tolerances as tol
 from .engine import BbmPopulation
 
 __all__ = [
-    "default_cutoff",
     "DiscretizationPlan",
     "EventReport",
     "check_events",
     "e2_failure_bound",
 ]
-
-
-def default_cutoff(x: float) -> float:
-    """Spatial box constant 2*max(x, sqrt(2)) + 1: comfortably outside both
-    the natural front speed and the target speed."""
-    return 2.0 * max(x, math.sqrt(2.0)) + 1.0
 
 
 @dataclass(frozen=True)
@@ -39,13 +33,12 @@ class DiscretizationPlan:
 
     delta in (1/2, 1) sets the coarse step t^delta; delta_prime, constrained
     to (0, 2*delta - 1), sets the space mesh t^delta_prime (default: the
-    midpoint of its range); cutoff is the E1 box constant C.
+    midpoint of its range).
     """
 
     t: float
     delta: float = 0.75
     delta_prime: float | None = None
-    cutoff: float | None = None
 
     def __post_init__(self):
         if not self.t > 0:
@@ -58,10 +51,6 @@ class DiscretizationPlan:
             raise ValueError(
                 f"delta_prime must lie in (0, {2 * self.delta - 1}), got {self.delta_prime}"
             )
-        if self.cutoff is None:
-            object.__setattr__(self, "cutoff", default_cutoff(math.sqrt(2.0)))
-        if not self.cutoff > 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
     @property
     def steps(self) -> int:
@@ -106,7 +95,7 @@ def check_events(
         raise ValueError(
             f"snapshot times {times} are not the grid times {grid.tolist()}"
         )
-    bound = plan.cutoff * plan.t
+    bound = tol.PATH_BOX_C * plan.t
     e1_violations = [
         (i, int(k), float(pop.positions[k]))
         for i, pop in enumerate(populations)

@@ -116,7 +116,8 @@ PIPELINES = {
                  _rates, False, (
             _SEED,
             replace(_REPLICAS, kwarg="queries"),
-            Param("a", float, "fraction-of-time parameter", 0.0, 1.0, "[)"),
+            Param("a", float, "fraction-of-time parameter", 0.0,
+                  1.0 - tol.RATE_MIN_ONE_MINUS_A, "[]"),
             Param("x", float, "particle speed; selects point mode", 0.0),
             Param("eta", float, "level height; selects point mode", 0.0, 1.0),
         )),

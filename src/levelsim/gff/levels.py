@@ -19,13 +19,13 @@ smallest float32 not below it, whatever numpy's promotion rules. The zeta > 0
 probe averages field values in harmonic_at and stays on float64.
 
 Both threshold maps run through _threshold_map: their blocks are float32 sine
-products, so unless mc.workers(n) says otherwise they run on every usable
-CPU, each on the one BLAS thread mc pins numpy's OpenBLAS to at import. Their
-float32 bits depend neither on the worker count nor on the host's default
-BLAS thread count; the float32 log, sin and cos of the normals follow numpy's
-CPU dispatch, so they are fixed per CPU feature set. The zeta > 0 probe
-stays serial: its blocks call sample_fields and harmonic_at, which a tracer
-may wrap, and threads raised its peak memory more than they saved.
+products, so mc runs them on every usable CPU, each on the one BLAS thread mc
+pins numpy's OpenBLAS to at import. Their float32 bits depend neither on the
+thread count nor on the host's default BLAS thread count; the float32 log,
+sin and cos of the normals follow numpy's CPU dispatch, so they are fixed
+per CPU feature set. The zeta > 0 probe stays serial: its blocks call
+sample_fields and harmonic_at, which a tracer may wrap, and threads raised
+its peak memory more than they saved.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _threshold_map(
     thr32 the exact float32 stand-in for threshold; returns the replicas'
     values and rounding_flip_bound(grid_n, threshold).
 
-    The map is BLAS-bound: with mc.workers unset, it runs on every usable CPU.
+    The map is BLAS-bound, so it runs on every usable CPU.
     """
     thr32 = _float32_threshold(threshold)
 

@@ -27,7 +27,7 @@ maps are BLAS-bound (mc.map_blocks with blas_bound) and run on every usable
 CPU. Every other consumer (covariance, decomposition, harmonic values, the
 dense route) stays on float64 normals in serial maps. All of them run on the
 one BLAS thread mc pins numpy's OpenBLAS to at import, so they give the same
-bits at any worker count and on any host default. The float32 log, sin and
+bits at any thread count and on any host default. The float32 log, sin and
 cos of the Box-Muller step follow numpy's CPU dispatch, so the threshold
 route's bits are fixed per CPU feature set rather than on every host.
 

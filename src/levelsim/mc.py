@@ -2,25 +2,24 @@
 
 Every estimator in this package draws its randomness through this module:
 a master seed plus a replica index is mapped to an independent Philox
-counter-based stream, replicas are executed by a deterministic parallel map,
-and aggregation runs in replica-index order. Results are therefore
-bit-identical for a fixed (master seed, plan) at any worker count.
+counter-based stream, replicas are executed by a deterministic map, and
+aggregation runs in replica-index order. Results are therefore bit-identical
+for a fixed (master seed, plan) at any thread count.
 
-The worker count is one scoped setting, ``with workers(n):``, read by every
-map in this module. Unset, it leaves each map to its default: 1 (serial),
-except for maps of BLAS-bound blocks (``map_blocks(..., blas_bound=True)``,
-the float32 threshold field maps), which run on every CPU the process may
-use. Importing this module sets numpy's OpenBLAS to one thread for the rest
-of the process, so every product gives the same bits at any worker count and
-on any host default; where that pin is unavailable, BLAS-bound maps too run
-serially unless ``workers(n)`` is open. The calling thread is one of a map's
-workers, and a map nested inside a task runs serially.
+The code, not the caller, picks a map's thread count, in ``map_blocks``:
+maps of BLAS-bound blocks (``map_blocks(..., blas_bound=True)``, the float32
+threshold field maps) run on every CPU the process may use, and every other
+map runs serially. Importing this module sets numpy's OpenBLAS to one thread
+for the rest of the process, so every product gives the same bits at any
+thread count and on any host default; where that pin is unavailable,
+BLAS-bound maps too run serially. The calling thread is one of a map's
+threads.
 
 Vectorized tasks run in replica blocks (``map_blocks``): one stream per block
 of consecutive replicas, keyed like a replica's, as in the counter-based
 design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 (SC'11). Results then depend on the plan and the block size, never on the
-workers. The field samplers, the Galton-Watson sweep and the branching
+threads. The field samplers, the Galton-Watson sweep and the branching
 Brownian motion counting estimators run in blocks; ``parallel_map``, one
 stream per replica, now serves only the N-BBM dominance sweep, whose
 chronological engine runs one replica at a time, and ``run_replicas``.
@@ -33,14 +32,12 @@ Kolmogorov-Smirnov test on samples of equal size. Both use only
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -50,7 +47,6 @@ __all__ = [
     "ReplicaPlan",
     "Estimate",
     "ExponentFit",
-    "workers",
     "derive_seed",
     "replica_rng",
     "parallel_map",
@@ -121,8 +117,8 @@ class ReplicaPlan:
     replicas: number of independent replicas.
     master_seed: explicit seed; no entropy is ever pulled from the OS.
 
-    The worker count is not part of the plan: results do not depend on it,
-    and it is set for a whole run by ``with workers(n):``.
+    The thread count is not part of the plan: results do not depend on it,
+    and ``map_blocks`` chooses it per map.
     """
 
     replicas: int
@@ -147,28 +143,6 @@ class Estimate:
     def within(self, target: float, multiple: float) -> bool:
         """|mean - target| <= multiple * stderr, the standard MC agreement check."""
         return abs(self.mean - target) <= multiple * self.stderr
-
-
-_WORKERS: contextvars.ContextVar[int | None] = contextvars.ContextVar(
-    "workers", default=None
-)
-
-
-@contextlib.contextmanager
-def workers(n: int) -> Iterator[None]:
-    """Run every map inside the block on n threads. Unset (outside any such
-    block), each map takes its own default; see the module docstring.
-
-    Results do not depend on n. The previous value comes back when the block
-    exits, also by an exception.
-    """
-    if n < 1:
-        raise ValueError(f"workers must be >= 1, got {n}")
-    token = _WORKERS.set(n)
-    try:
-        yield
-    finally:
-        _WORKERS.reset(token)
 
 
 def _usable_cpus() -> int:
@@ -231,66 +205,57 @@ def _map_indices(
 ) -> list:
     """call(i, stream(i)) for i in range(count), returned in index order.
 
-    Runs on the workers(n) threads, or on `threads` when that is unset. The
-    calling thread is one of them; indices go out one at a time, each with
-    its stream, under the map's lock, so the streams are made one at a time
-    and in index order. After a failure no further index goes out, and the
-    exception of the lowest failed index propagates once every worker has
-    stopped. Tasks see workers(1), so a map nested inside one runs serially.
+    Runs on `threads` threads (at most one per index), the calling thread one
+    of them; indices go out one at a time, each with its stream, under the
+    map's lock, so the streams are made one at a time and in index order.
+    After a failure no further index goes out, and the exception of the
+    lowest failed index propagates once every thread has stopped.
     """
-    n = min(_WORKERS.get() or threads, count)
-    token = _WORKERS.set(1)
-    try:
-        if n <= 1:
-            return [call(i, stream(i)) for i in range(count)]
-        results: list = [None] * count
-        errors: dict[int, BaseException] = {}
-        lock = threading.Lock()
-        cursor = 0
+    n = min(threads, count)
+    if n <= 1:
+        return [call(i, stream(i)) for i in range(count)]
+    results: list = [None] * count
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    cursor = 0
 
-        # a worker records what it raised and stops; the caller re-raises it
-        # once the others have stopped too
-        def work() -> None:
-            nonlocal cursor
-            while True:
-                with lock:
-                    if cursor == count or errors:
-                        return
-                    i = cursor
-                    cursor += 1
-                    try:
-                        rng = stream(i)
-                    except BaseException as exc:
-                        errors[i] = exc
-                        return
-                try:
-                    results[i] = call(i, rng)
-                except BaseException as exc:
-                    with lock:
-                        errors[i] = exc
+    # a thread records what it raised and stops; the caller re-raises it
+    # once the others have stopped too
+    def work() -> None:
+        nonlocal cursor
+        while True:
+            with lock:
+                if cursor == count or errors:
                     return
+                i = cursor
+                cursor += 1
+                try:
+                    rng = stream(i)
+                except BaseException as exc:
+                    errors[i] = exc
+                    return
+            try:
+                results[i] = call(i, rng)
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+                return
 
-        # each pool thread runs in a copy of this context, where workers is 1
-        with ThreadPoolExecutor(max_workers=n - 1) as pool:
-            futures = [
-                pool.submit(contextvars.copy_context().run, work) for _ in range(n - 1)
-            ]
-            work()
-            for future in futures:
-                future.result()
-        if errors:
-            raise errors[min(errors)]
-        return results
-    finally:
-        _WORKERS.reset(token)
+    with ThreadPoolExecutor(max_workers=n - 1) as pool:
+        futures = [pool.submit(work) for _ in range(n - 1)]
+        work()
+        for future in futures:
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def parallel_map(plan: ReplicaPlan, task: Callable[[Generator], object]) -> list:
     """Run task once per replica, each with its own derived stream.
 
-    Returns results in replica-index order regardless of completion order, so
-    any aggregation applied to the returned list is concurrency-independent.
-    Exceptions in workers propagate.
+    Runs serially and returns results in replica-index order. Exceptions
+    in the task propagate.
     """
     return _map_indices(
         plan.replicas,
@@ -312,11 +277,12 @@ def map_blocks(
     be short), and draws from its own stream replica_rng(master_seed, b), so
     block=1 reproduces parallel_map's streams. The task returns one value per
     replica along its first axis; the blocks' values are concatenated in
-    replica order. Exceptions in workers propagate.
+    replica order. The exception of the lowest failed block propagates.
 
-    blas_bound marks blocks whose time goes to BLAS products: with workers
-    unset, the map runs on every usable CPU if the import-time pin took, and
-    serially otherwise.
+    blas_bound marks blocks whose time goes to BLAS products: the map runs
+    on every usable CPU if the import-time pin took, and serially otherwise.
+    Every other map runs serially, as threads only slowed the maps whose
+    time goes to the interpreter.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")

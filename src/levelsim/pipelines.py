@@ -3,8 +3,8 @@
 Each run_* function executes one shipped check at its declared workload
 (see tolerances.py), wires estimates against their analytic anchors, and
 returns a Report. Results are a pure function of the seed: replica streams
-are derived per stage, aggregation is replica-ordered, and the worker count
-(``mc.workers``) never enters the document.
+are derived per stage, aggregation is replica-ordered, and the thread count
+a map runs on never enters the document.
 """
 
 from __future__ import annotations
@@ -689,9 +689,10 @@ def run_bbm_exponents(
 def run_nbbm(
     seed: int,
     t: float = tol.NBBM_T,
-    caps: Sequence[int] = tol.NBBM_CAPS,
     replicas: int = tol.NBBM_REPLICAS,
 ) -> Report:
+    """Dominance sweeps at each of NBBM_CAPS, read at call time."""
+    caps = tol.NBBM_CAPS
     estimates = []
     checks = []
     snapshots = tuple(s * t / tol.NBBM_T for s in tol.NBBM_SNAPSHOTS)

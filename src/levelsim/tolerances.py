@@ -8,6 +8,8 @@ budget here is enforced by raising WorkRefusedError.
 
 from __future__ import annotations
 
+import math
+
 
 class WorkRefusedError(RuntimeError):
     """Work a budget below cannot afford: stage is the refusing function's
@@ -29,6 +31,15 @@ class WorkRefusedError(RuntimeError):
 RATE_QUERIES = 100
 RATE_VALUE_TOL = 1e-6
 RATE_RESIDUAL_TOL = 1e-9
+# Floor on 1 - a for rates point queries: the CLI refuses --a above 1 minus
+# it. Near a = 1 the certificate's maximizer sits within about
+# 2(1-a)^2/x^2 of its window's edge, and the grid objective forms that
+# distance as a difference of numbers near 1, so rounding swamps the gap.
+# Worst certification gap over x in [0.1, 3] and eta in [0.1, 0.999]: 1.3e-7
+# at 1 - a = 1e-4, 3.4e-7 at 5e-5, 7.6e-7 at 2e-5, then 3.4e-6 (x) and
+# 1.4e-6 (eta) at 1e-5, past RATE_VALUE_TOL, and 2e-4 at 1e-6. The sweep
+# keeps 1 - a >= 1e-4.
+RATE_MIN_ONE_MINUS_A = 1e-4
 # rates: the two closed-form anchor points, and the identity
 # rate_j(a, eta) = 2 rate_i(a, sqrt(2) eta) over the sweep, both in floating
 # point arithmetic on closed forms
@@ -103,6 +114,10 @@ KPP_TRUNCATION = 1e-6
 # small-t limit of about 0.473, so the grid check cannot stand in for this
 # floor. KPP_TRUNCATION's error analysis also assumes t >= 1.
 KPP_MIN_T = 1.0
+# bbm-exponents' path diagnostic: the E1 event confines every particle to
+# [-C t, C t] with C = 2 sqrt(2) + 1, outside the front speed sqrt(2) and
+# every admissible --x, which stays below it.
+PATH_BOX_C = 2.0 * math.sqrt(2.0) + 1.0
 
 # C6: capped-system dominance
 NBBM_T = 6.0
@@ -193,7 +208,8 @@ BBM_BLOCK_PARTICLES = 2**16
 # horizon at which some replica is expected to.
 BBM_PARTICLE_CAP = 10**7
 
-# C13: determinism
+# C13: determinism. The rerun sees this many usable CPUs, so the BLAS-bound
+# threshold maps run on this many threads.
 DETERMINISM_CONCURRENCY = 4
 
 CHECK_NAMES = {

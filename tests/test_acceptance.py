@@ -358,20 +358,23 @@ def test_c13_determinism(
     decomp_run,
     coarse_run,
     announce,
+    monkeypatch,
 ):
+    # the rerun sees DETERMINISM_CONCURRENCY usable CPUs, so the BLAS-bound
+    # threshold maps run on that many threads where the BLAS pin took
     conc = tol.DETERMINISM_CONCURRENCY
-    with mc.workers(conc):
-        reruns = {
-            "rates": (rates_run[0], pipelines.run_rates(RATES_SEED)),
-            "gw-verify": (gw_run[0], pipelines.run_gw_verify(GW_SEED)),
-            "bbm-exponents": (bbm_run[0], pipelines.run_bbm_exponents(BBM_SEED)),
-            "nbbm": (nbbm_run[0], pipelines.run_nbbm(NBBM_SEED)),
-            "gff-cov": (cov_run[0], pipelines.run_gff_cov(GFF_COV_SEED)),
-            "daviaud": (daviaud_run[0], pipelines.run_daviaud(DAVIAUD_SEED)),
-            "cover-check": (cover_run[0], pipelines.run_cover_check()),
-            "decompose-var": (decomp_run[0], pipelines.run_decompose_var(DECOMP_SEED)),
-            "coarse-tail": (coarse_run[0], pipelines.run_coarse_tail(COARSE_SEED)),
-        }
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: conc)
+    reruns = {
+        "rates": (rates_run[0], pipelines.run_rates(RATES_SEED)),
+        "gw-verify": (gw_run[0], pipelines.run_gw_verify(GW_SEED)),
+        "bbm-exponents": (bbm_run[0], pipelines.run_bbm_exponents(BBM_SEED)),
+        "nbbm": (nbbm_run[0], pipelines.run_nbbm(NBBM_SEED)),
+        "gff-cov": (cov_run[0], pipelines.run_gff_cov(GFF_COV_SEED)),
+        "daviaud": (daviaud_run[0], pipelines.run_daviaud(DAVIAUD_SEED)),
+        "cover-check": (cover_run[0], pipelines.run_cover_check()),
+        "decompose-var": (decomp_run[0], pipelines.run_decompose_var(DECOMP_SEED)),
+        "coarse-tail": (coarse_run[0], pipelines.run_coarse_tail(COARSE_SEED)),
+    }
     mismatched = [
         name
         for name, (base, redo) in sorted(reruns.items())
@@ -382,7 +385,8 @@ def test_c13_determinism(
     announce(
         13,
         ok,
-        f"{len(reruns)} pipelines re-run at concurrency {conc}, json and csv "
-        f"byte-compared; mismatches: {mismatched if mismatched else 'none'}",
+        f"{len(reruns)} pipelines re-run with {conc} usable CPUs "
+        f"(threshold maps on {conc if mc._BLAS_PINNED else 1} threads), json and "
+        f"csv byte-compared; mismatches: {mismatched if mismatched else 'none'}",
     )
     assert not mismatched

@@ -5,9 +5,9 @@ A deletion that leaves a name behind in an ``__all__`` list, or a re-export
 that hides a submodule behind a function of the same name, then fails here
 rather than at import time in a demo or a benchmark pass. An exported name
 that nothing under ``src/``, ``demos/`` or ``perfbench/`` references is dead
-surface. The worker count is set only by ``mc.workers`` and the population
-guards only by ``tolerances.py``, so no exported callable takes either as a
-parameter.
+surface. The code picks each map's thread count, and the population guards,
+the N-BBM caps and the path diagnostic's box are ``tolerances.py`` constants,
+so no exported callable takes any of them as a parameter.
 The package's import graph leaves out scipy's heaviest subpackages, which
 once made up most of the command line's start-up time. Only ``mc`` sets
 numpy's BLAS thread count, so no other module reaches into its private names.
@@ -104,7 +104,9 @@ def parameters(obj):
         return {}
 
 
-@pytest.mark.parametrize("keyword", ["max_concurrency", "particle_cap", "population_cap"])
+@pytest.mark.parametrize(
+    "keyword", ["max_concurrency", "particle_cap", "population_cap", "caps", "cutoff"]
+)
 def test_no_exported_callable_takes_a_removed_setting(keyword):
     takers = [
         (module.__name__, name)

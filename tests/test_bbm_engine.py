@@ -198,15 +198,6 @@ class TestBlockSweep:
         population = count_at_or_above(t, -math.inf, mc.replica_rng(89, 0), size)
         assert population.tolist() == np.bincount(ids, minlength=size).tolist()
 
-    def test_counts_do_not_depend_on_workers(self):
-        # t=4 takes blocks of 1191 replicas: two full blocks and a short one
-        with mc.workers(1):
-            serial = replica_counts(4.0, 2.0, 3000, 97)
-        with mc.workers(4):
-            threaded = replica_counts(4.0, 2.0, 3000, 97)
-        assert serial.shape == (3000,)
-        assert np.array_equal(serial, threaded)
-
     @pytest.mark.parametrize("t, replicas, streams", [(4.0, 2500, 3), (8.0, 43, 3)])
     def test_one_stream_per_block(self, t, replicas, streams, monkeypatch):
         block = max(1, tol.BBM_BLOCK_PARTICLES // math.ceil(math.exp(t)))

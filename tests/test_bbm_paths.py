@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from levelsim import mc
+from levelsim import mc, tolerances as tol
 from levelsim.bbm import (
     BbmRunConfig,
     BbmPopulation,
     DiscretizationPlan,
     check_events,
-    default_cutoff,
     e2_failure_bound,
     simulate_bbm,
 )
@@ -40,14 +39,19 @@ class TestDiscretizationPlan:
             DiscretizationPlan(t=4.0, delta=1.0)
         with pytest.raises(ValueError):
             DiscretizationPlan(t=4.0, delta=0.75, delta_prime=0.5)
-        with pytest.raises(ValueError):
-            DiscretizationPlan(t=4.0, cutoff=0.0)
 
     def test_default_cutoff(self):
-        assert default_cutoff(2.0) == pytest.approx(5.0)
-        assert default_cutoff(1.0) == pytest.approx(2.0 * math.sqrt(2.0) + 1.0)
-        plan = DiscretizationPlan(t=4.0)
-        assert plan.cutoff == pytest.approx(default_cutoff(math.sqrt(2.0)))
+        # the E1 box [-C t, C t] has C = 2 sqrt(2) + 1 at every horizon
+        assert tol.PATH_BOX_C == pytest.approx(2.0 * math.sqrt(2.0) + 1.0)
+        for t in (4.0, 16.0):
+            plan = DiscretizationPlan(t=t)
+            box = tol.PATH_BOX_C * t
+            for edge, inside in ((box, True), (np.nextafter(box, np.inf), False)):
+                pops = [
+                    BbmPopulation(s, np.array([0.0, -edge]), np.zeros(2, dtype=np.int64))
+                    for s in plan.times()
+                ]
+                assert check_events(pops, plan).e1 is inside
 
 
 class TestEvents:
@@ -67,7 +71,7 @@ class TestEvents:
     def test_shifted_positions_violate_confinement(self):
         plan = DiscretizationPlan(t=4.0, delta=0.75)
         pops = self._run(plan, 8)
-        shift = 2.0 * plan.cutoff * plan.t
+        shift = 2.0 * tol.PATH_BOX_C * plan.t
         moved = BbmPopulation(pops[1].time, pops[1].positions + shift, pops[1].ancestors)
         report = check_events([pops[0], moved, pops[2]], plan)
         assert not report.e1
@@ -75,7 +79,7 @@ class TestEvents:
         assert report.e1_violations == tuple(
             (1, k, float(p)) for k, p in enumerate(moved.positions)
         )
-        assert all(abs(p) > plan.cutoff * plan.t for _, _, p in report.e1_violations)
+        assert all(abs(p) > tol.PATH_BOX_C * plan.t for _, _, p in report.e1_violations)
 
     def test_missing_snapshot_rejected(self):
         plan = DiscretizationPlan(t=4.0, delta=0.75)

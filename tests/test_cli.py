@@ -98,6 +98,27 @@ class TestValidation:
         assert out == ""
         assert "domain boundary" in last_stderr_json(err)["error"]
 
+    @pytest.mark.parametrize(
+        "query", [["--a", "0.999999", "--x", "1"], ["--eta", "0.8", "--a", "0.99999"]]
+    )
+    def test_rates_query_too_close_to_a_one_exits_2(self, query, capsys, monkeypatch):
+        # there the grid certificate's gap passes RATE_VALUE_TOL (2.0e-5 at
+        # a = 0.999999, x = 1), so the query is refused instead of failing
+        def never(*args, **kwargs):
+            raise AssertionError("an unresolvable query reached the pipeline")
+
+        monkeypatch.setattr(pipelines, "run_rate_point", never)
+        code, out, err = run_cli(["rates", *query], capsys)
+        assert code == 2
+        assert out == ""
+        assert last_stderr_json(err)["field"] == "a"
+        assert f"{1 - tol.RATE_MIN_ONE_MINUS_A:g}]" in err
+
+    @pytest.mark.parametrize("query", [["--x", "1"], ["--eta", "0.8"], ["--x", "3"]])
+    def test_rates_query_at_the_floor_is_certified(self, query, capsys):
+        code, _, _ = run_cli(["rates", "--a", "0.9999", *query], capsys)
+        assert code == 0
+
     @pytest.mark.parametrize("sub", ["gff-cov", "decompose-var"])
     def test_one_sample_exits_2_before_sampling(self, sub, capsys, monkeypatch):
         # one sample has no spread: z-scores would read 0 and variances NaN

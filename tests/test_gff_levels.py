@@ -239,26 +239,25 @@ class TestFloat32Consumers:
 
 
 class TestWorkerSetting:
-    """The threshold maps run on every usable CPU when mc.workers is unset;
-    their results are the same under any setting."""
+    """The threshold maps run on every usable CPU when numpy's BLAS is
+    pinned and serially otherwise; their results are the same at any CPU
+    count, pinned or not."""
 
-    @staticmethod
-    def under(setting, run):
-        if setting is None:
-            return run()
-        with mc.workers(setting):
-            return run()
-
-    def test_results_do_not_depend_on_it(self):
+    def test_results_do_not_depend_on_it(self, monkeypatch):
         runs = {
             "daviaud": lambda: estimate_daviaud_exponent([16, 32], 0.3, {16: 150, 32: 70}, 86),
             "flat": lambda: coarse_exceedance_probe(32, 0.0, 0.4, replicas=300, seed=87),
             "boxes": lambda: coarse_exceedance_probe(32, 0.5, 0.3, replicas=40, seed=88),
         }
-        for name, run in runs.items():
-            # repr: exact for floats, and equal where both sides are nan
-            results = [repr(self.under(setting, run)) for setting in (None, 1, 4)]
-            assert results[0] == results[1] == results[2], name
+        # repr: exact for floats, and equal where both sides are nan
+        results = {name: {repr(run())} for name, run in runs.items()}
+        for cpus in (1, 4):
+            for pinned in (False, True):
+                monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(mc, "_BLAS_PINNED", pinned)
+                for name, run in runs.items():
+                    results[name].add(repr(run()))
+        assert all(len(seen) == 1 for seen in results.values()), results
 
 
 class TestRoundingFlipBound:

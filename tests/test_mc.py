@@ -75,49 +75,8 @@ class TestReplicaPlan:
             mc.ReplicaPlan(0, 1)
 
 
-class TestWorkers:
-    @staticmethod
-    def thread_ids(plan):
-        return set(mc.parallel_map(plan, lambda rng: threading.get_ident()))
-
-    def test_rejects_counts_below_one(self):
-        for n in (0, -1):
-            with pytest.raises(ValueError, match="workers"):
-                with mc.workers(n):
-                    pass
-
-    def test_previous_value_returns_after_an_exception(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            with mc.workers(4):
-                raise RuntimeError("boom")
-        assert self.thread_ids(mc.ReplicaPlan(20, 1)) == {threading.get_ident()}
-
-    def test_map_nested_in_a_task_stays_on_its_worker(self):
-        def task(rng):
-            worker = threading.get_ident()
-            return worker, TestWorkers.thread_ids(mc.ReplicaPlan(5, 2)) == {worker}
-
-        with mc.workers(4):
-            results = mc.parallel_map(mc.ReplicaPlan(8, 1), task)
-        assert all(serial for _, serial in results)
-
-    def test_blas_map_nested_in_a_task_stays_serial(self):
-        # unset, a BLAS-bound map would take every usable CPU; inside a
-        # task it runs on the task's own thread
-        def inner(rng, size):
-            return np.full(size, threading.get_ident())
-
-        def task(rng):
-            nested = mc.map_blocks(mc.ReplicaPlan(6, 2), 1, inner, blas_bound=True)
-            return set(nested.tolist()) == {threading.get_ident()}
-
-        with mc.workers(2):
-            assert all(mc.parallel_map(mc.ReplicaPlan(4, 1), task))
-        assert all(mc.parallel_map(mc.ReplicaPlan(4, 1), task))
-
-
 class TestCallerShare:
-    """With n workers the calling thread is one of them."""
+    """On n threads the calling thread is one of them."""
 
     @staticmethod
     def meet(i, barrier):
@@ -128,10 +87,9 @@ class TestCallerShare:
 
     def test_caller_works_and_results_keep_index_order(self):
         barrier = threading.Barrier(2, timeout=30)
-        with mc.workers(2):
-            results = mc._map_indices(
-                40, lambda i: i, lambda i, made: (made, self.meet(i, barrier))
-            )
+        results = mc._map_indices(
+            40, lambda i: i, lambda i, made: (made, self.meet(i, barrier)), threads=2
+        )
         assert [made for made, _ in results] == list(range(40))
         assert threading.get_ident() in {worker for _, worker in results[:2]}
         assert len({worker for _, worker in results[:2]}) == 2
@@ -147,17 +105,16 @@ class TestCallerShare:
                 raise RuntimeError(f"boom on {side}")
             return i
 
-        with mc.workers(2), pytest.raises(RuntimeError, match=f"boom on {side}"):
-            mc._map_indices(10, lambda i: i, call)
+        with pytest.raises(RuntimeError, match=f"boom on {side}"):
+            mc._map_indices(10, lambda i: i, call, threads=2)
 
     def test_streams_are_made_in_index_order(self):
         made = []
-        with mc.workers(4):
-            mc._map_indices(50, made.append, lambda i, _: i)
+        mc._map_indices(50, made.append, lambda i, _: i, threads=4)
         assert made == list(range(50))
 
     def test_no_index_is_lost_or_repeated_under_contention(self):
-        # more workers than cores, a tiny switch interval and a stream that
+        # more threads than cores, a tiny switch interval and a stream that
         # yields the interpreter: a hand-out outside the lock would skip or
         # repeat indices
         made = []
@@ -170,12 +127,19 @@ class TestCallerShare:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mc.workers(8):
-                results = mc._map_indices(2000, stream, lambda i, j: j)
+            results = mc._map_indices(2000, stream, lambda i, j: j, threads=8)
         finally:
             sys.setswitchinterval(interval)
         assert made == list(range(2000))
         assert results == list(range(2000))
+
+
+def test_maps_not_bound_by_blas_run_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+    plan = mc.ReplicaPlan(40, 1)
+    ids = mc.parallel_map(plan, lambda rng: threading.get_ident())
+    blocks = mc.map_blocks(plan, 1, lambda rng, size: [threading.get_ident()])
+    assert set(ids) == set(blocks.tolist()) == {threading.get_ident()}
 
 
 def test_blas_map_without_the_pin_runs_serially(monkeypatch):
@@ -220,22 +184,13 @@ class TestParallelMap:
     def test_preserves_replica_order(self):
         plan = mc.ReplicaPlan(100, 5)
         sequential = [mc.replica_rng(5, i).random() for i in range(100)]
-        with mc.workers(8):
-            assert mc.parallel_map(plan, lambda rng: rng.random()) == sequential
-
-    def test_concurrency_does_not_change_results(self):
-        task = lambda rng: float(rng.random() < 0.5)
-        runs = []
-        for c in (1, 2, 8):
-            with mc.workers(c):
-                runs.append(mc.parallel_map(mc.ReplicaPlan(200, 42), task))
-        assert runs[0] == runs[1] == runs[2]
+        assert mc.parallel_map(plan, lambda rng: rng.random()) == sequential
 
     def test_worker_exceptions_propagate(self):
         def task(rng):
             raise RuntimeError("boom")
 
-        with mc.workers(2), pytest.raises(RuntimeError, match="boom"):
+        with pytest.raises(RuntimeError, match="boom"):
             mc.parallel_map(mc.ReplicaPlan(3, 1), task)
 
 
@@ -249,13 +204,14 @@ class TestMapBlocks:
         blocks = mc.map_blocks(plan, 1, lambda rng, size: rng.random(size))
         assert blocks.tolist() == mc.parallel_map(plan, lambda rng: rng.random())
 
-    def test_concurrency_does_not_change_results(self):
+    def test_concurrency_does_not_change_results(self, monkeypatch):
         plan = mc.ReplicaPlan(103, 42)
         runs = [mc.map_blocks(plan, 8, self.draw, blas_bound=True)]
         for c in (1, 4):
-            for pin in (False, True):
-                with mc.workers(c):
-                    runs.append(mc.map_blocks(plan, 8, self.draw, blas_bound=pin))
+            for pinned in (False, True):
+                monkeypatch.setattr(mc, "_usable_cpus", lambda: c)
+                monkeypatch.setattr(mc, "_BLAS_PINNED", pinned)
+                runs.append(mc.map_blocks(plan, 8, self.draw, blas_bound=True))
         assert len({run.tobytes() for run in runs}) == 1
 
     def test_short_last_block(self):

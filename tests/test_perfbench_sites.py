@@ -65,9 +65,9 @@ print(json.dumps({
 
 
 def test_threaded_threshold_maps_keep_the_trace_valid(tmp_path):
-    # With mc.workers unset the float32 threshold maps run on every usable
-    # CPU; their pool threads open spans only under the map's lock, so the
-    # tracer's one-thread stack still holds.
+    # The float32 threshold maps run on every usable CPU; their pool threads
+    # open spans only under the map's lock, so the tracer's one-thread stack
+    # still holds.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     argvs = [
