@@ -30,9 +30,13 @@ from .levels import (
 )
 from .sample import (
     sample_box,
+    sample_box_bytes,
     sample_fields,
+    sample_fields_bytes,
     sample_interiors_float32,
+    sample_interiors_float32_bytes,
     sample_sites,
+    sample_sites_bytes,
     spectral_scale,
 )
 
@@ -61,9 +65,13 @@ __all__ = [
     "nested_partitions",
     "rounding_flip_bound",
     "sample_box",
+    "sample_box_bytes",
     "sample_fields",
+    "sample_fields_bytes",
     "sample_interiors_float32",
+    "sample_interiors_float32_bytes",
     "sample_sites",
+    "sample_sites_bytes",
     "shift_cover",
     "spectral_scale",
     "uniform_schedule",

@@ -107,27 +107,38 @@ def core_region(grid_n: int) -> Box:
     return Box(lo, lo, side, side)
 
 
+# (offset, length) spans along one axis of a region
+_Spans = list[tuple[int, int]]
+
+
+def _cuts(extent: int, side: int) -> _Spans:
+    """(offset, length) spans cutting one axis of `extent` sites into
+    side-long tiles, the remainder absorbed by the last tile."""
+    k = extent // side
+    spans = [(i * side, side) for i in range(k)]
+    rem = extent - k * side
+    if rem:
+        spans[-1] = (spans[-1][0], side + rem)
+    return spans
+
+
+def _axis_spans(height: int, width: int, side: int) -> tuple[_Spans, _Spans]:
+    """The row spans and the column spans, relative to the corner, of the
+    tiles flat_partition makes in a height x width region: the one cut rule.
+    A side longer than either extent leaves the region whole."""
+    if side < 1:
+        raise ValueError(f"tile side must be >= 1, got {side}")
+    if side > height or side > width:
+        return [(0, height)], [(0, width)]
+    return _cuts(height, side), _cuts(width, side)
+
+
 def flat_partition(region: Box, side: int) -> list[Box]:
     """Tile region with side x side squares, remainders absorbed by the last
     box of each row/column (those boxes are larger, never smaller)."""
-    if side < 1:
-        raise ValueError(f"tile side must be >= 1, got {side}")
-    if side > region.height or side > region.width:
-        return [region]
-
-    def cuts(extent: int) -> list[tuple[int, int]]:
-        k = extent // side
-        spans = [(i * side, side) for i in range(k)]
-        rem = extent - k * side
-        if rem:
-            off, w = spans[-1]
-            spans[-1] = (off, w + rem)
-        return spans
-
+    rows, cols = _axis_spans(region.height, region.width, side)
     return [
-        Box(region.row0 + r, region.col0 + c, h, w)
-        for r, h in cuts(region.height)
-        for c, w in cuts(region.width)
+        Box(region.row0 + r, region.col0 + c, h, w) for r, h in rows for c, w in cols
     ]
 
 
@@ -192,10 +203,6 @@ class NestedPartitions:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def final_sites(self) -> np.ndarray:
-        """(k, 2) site coordinates of the last level (singletons when s_L = 0)."""
-        return np.array([(b.row0, b.col0) for b in self.levels[-1]], dtype=np.int64)
-
     def margin_ok(self) -> bool:
         """Whether every parent's kept children are exactly its tiles at
         least margin * side from its boundary, re-derived from scratch."""
@@ -210,13 +217,29 @@ class NestedPartitions:
 
 def _margin_tiles(parent: Box, side: int, margin: Fraction) -> list[Box]:
     """The side-`side` tiles of parent at least margin * parent side from its
-    boundary, in flat_partition order."""
-    need = margin * parent.side
+    boundary, in flat_partition order: the rule tile by tile, compared
+    exactly as gap * q >= p * parent side for margin = p / q."""
+    need = margin.numerator * parent.side
     return [
         tile
         for tile in flat_partition(parent, side)
-        if Fraction(parent.boundary_gap(tile)) >= need
+        if parent.boundary_gap(tile) * margin.denominator >= need
     ]
+
+
+def _kept_spans(parent: Box, side: int, margin: Fraction) -> tuple[_Spans, _Spans]:
+    """The row spans and the column spans, relative to parent's corner, of
+    its kept side-`side` tiles. A tile's boundary gap is the least of its row
+    gap and its column gap, so the kept tiles are exactly the kept rows times
+    the kept columns; a gap is an integer, so it meets margin * parent side
+    exactly when it reaches the ceiling of that."""
+    need = math.ceil(margin * parent.side)
+    rows, cols = _axis_spans(parent.height, parent.width, side)
+
+    def kept(spans: _Spans, extent: int) -> _Spans:
+        return [(off, n) for off, n in spans if min(off, extent - off - n) >= need]
+
+    return kept(rows, parent.height), kept(cols, parent.width)
 
 
 def nested_partitions(
@@ -230,6 +253,8 @@ def nested_partitions(
     (N/4)^{s_i}; a child is kept iff its distance to the parent's boundary is
     at least margin * parent side. margin defaults to 1/4, the largest value
     under which the four-translate cover and the 4^{-L} counting bound hold.
+    The kept tiles are worked out per axis (_kept_spans);
+    NestedPartitions.margin_ok re-derives them tile by tile.
     """
     margin = Fraction(margin)
     if not 0 <= margin < Fraction(1, 2):
@@ -242,10 +267,14 @@ def nested_partitions(
         next_level: list[Box] = []
         level_children: list[tuple[int, ...]] = []
         for parent in levels[-1]:
-            kept = _margin_tiles(parent, side, margin)
+            rows, cols = _kept_spans(parent, side, margin)
             first = len(next_level)
-            level_children.append(tuple(range(first, first + len(kept))))
-            next_level.extend(kept)
+            next_level.extend(
+                Box(parent.row0 + r, parent.col0 + c, h, w)
+                for r, h in rows
+                for c, w in cols
+            )
+            level_children.append(tuple(range(first, len(next_level))))
         if not next_level:
             raise ValueError(
                 f"margin {margin} leaves no boxes at side {side} under N={grid_n}"
@@ -262,10 +291,12 @@ def nested_partitions(
 
 
 def counting_check(partitions: NestedPartitions) -> tuple[int, int, bool]:
-    """(starred final count, flat final count, starred >= 4^-L * flat)."""
+    """(starred final count, flat final count, starred >= 4^-L * flat); the
+    flat count is the core's row cuts times its column cuts."""
     core = core_region(partitions.grid_n)
     side = _level_side(partitions.grid_n, partitions.schedule.exponents[-1])
-    flat = len(flat_partition(core, side))
+    rows, cols = _axis_spans(core.height, core.width, side)
+    flat = len(rows) * len(cols)
     starred = len(partitions.levels[-1])
     ok = starred * 4 ** partitions.depth >= flat
     return starred, flat, ok
@@ -291,8 +322,9 @@ def shift_cover(partitions: NestedPartitions) -> ShiftCover:
     aggregate into a block at least half the parent's span (this is where the
     child side <= parent side / 2 precondition bites), so two translates per
     axis tile the parent; composing the per-level offsets yields 4^L shifts.
-    Coverage is then verified point-by-point; failure raises with an uncovered
-    site. Shift magnitudes stay within N/4.
+    Coverage is then verified site by site, on one 2-D difference array that
+    adds every shifted final box; failure raises with the first uncovered
+    site in row-major order. Shift magnitudes stay within N/4.
     """
     levels = partitions.levels
     for i in range(len(levels) - 1):
@@ -337,19 +369,22 @@ def shift_cover(partitions: NestedPartitions) -> ShiftCover:
     shifts = sorted(set(shifts))
 
     core = core_region(partitions.grid_n)
-    mask = np.zeros((core.height, core.width), dtype=bool)
-    sites = partitions.final_sites()
-    final_boxes = partitions.levels[-1]
-    hs = np.array([b.height for b in final_boxes])
-    ws = np.array([b.width for b in final_boxes])
-    for dr, dc in shifts:
-        rows = sites[:, 0] + dr - core.row0
-        cols = sites[:, 1] + dc - core.col0
-        for r, c, h, w in zip(rows, cols, hs, ws):
-            rr = slice(max(r, 0), min(r + h, core.height))
-            cc = slice(max(c, 0), min(c + w, core.width))
-            if rr.start < rr.stop and cc.start < cc.stop:
-                mask[rr, cc] = True
+    boxes = np.array(
+        [(b.row0, b.col0, b.height, b.width) for b in partitions.levels[-1]]
+    )
+    offsets = np.array(shifts)
+    # (shift, box) corners in core coordinates, clipped to the core
+    r0 = offsets[:, :1] + (boxes[:, 0] - core.row0)
+    c0 = offsets[:, 1:] + (boxes[:, 1] - core.col0)
+    r1 = np.clip(r0 + boxes[:, 2], 0, core.height)
+    c1 = np.clip(c0 + boxes[:, 3], 0, core.width)
+    r0 = np.clip(r0, 0, core.height)
+    c0 = np.clip(c0, 0, core.width)
+    hit = (r0 < r1) & (c0 < c1)
+    diff = np.zeros((core.height + 1, core.width + 1), dtype=np.int64)
+    for sign, rr, cc in ((1, r0, c0), (-1, r0, c1), (-1, r1, c0), (1, r1, c1)):
+        np.add.at(diff, (rr[hit], cc[hit]), sign)
+    mask = diff.cumsum(axis=0).cumsum(axis=1)[: core.height, : core.width] > 0
     if not mask.all():
         miss = np.argwhere(~mask)[0]
         raise CoverConstructionError(

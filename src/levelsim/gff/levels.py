@@ -18,12 +18,13 @@ that happens. Their thresholds are compared exactly: each is replaced by the
 smallest float32 not below it, whatever numpy's promotion rules. The zeta > 0
 probe averages field values in harmonic_at and stays on float64.
 
-Both threshold maps run through _threshold_map: their blocks are float32 sine
-products, so mc runs them on every usable CPU, each on the one BLAS thread mc
-pins numpy's OpenBLAS to at import. Their float32 bits depend neither on the
-thread count nor on the host's default BLAS thread count; the float32 log,
-sin and cos of the normals follow numpy's CPU dispatch, so they are fixed
-per CPU feature set. The zeta > 0 probe stays serial: its blocks call
+Both threshold maps run through _threshold_map: their blocks are Philox fills
+and float32 sine products, which run without the GIL, so mc runs them on
+every usable CPU (no more blocks at once than the field budget holds), each
+on the one BLAS thread mc pins numpy's OpenBLAS to at import. Their float32
+bits depend neither on the thread count nor on the host's default BLAS
+thread count; the float32 log, sin and cos of the normals follow numpy's CPU
+dispatch, so they are fixed per CPU feature set. The zeta > 0 probe stays serial: its blocks call
 sample_fields and harmonic_at, which a tracer may wrap, and threads raised
 its peak memory more than they saved.
 """
@@ -44,7 +45,7 @@ from .. import tolerances as tol
 from .decompose import harmonic_at
 from .green import GreenOperator
 from .grid import Box, flat_partition
-from .sample import sample_fields, sample_interiors_float32
+from .sample import sample_fields, sample_interiors_float32, sample_interiors_float32_bytes
 
 __all__ = [
     "GAMMA",
@@ -146,7 +147,8 @@ def _threshold_map(
     thr32 the exact float32 stand-in for threshold; returns the replicas'
     values and rounding_flip_bound(grid_n, threshold).
 
-    The map is BLAS-bound, so it runs on every usable CPU.
+    Its time goes to Philox fills and sine-matrix products, which run
+    without the GIL, so it runs on every usable CPU within the field budget.
     """
     thr32 = _float32_threshold(threshold)
 
@@ -155,7 +157,9 @@ def _threshold_map(
 
     # the bound's Green diagonal refuses an oversized N before any block runs
     flip_bound = rounding_flip_bound(grid_n, threshold)
-    return mc.map_blocks(plan, _field_block(grid_n), task, blas_bound=True), flip_bound
+    block = _field_block(grid_n)
+    block_bytes = sample_interiors_float32_bytes(grid_n, block)
+    return mc.map_blocks(plan, block, task, gil_free_bytes=block_bytes), flip_bound
 
 
 def _replicas_for(replicas: int | Mapping[int, int], grid_n: int) -> int:

@@ -22,14 +22,13 @@ from. It scales them by a float32 copy of spectral_scale and transforms them
 in float32, with a float32 copy of the sine matrix (or dstn above the cut).
 Its float64 twin is the float64 transform of the same float32 normals; a hit
 or a count can differ from the twin's only where a value lies within
-FIELD_FLOAT32_DELTA, the float32 error of a field, of the threshold. Those
-maps are BLAS-bound (mc.map_blocks with blas_bound) and run on every usable
-CPU. Every other consumer (covariance, decomposition, harmonic values, the
-dense route) stays on float64 normals in serial maps. All of them run on the
-one BLAS thread mc pins numpy's OpenBLAS to at import, so they give the same
-bits at any thread count and on any host default. The float32 log, sin and
-cos of the Box-Muller step follow numpy's CPU dispatch, so the threshold
-route's bits are fixed per CPU feature set rather than on every host.
+FIELD_FLOAT32_DELTA, the float32 error of a field, of the threshold. Every
+other consumer (covariance, decomposition, harmonic values, the dense route)
+stays on float64 normals. All of them run on the one BLAS thread mc pins
+numpy's OpenBLAS to at import, so they give the same bits at any thread
+count and on any host default. The float32 log, sin and cos of the
+Box-Muller step follow numpy's CPU dispatch, so the threshold route's bits
+are fixed per CPU feature set rather than on every host.
 
 Code that reads only one box of each field takes sample_box, the box of the
 fields sample_fields draws from the same stream. Up to the cut it draws each
@@ -39,8 +38,12 @@ one field's noise at a time, and for the decomposition's centred N/4 root box
 it does about a sixth of the whole-field flops. Above the cut it slices whole
 dstn fields from sample_fields, under that route's budget check.
 
-Before it allocates, each route estimates its working set and refuses a
-request above FIELD_BYTES_MAX with WorkRefusedError.
+Each route's working set is a pure function of its request (the *_bytes
+functions below). Before it allocates, the route refuses a request above
+FIELD_BYTES_MAX with WorkRefusedError; a map that runs blocks of a route on
+several threads (mc.map_blocks with gil_free_bytes: the threshold maps and
+decompose-var's box draws) passes one block's cost, so the blocks it runs at
+once stay inside that budget too.
 """
 
 from __future__ import annotations
@@ -60,9 +63,13 @@ from .grid import Box
 __all__ = [
     "spectral_scale",
     "sample_fields",
+    "sample_fields_bytes",
     "sample_sites",
+    "sample_sites_bytes",
     "sample_box",
+    "sample_box_bytes",
     "sample_interiors_float32",
+    "sample_interiors_float32_bytes",
 ]
 
 _lock = threading.Lock()
@@ -81,6 +88,36 @@ def spectral_scale(grid_n: int, dtype=np.float64) -> np.ndarray:
             scale = scale.astype(dtype, copy=False)
             _scale_cache[key] = scale
     return scale
+
+
+def sample_fields_bytes(grid_n: int, count: int) -> int:
+    """Working set of sample_fields: the output, the noise and the
+    transformed noise."""
+    n = grid_n - 2
+    return 8 * count * (grid_n * grid_n + 2 * n * n)
+
+
+def sample_sites_bytes(grid_n: int, site_count: int, count: int) -> int:
+    """Working set of sample_sites at site_count sites: the noise and the
+    product, then the unit vectors, the solves and the rows."""
+    m, k = (grid_n - 2) ** 2, site_count
+    return 8 * (count * (m + k) + 3 * k * m)
+
+
+def sample_box_bytes(grid_n: int, box: Box, count: int) -> int:
+    """Working set of sample_box: up to the cut the box, one field's noise
+    and its product with the box's sine rows; above it sample_fields'."""
+    if grid_n > tol.SINE_MATRIX_MAX_N:
+        return sample_fields_bytes(grid_n, count)
+    n = grid_n - 2
+    return 8 * (count * box.height * box.width + (n + box.height) * n)
+
+
+def sample_interiors_float32_bytes(grid_n: int, count: int) -> int:
+    """Working set of sample_interiors_float32: the normals, their radius
+    words and angle uniforms (half a site each) and the product."""
+    n = grid_n - 2
+    return (4 + 2 + 2 + 4) * count * n * n
 
 
 def _check_request(grid_n: int, count: int, nbytes: int, what: str, stage: str) -> None:
@@ -148,8 +185,7 @@ def _standard_normal_float32(rng: Generator, shape: tuple[int, ...]) -> np.ndarr
 def sample_fields(grid_n: int, count: int, rng: Generator) -> np.ndarray:
     """Draw `count` independent fields as a (count, N, N) array, zero frame."""
     n = grid_n - 2
-    # the output, the noise and the transformed noise
-    nbytes = 8 * count * (grid_n * grid_n + 2 * n * n)
+    nbytes = sample_fields_bytes(grid_n, count)
     _check_request(grid_n, count, nbytes, "spectral", "gff.sample_fields")
     out = np.zeros((count, grid_n, grid_n))
     noise = rng.standard_normal((count, n, n))
@@ -165,9 +201,8 @@ def sample_sites(
     on the dense route: one (count, (N-2)^2) draw of standard normals times
     the rows of chol(G) at the sites. The draw does not depend on the sites,
     so on one stream any sites read the same columns as every site does."""
-    m, k = (grid_n - 2) ** 2, len(sites)
-    # the noise and the product, then the unit vectors, the solves and the rows
-    nbytes = 8 * (count * (m + k) + 3 * k * m)
+    m = (grid_n - 2) ** 2
+    nbytes = sample_sites_bytes(grid_n, len(sites), count)
     _check_request(grid_n, count, nbytes, "dense", "gff.sample_sites")
     rows = GreenOperator(grid_n).cholesky_rows(sites)
     return rng.standard_normal((count, m)) @ rows.T
@@ -182,8 +217,7 @@ def sample_box(grid_n: int, box: Box, count: int, rng: Generator) -> np.ndarray:
     if grid_n > tol.SINE_MATRIX_MAX_N:
         return sample_fields(grid_n, count, rng)[(slice(None), *box.slices())].copy()
     n = grid_n - 2
-    # the box, one field's noise and its product with the box's sine rows
-    nbytes = 8 * (count * box.height * box.width + (n + box.height) * n)
+    nbytes = sample_box_bytes(grid_n, box, count)
     _check_request(grid_n, count, nbytes, "box", "gff.sample_box")
     # the box's interior rows r0..r1-1 and columns c0..c1-1; interior site
     # (r, c) is sine-matrix index (r - 1, c - 1)
@@ -209,9 +243,7 @@ def sample_interiors_float32(grid_n: int, count: int, rng: Generator) -> np.ndar
     float32 array against a float64 threshold rounds the threshold to
     float32). The stream is not sample_fields': these are other fields."""
     n = grid_n - 2
-    # the normals, their radius words and angle uniforms (half a site each)
-    # and the product
-    nbytes = (4 + 2 + 2 + 4) * count * n * n
+    nbytes = sample_interiors_float32_bytes(grid_n, count)
     _check_request(grid_n, count, nbytes, "float32", "gff.sample_interiors_float32")
     noise = _standard_normal_float32(rng, (count, n, n))
     noise *= spectral_scale(grid_n, np.float32)

@@ -6,14 +6,17 @@ counter-based stream, replicas are executed by a deterministic map, and
 aggregation runs in replica-index order. Results are therefore bit-identical
 for a fixed (master seed, plan) at any thread count.
 
-The code, not the caller, picks a map's thread count, in ``map_blocks``:
-maps of BLAS-bound blocks (``map_blocks(..., blas_bound=True)``, the float32
-threshold field maps) run on every CPU the process may use, and every other
-map runs serially. Importing this module sets numpy's OpenBLAS to one thread
-for the rest of the process, so every product gives the same bits at any
-thread count and on any host default; where that pin is unavailable,
-BLAS-bound maps too run serially. The calling thread is one of a map's
-threads.
+The code, not the caller, picks a map's thread count, in ``map_blocks``.
+Three maps spend their time in numpy kernels that run without the GIL
+(Philox normal fills and one-thread BLAS products) and say so with their
+blocks' working set (``map_blocks(..., gil_free_bytes=...)``): the two
+float32 threshold field maps and decompose-var's box draws. They run on
+every CPU the process may use, but on no more threads than the field budget
+holds blocks; every other map runs serially. Importing this module sets
+numpy's OpenBLAS to one thread for the rest of the process, so every product
+gives the same bits at any thread count and on any host default; where that
+pin is unavailable, those three maps too run serially. The calling thread is
+one of a map's threads.
 
 Vectorized tasks run in replica blocks (``map_blocks``): one stream per block
 of consecutive replicas, keyed like a replica's, as in the counter-based
@@ -42,6 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy import special
+
+from . import tolerances as tol
 
 __all__ = [
     "ReplicaPlan",
@@ -269,7 +274,7 @@ def map_blocks(
     block: int,
     task: Callable[[Generator, int], np.ndarray],
     *,
-    blas_bound: bool = False,
+    gil_free_bytes: int | None = None,
 ) -> np.ndarray:
     """Run task(rng, size) once per block of `block` consecutive replicas.
 
@@ -279,10 +284,12 @@ def map_blocks(
     replica along its first axis; the blocks' values are concatenated in
     replica order. The exception of the lowest failed block propagates.
 
-    blas_bound marks blocks whose time goes to BLAS products: the map runs
-    on every usable CPU if the import-time pin took, and serially otherwise.
-    Every other map runs serially, as threads only slowed the maps whose
-    time goes to the interpreter.
+    gil_free_bytes marks blocks whose time goes to GIL-free numpy kernels
+    (Philox fills, one-thread BLAS products) and gives one full block's
+    working set: the map runs on every usable CPU, but on no more threads
+    than FIELD_BYTES_MAX // gil_free_bytes (one at least), and serially if
+    the import-time pin did not take. Every other map runs serially, as
+    threads only slowed the maps whose time goes to the interpreter.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
@@ -300,7 +307,11 @@ def map_blocks(
         return replica_rng(plan.master_seed, b)
 
     blocks = -(-plan.replicas // block)
-    threads = _usable_cpus() if blas_bound and _BLAS_PINNED else 1
+    threads = 1
+    if gil_free_bytes is not None and _BLAS_PINNED:
+        # as many blocks at once as the field budget holds
+        fit = tol.FIELD_BYTES_MAX // gil_free_bytes
+        threads = max(1, min(_usable_cpus(), fit))
     return np.concatenate(_map_indices(blocks, stream, run, threads))
 
 

@@ -44,6 +44,7 @@ from .gff import (
     harmonic_measure,
     nested_partitions,
     sample_box,
+    sample_box_bytes,
     sample_fields,
     sample_sites,
     shift_cover,
@@ -1088,8 +1089,11 @@ def run_decompose_var(
         residual = fields[:, corr_site[0], corr_site[1]] - boundary @ hw
         return np.column_stack((*incs, residual, boundary))
 
+    # a block's time goes to Philox normal fills and one-thread products,
+    # both GIL-free, so the blocks run on every usable CPU
     plan = mc.ReplicaPlan(samples, mc.derive_seed(seed, 1))
-    values = mc.map_blocks(plan, tol.DECOMP_BLOCK, task)
+    block_bytes = sample_box_bytes(grid_n, root, tol.DECOMP_BLOCK)
+    values = mc.map_blocks(plan, tol.DECOMP_BLOCK, task, gil_free_bytes=block_bytes)
     pairs = len(pair_weights)
     increments = values[:, :pairs]  # (samples, pairs)
     levels_of_pair = np.array([lvl for lvl, _, _ in pair_weights])

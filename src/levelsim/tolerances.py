@@ -208,8 +208,9 @@ BBM_BLOCK_PARTICLES = 2**16
 # horizon at which some replica is expected to.
 BBM_PARTICLE_CAP = 10**7
 
-# C13: determinism. The rerun sees this many usable CPUs, so the BLAS-bound
-# threshold maps run on this many threads.
+# C13: determinism. The rerun sees this many usable CPUs, so the GIL-free
+# maps (the threshold maps and decompose-var's box draws) run on this many
+# threads.
 DETERMINISM_CONCURRENCY = 4
 
 CHECK_NAMES = {

@@ -360,8 +360,9 @@ def test_c13_determinism(
     announce,
     monkeypatch,
 ):
-    # the rerun sees DETERMINISM_CONCURRENCY usable CPUs, so the BLAS-bound
-    # threshold maps run on that many threads where the BLAS pin took
+    # the rerun sees DETERMINISM_CONCURRENCY usable CPUs, so the GIL-free
+    # maps (the threshold maps and decompose-var's box draws) run on that
+    # many threads where the BLAS pin took
     conc = tol.DETERMINISM_CONCURRENCY
     monkeypatch.setattr(mc, "_usable_cpus", lambda: conc)
     reruns = {
@@ -386,7 +387,7 @@ def test_c13_determinism(
         13,
         ok,
         f"{len(reruns)} pipelines re-run with {conc} usable CPUs "
-        f"(threshold maps on {conc if mc._BLAS_PINNED else 1} threads), json and "
-        f"csv byte-compared; mismatches: {mismatched if mismatched else 'none'}",
+        f"(threshold and box-draw maps on {conc if mc._BLAS_PINNED else 1} threads), "
+        f"json and csv byte-compared; mismatches: {mismatched if mismatched else 'none'}",
     )
     assert not mismatched

@@ -1,6 +1,8 @@
 """High-point counting and exceedance exponents."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -239,9 +241,9 @@ class TestFloat32Consumers:
 
 
 class TestWorkerSetting:
-    """The threshold maps run on every usable CPU when numpy's BLAS is
-    pinned and serially otherwise; their results are the same at any CPU
-    count, pinned or not."""
+    """The threshold maps run on every usable CPU, within the field budget,
+    when numpy's BLAS is pinned and serially otherwise; their results are the
+    same at any CPU count, pinned or not."""
 
     def test_results_do_not_depend_on_it(self, monkeypatch):
         runs = {
@@ -258,6 +260,33 @@ class TestWorkerSetting:
                 for name, run in runs.items():
                     results[name].add(repr(run()))
         assert all(len(seen) == 1 for seen in results.values()), results
+
+    def test_threshold_map_stays_inside_the_field_budget(self, monkeypatch):
+        # at N = 64 a block holds 64 fields; a budget of two and a half blocks
+        # lets two run at once, however many CPUs the process may use
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(mc, "_BLAS_PINNED", True)
+        block_bytes = sample.sample_interiors_float32_bytes(64, levels._field_block(64))
+        monkeypatch.setattr(tol, "FIELD_BYTES_MAX", 5 * block_bytes // 2)
+        lock = threading.Lock()
+        active = peak = 0
+        draw = levels.sample_interiors_float32
+
+        def counted(grid_n, count, rng):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            time.sleep(0.01)
+            try:
+                return draw(grid_n, count, rng)
+            finally:
+                with lock:
+                    active -= 1
+
+        monkeypatch.setattr(levels, "sample_interiors_float32", counted)
+        coarse_exceedance_probe(64, 0.0, 0.6, replicas=640, seed=89)
+        assert peak == 2
 
 
 class TestRoundingFlipBound:

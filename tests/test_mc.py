@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levelsim import mc
+from levelsim import mc, tolerances as tol
+from levelsim.gff import sample_interiors_float32_bytes
 
 
 class TestDeriveSeed:
@@ -145,9 +146,48 @@ def test_maps_not_bound_by_blas_run_on_the_calling_thread(monkeypatch):
 def test_blas_map_without_the_pin_runs_serially(monkeypatch):
     monkeypatch.setattr(mc, "_BLAS_PINNED", False)
     ids = mc.map_blocks(
-        mc.ReplicaPlan(9, 1), 1, lambda rng, size: [threading.get_ident()], blas_bound=True
+        mc.ReplicaPlan(9, 1), 1, lambda rng, size: [threading.get_ident()], gil_free_bytes=8
     )
     assert set(ids.tolist()) == {threading.get_ident()}
+
+
+def peak_blocks(plan, gil_free_bytes) -> tuple[int, int]:
+    """The most blocks of one map alive at once, and the threads they ran on."""
+    lock = threading.Lock()
+    active = peak = 0
+    threads = set()
+
+    def task(rng, size):
+        nonlocal active, peak
+        with lock:
+            active += 1
+            peak = max(peak, active)
+            threads.add(threading.get_ident())
+        time.sleep(0.02)
+        with lock:
+            active -= 1
+        return np.zeros(size)
+
+    mc.map_blocks(plan, 1, task, gil_free_bytes=gil_free_bytes)
+    return peak, len(threads)
+
+
+def test_gil_free_map_runs_no_more_blocks_than_the_field_budget_holds(monkeypatch):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(mc, "_BLAS_PINNED", True)
+    plan = mc.ReplicaPlan(24, 1)
+    monkeypatch.setattr(tol, "FIELD_BYTES_MAX", 1000)
+    for block_bytes, most in ((100, 8), (300, 3), (999, 1), (5000, 1)):
+        peak, threads = peak_blocks(plan, block_bytes)
+        assert peak <= most and threads <= most, block_bytes
+        assert (peak > 1) == (most > 1), block_bytes
+    # coarse-tail --zeta 0 --grid-n 9000: a one-field block of 12 * 8998^2 B
+    # passes the 1 GiB guard, so it runs alone
+    monkeypatch.undo()
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+    block_bytes = sample_interiors_float32_bytes(9000, 1)
+    assert block_bytes == 12 * 8998**2 <= tol.FIELD_BYTES_MAX
+    assert peak_blocks(plan, block_bytes) == (1, 1)
 
 
 def run_fresh(args: list[str], blas_threads: int) -> str:
@@ -206,12 +246,12 @@ class TestMapBlocks:
 
     def test_concurrency_does_not_change_results(self, monkeypatch):
         plan = mc.ReplicaPlan(103, 42)
-        runs = [mc.map_blocks(plan, 8, self.draw, blas_bound=True)]
+        runs = [mc.map_blocks(plan, 8, self.draw, gil_free_bytes=192)]
         for c in (1, 4):
             for pinned in (False, True):
                 monkeypatch.setattr(mc, "_usable_cpus", lambda: c)
                 monkeypatch.setattr(mc, "_BLAS_PINNED", pinned)
-                runs.append(mc.map_blocks(plan, 8, self.draw, blas_bound=True))
+                runs.append(mc.map_blocks(plan, 8, self.draw, gil_free_bytes=192))
         assert len({run.tobytes() for run in runs}) == 1
 
     def test_short_last_block(self):

@@ -65,14 +65,16 @@ print(json.dumps({
 
 
 def test_threaded_threshold_maps_keep_the_trace_valid(tmp_path):
-    # The float32 threshold maps run on every usable CPU; their pool threads
-    # open spans only under the map's lock, so the tracer's one-thread stack
-    # still holds.
+    # The float32 threshold maps and decompose-var's box draws run on every
+    # usable CPU; their pool threads open spans only under the map's lock, so
+    # the tracer's one-thread stack still holds.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     argvs = [
         ["daviaud", "--replicas", "8", "--seed", "5"],
         ["coarse-tail", "--zeta", "0", "--grid-n", "64", "--replicas", "600", "--seed", "6"],
+        # three blocks of box draws, which call no traced site
+        ["decompose-var", "--grid-n", "64", "--replicas", "120", "--seed", "8"],
         # serial: its blocks call the wrapped sample_fields and harmonic_at
         ["coarse-tail", "--zeta", "0.5", "--b", "0.6", "--grid-n", "64", "--replicas", "200",
          "--seed", "7"],
@@ -91,5 +93,5 @@ def test_threaded_threshold_maps_keep_the_trace_valid(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert all(code in (0, 1) for code in result["codes"]), proc.stderr
     assert result["check"] is None
-    # four daviaud sizes' blocks and the probes'
-    assert result["streams"] >= 6
+    # four daviaud sizes' blocks, the probes' and decompose-var's
+    assert result["streams"] >= 9

@@ -174,12 +174,25 @@ class TestDecomposeVar:
         assert check_by_name(report, "residual_boundary_correlation").passed
         assert report.inputs["samples"] == 100
 
+    def test_report_bytes_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # 120 samples make three blocks of DECOMP_BLOCK = 50 fields, which the
+        # map runs on every usable CPU
+        assert tol.DECOMP_BLOCK == 50
+        renders = set()
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(pipelines.mc, "_usable_cpus", lambda cpus=cpus: cpus)
+            report = pipelines.run_decompose_var(seed=51, grid_n=64, samples=120)
+            renders.add((render_report(report, "json"), render_report(report, "csv")))
+        assert len(renders) == 1
+
     def test_root_window_reads_the_same_sites_as_whole_fields(self, monkeypatch):
         # the run samples only the partition's root box, in that window's
         # coordinates; a reference that slices whole fields must give the same
         # estimates, and those must be the ones read off the whole fields in
         # grid coordinates, so a slip in the window's translation cannot pass
         grid_n = 64
+        # one thread, so the reference below records its blocks in order
+        monkeypatch.setattr(pipelines.mc, "_usable_cpus", lambda: 1)
         windowed = pipelines.run_decompose_var(seed=51, grid_n=grid_n, samples=100)
         parts = pipelines.nested_partitions(
             grid_n, pipelines.uniform_schedule(grid_n, delta=tol.SCHEDULE_DELTA)
