@@ -118,7 +118,8 @@ PIPELINES = {
             replace(_REPLICAS, kwarg="queries"),
             Param("a", float, "fraction-of-time parameter", 0.0,
                   1.0 - tol.RATE_MIN_ONE_MINUS_A, "[]"),
-            Param("x", float, "particle speed; selects point mode", 0.0),
+            Param("x", float, "particle speed; selects point mode", 0.0,
+                  tol.RATE_MAX_X, "(]"),
             Param("eta", float, "level height; selects point mode", 0.0, 1.0),
         )),
         Pipeline("gw-verify", "branching-process tail bound sweep, empirical and exact",

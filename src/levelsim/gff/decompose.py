@@ -4,16 +4,18 @@ Over a box D the field splits as field = harmonic + residual, where harmonic
 extends the frame values of D (green.dirichlet_extend) and the residual is a
 zero-boundary field on D independent of everything outside. harmonic_at reads
 the harmonic part at one site as a weighted sum of frame values, the row that
-harmonic_measure returns. Read at a child box's center it gives the coarse
-value of the field at that scale; differences of coarse values across one
-nesting step, both read at the child's center, are the increments whose
+harmonic_measure returns. A row is solved in the box's own sine basis
+(green.py) on the interior's outermost lines only, O(hw + h^2 + w^2) for an
+h x w box, with no factorization. Read at a child box's center it gives the
+coarse value of the field at that scale; differences of coarse values across
+one nesting step, both read at the child's center, are the increments whose
 variances grow linearly in the scale gap."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .green import _lock, _lu
+from .green import _box_frame_solve, _lock
 # kept for perfbench/spans.py, whose SITES rebind dirichlet_extend here
 from .green import dirichlet_extend  # noqa: F401
 from .grid import Box
@@ -58,12 +60,11 @@ def harmonic_measure(
 
 def _solve_row(height: int, width: int, lr: int, lc: int) -> tuple[np.ndarray, ...]:
     # The interior value at site is e_site' L^-1 b, where b adds each non-corner
-    # frame value to its inward neighbour; so one transposed solve g = L^-T e_site
-    # weights frame site w by g at the inward neighbour of w.
+    # frame value to its inward neighbour; L = 4I - A is symmetric, so one solve
+    # g = L^-1 e_site weights frame site w by g at the inward neighbour of w,
+    # which lies on the interior's outermost lines: the only values solved.
     nr, nc = height - 2, width - 2
-    e = np.zeros(nr * nc)
-    e[(lr - 1) * nc + (lc - 1)] = 1.0
-    g = _lu(nr, nc).solve(e, trans="T").reshape(nr, nc)
+    g = _box_frame_solve(nr, nc, (lr - 1, lc - 1))
     r = np.arange(height)[:, None]
     c = np.arange(width)[None, :]
     edge_r = (r == 0) | (r == height - 1)

@@ -3,12 +3,20 @@
 The zero-boundary field on the N x N grid has covariance G(x, y) = expected
 visits to y of a simple random walk from x killed on the boundary frame,
 i.e. G = (I - P)^{-1} = 4 (4I - A)^{-1} on the (N-2)^2 interior. Three
-independent routes are exposed: sparse LU solves (columns of G, Dirichlet
-extensions), the product-sine spectral form (full diagonal) and the banded
-Cholesky factor of 4I - A (rows of chol(G), the dense sampler's route);
-tests play them against each other. The spectral basis, the sine matrix
-(cached once per N) and the mode gaps, lives here and is shared with the
-field sampler.
+independent routes are exposed, and tests play them against each other:
+
+- sparse LU (SuperLU) solves give columns and entries of G, the oracle that
+  shares nothing with the samplers; this is SuperLU's only job;
+- the product-sine spectral form gives the diagonal of G, and solves
+  4I - A on any r x c box interior in the box's own sine basis, where its
+  eigenvalues are 4 - 2cos(pi j/(r+1)) - 2cos(pi k/(c+1)): Dirichlet
+  extensions (dirichlet_extend) and harmonic-measure rows (decompose.py),
+  with no factorization at any box size;
+- the banded Cholesky factor of 4I - A (LAPACK dpbtrf) gives rows of
+  chol(G), the dense sampler's route.
+
+The spectral basis, the sine matrix (cached once per side) and the mode
+gaps, lives here and is shared with the field sampler.
 """
 
 from __future__ import annotations
@@ -32,11 +40,14 @@ __all__ = [
 ]
 
 _lock = threading.Lock()
-_lu_cache: dict[tuple[int, int], spla.SuperLU] = {}
+# keyed by n: the SuperLU factors of the n x n interior's 4I - A
+_lu_cache: dict[int, spla.SuperLU] = {}
 # keyed by N: the banded upper Cholesky factor of the interior 4I - A
 _band_cache: dict[int, np.ndarray] = {}
 # keyed by (N, dtype): the float32 copy serves the sampler's threshold route
 _sine_cache: dict[tuple[int, np.dtype], np.ndarray] = {}
+# keyed by (rows, cols): inverse eigenvalues of 4I - A on a box interior
+_inverse_eigen_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _gib(nbytes: int) -> str:
@@ -57,16 +68,18 @@ def interior_laplacian(n_rows: int, n_cols: int) -> sp.csc_matrix:
 def _sine_matrix(grid_n: int, dtype=np.float64) -> np.ndarray:
     """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n,
     n = N - 2: the product-sine eigenbasis of the interior walk (symmetric).
-    Computed in float64 and cast once to dtype."""
+    Computed and cached in float64; another dtype casts the cached matrix."""
     key = (grid_n, np.dtype(dtype))
     with _lock:
         sine = _sine_cache.get(key)
         if sine is None:
-            n = grid_n - 2
-            k = np.arange(1, n + 1)
-            sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-            sine = sine.astype(dtype, copy=False)
-            _sine_cache[key] = sine
+            exact = _sine_cache.get((grid_n, np.dtype(np.float64)))
+            if exact is None:
+                n = grid_n - 2
+                k = np.arange(1, n + 1)
+                exact = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+                _sine_cache[grid_n, np.dtype(np.float64)] = exact
+            sine = _sine_cache[key] = exact.astype(dtype, copy=False)
     return sine
 
 
@@ -79,14 +92,51 @@ def _mode_gaps(grid_n: int) -> np.ndarray:
     return 1.0 - 0.5 * (np.cos(theta)[:, None] + np.cos(theta)[None, :])
 
 
-def _lu(n_rows: int, n_cols: int) -> spla.SuperLU:
-    key = (n_rows, n_cols)
+def _lu(n: int) -> spla.SuperLU:
     with _lock:
-        lu = _lu_cache.get(key)
+        lu = _lu_cache.get(n)
         if lu is None:
-            lu = spla.splu(interior_laplacian(n_rows, n_cols))
-            _lu_cache[key] = lu
+            lu = _lu_cache[n] = spla.splu(interior_laplacian(n, n))
     return lu
+
+
+def _inverse_eigenvalues(rows: int, cols: int) -> np.ndarray:
+    """1 / (4 - 2cos(pi j/(rows+1)) - 2cos(pi k/(cols+1))), j = 1..rows,
+    k = 1..cols: the inverse eigenvalues of 4I - A on a rows x cols box
+    interior, on the mode grid of its product-sine basis. Read-only."""
+    key = (rows, cols)
+    with _lock:
+        inverse = _inverse_eigen_cache.get(key)
+        if inverse is None:
+            tr = 2.0 * np.cos(np.pi * np.arange(1, rows + 1) / (rows + 1))
+            tc = 2.0 * np.cos(np.pi * np.arange(1, cols + 1) / (cols + 1))
+            inverse = 1.0 / (4.0 - tr[:, None] - tc[None, :])
+            inverse.setflags(write=False)
+            _inverse_eigen_cache[key] = inverse
+    return inverse
+
+
+def _box_solve(rhs: np.ndarray) -> np.ndarray:
+    """x with (4I - A) x = rhs on the rows x cols box interior rhs covers,
+    in the box's sine basis: x = S_r ((S_r rhs S_c) / lambda) S_c."""
+    rows, cols = rhs.shape
+    left, right = _sine_matrix(rows + 2), _sine_matrix(cols + 2)
+    return left @ ((left @ rhs @ right) * _inverse_eigenvalues(rows, cols)) @ right
+
+
+def _box_frame_solve(rows: int, cols: int, site: tuple[int, int]) -> np.ndarray:
+    """g = (4I - A)^{-1} e_site on a rows x cols box interior, on the
+    interior's outermost rows and columns only (zero inside them); site is
+    interior-local. g's sine coefficients are S_r[site row] S_c[site col]
+    / lambda, so each outer line costs one vector-matrix product with them
+    and one with a sine matrix: O(rows cols + rows^2 + cols^2)."""
+    left, right = _sine_matrix(rows + 2), _sine_matrix(cols + 2)
+    coef = _inverse_eigenvalues(rows, cols) * np.outer(left[site[0]], right[site[1]])
+    ends_r, ends_c = [0, rows - 1], [0, cols - 1]
+    g = np.zeros((rows, cols))
+    g[ends_r] = left[ends_r] @ coef @ right
+    g[:, ends_c] = left @ (coef @ right[:, ends_c])
+    return g
 
 
 def _band_factor(grid_n: int) -> np.ndarray:
@@ -111,10 +161,11 @@ def _band_factor(grid_n: int) -> np.ndarray:
 class GreenOperator:
     """Green's function access for one grid size.
 
-    Entries and columns come from sparse LU solves of (4I - A) g = 4 e_y;
-    the diagonal additionally has a closed spectral form through the
-    orthogonal sine basis, and rows of its Cholesky factor come from the
-    banded factor of 4I - A, each kept as an independent route.
+    Entries and columns come from sparse LU solves of (4I - A) g = 4 e_y,
+    any number of columns in one solve; the diagonal, whole or at one site,
+    has a closed spectral form through the orthogonal sine basis, and rows
+    of its Cholesky factor come from the banded factor of 4I - A, each kept
+    as an independent route.
     """
 
     def __init__(self, grid_n: int):
@@ -129,17 +180,23 @@ class GreenOperator:
             raise ValueError(f"site {site} outside the {self.grid_n} grid")
         return r in (0, self.grid_n - 1) or c in (0, self.grid_n - 1)
 
+    def columns(self, sites: Sequence[tuple[int, int]]) -> np.ndarray:
+        """G(., y) for each site y as a (k, N, N) array, from one
+        multi-right-hand-side SuperLU solve; zero for boundary sites."""
+        out = np.zeros((len(sites), self.grid_n, self.grid_n))
+        inner = [i for i, site in enumerate(sites) if not self.is_boundary(site)]
+        if inner:
+            n = self.n
+            rows, cols = np.array([sites[i] for i in inner]).T
+            # one right-hand side per column of a Fortran-ordered array
+            rhs = np.zeros((len(inner), n * n))
+            rhs[np.arange(len(inner)), (rows - 1) * n + (cols - 1)] = 4.0
+            out[inner, 1:-1, 1:-1] = _lu(n).solve(rhs.T).T.reshape(-1, n, n)
+        return out
+
     def column(self, site: tuple[int, int]) -> np.ndarray:
         """G(., site) as a full (N, N) array; identically zero for boundary sites."""
-        out = np.zeros((self.grid_n, self.grid_n))
-        if self.is_boundary(site):
-            return out
-        n = self.n
-        rhs = np.zeros(n * n)
-        rhs[(site[0] - 1) * n + (site[1] - 1)] = 4.0
-        g = _lu(n, n).solve(rhs)
-        out[1:-1, 1:-1] = g.reshape(n, n)
-        return out
+        return self.columns([site])[0]
 
     def entry(self, x: tuple[int, int], y: tuple[int, int]) -> float:
         """G(x, y); zero whenever either site is on the boundary."""
@@ -149,6 +206,14 @@ class GreenOperator:
 
     def variance(self, site: tuple[int, int]) -> float:
         return self.entry(site, site)
+
+    def _refuse_above_budget(self, nbytes: int, what: str, stage: str) -> None:
+        if nbytes > tol.FIELD_BYTES_MAX:
+            raise tol.WorkRefusedError(
+                f"{what} at N={self.grid_n} needs about {_gib(nbytes)} GiB, above "
+                f"the {tol.FIELD_BYTES_MAX / 2**30:g} GiB field budget; use a smaller grid",
+                stage, "bytes", nbytes, tol.FIELD_BYTES_MAX,
+            )
 
     def diagonal(self) -> np.ndarray:
         """All G(x, x) as a full (N, N) array, via the spectral closed form.
@@ -161,18 +226,27 @@ class GreenOperator:
         """
         # the cached sine matrix, T, the inverse gaps, T sigma and the output
         nbytes = 5 * 8 * self.n * self.n
-        if nbytes > tol.FIELD_BYTES_MAX:
-            raise tol.WorkRefusedError(
-                f"the Green diagonal at N={self.grid_n} needs about "
-                f"{_gib(nbytes)} GiB, above the "
-                f"{tol.FIELD_BYTES_MAX / 2**30:g} GiB field budget; use a smaller grid",
-                "gff.GreenOperator.diagonal", "bytes", nbytes, tol.FIELD_BYTES_MAX,
-            )
+        self._refuse_above_budget(nbytes, "the Green diagonal", "gff.GreenOperator.diagonal")
         sine = _sine_matrix(self.grid_n)
         t = sine * sine
         out = np.zeros((self.grid_n, self.grid_n))
         out[1:-1, 1:-1] = t @ (1.0 / _mode_gaps(self.grid_n)) @ t.T
         return out
+
+    def diagonal_at(self, site: tuple[int, int]) -> float:
+        """G(site, site) by diagonal()'s spectral form at one site, a single
+        O(n^2) sum: with interior row r and column c, S[r]^2 sigma S[c]^2.
+        Zero on the boundary; refused like diagonal() above the budget."""
+        if self.is_boundary(site):
+            return 0.0
+        # the cached sine matrix and the inverse gaps
+        nbytes = 2 * 8 * self.n * self.n
+        self._refuse_above_budget(
+            nbytes, "a Green diagonal entry", "gff.GreenOperator.diagonal_at"
+        )
+        sine = _sine_matrix(self.grid_n)
+        row, col = sine[site[0] - 1], sine[site[1] - 1]
+        return float((row * row) @ (1.0 / _mode_gaps(self.grid_n)) @ (col * col))
 
     def cholesky_rows(self, sites: Sequence[tuple[int, int]]) -> np.ndarray:
         """Rows of the lower Cholesky factor L of the interior G for the given
@@ -199,19 +273,18 @@ def dirichlet_extend(field: np.ndarray, box: Box) -> np.ndarray:
     """Harmonic extension inside box of the field's values on the box frame.
 
     Returns an (height, width) array equal to the field on the frame and
-    discrete-harmonic (exact mean-value property, up to LU roundoff) at
-    interior sites. Boxes of side <= 2 are all frame.
+    discrete-harmonic (exact mean-value property, up to the roundoff of the
+    box's sine-basis solve) at interior sites. Boxes of side <= 2 are all
+    frame.
     """
     sub = field[box.slices()]
     if box.height <= 2 or box.width <= 2:
         return sub.copy()
-    nr, nc = box.height - 2, box.width - 2
-    rhs = np.zeros((nr, nc))
+    rhs = np.zeros((box.height - 2, box.width - 2))
     rhs[0, :] += sub[0, 1:-1]
     rhs[-1, :] += sub[-1, 1:-1]
     rhs[:, 0] += sub[1:-1, 0]
     rhs[:, -1] += sub[1:-1, -1]
-    interior = _lu(nr, nc).solve(rhs.ravel()).reshape(nr, nc)
     out = sub.copy()
-    out[1:-1, 1:-1] = interior
+    out[1:-1, 1:-1] = _box_solve(rhs)
     return out

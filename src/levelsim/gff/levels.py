@@ -16,7 +16,8 @@ a value lies within FIELD_FLOAT32_DELTA of the threshold, and
 rounding_flip_bound, reported beside each such estimate, bounds how often
 that happens. Their thresholds are compared exactly: each is replaced by the
 smallest float32 not below it, whatever numpy's promotion rules. The zeta > 0
-probe averages field values in harmonic_at and stays on float64.
+probe averages field values in harmonic_at, so it reads sample_fields, whose
+float32 Box-Muller normals are scaled and transformed in float64.
 
 Both threshold maps run through _threshold_map: their blocks are Philox fills
 and float32 sine products, which run without the GIL, so mc runs them on

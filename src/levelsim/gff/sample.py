@@ -1,5 +1,17 @@
 """Zero-boundary Gaussian field samplers.
 
+Which normals each route draws:
+
+- the spectral routes, sample_fields and sample_box, and the threshold
+  route, sample_interiors_float32, draw float32 Box-Muller normals on the
+  counter-keyed Philox streams (_standard_normal_float32: a 32-bit word for
+  each radius, a float32 uniform for each angle, both halves of raw 64-bit
+  outputs). The spectral routes draw one field's normals at a time and
+  scale and transform them in float64; the threshold route draws its whole
+  request at once and stays in float32;
+- the dense route, sample_sites, draws float64 ziggurat normals, another
+  transform of the Philox bits, so it stays the others' independent check.
+
 The spectral route, sample_fields, scales white noise by (1 - lam_{jk})^{-1/2}
 in the product-sine eigenbasis of the interior walk kernel and applies an
 orthonormal DST-I in both axes. Up to N = SINE_MATRIX_MAX_N the transform is
@@ -14,29 +26,26 @@ Cholesky factor of 4I - A (green.py), with no Green matrix assembled.
 
 Code that only asks whether a site is at or above a threshold takes
 sample_interiors_float32: the daviaud level counts and the coarse-tail probe
-at zeta = 0, which reads the field maximum. It draws its own float32 normals
-by the Box-Muller transform on the same counter-keyed Philox streams
-(_standard_normal_float32: 32-bit words for the radii, float32 uniforms for
-the angles), so its fields are other draws of the law sample_fields draws
-from. It scales them by a float32 copy of spectral_scale and transforms them
-in float32, with a float32 copy of the sine matrix (or dstn above the cut).
-Its float64 twin is the float64 transform of the same float32 normals; a hit
-or a count can differ from the twin's only where a value lies within
-FIELD_FLOAT32_DELTA, the float32 error of a field, of the threshold. Every
-other consumer (covariance, decomposition, harmonic values, the dense route)
-stays on float64 normals. All of them run on the one BLAS thread mc pins
-numpy's OpenBLAS to at import, so they give the same bits at any thread
-count and on any host default. The float32 log, sin and cos of the
-Box-Muller step follow numpy's CPU dispatch, so the threshold route's bits
-are fixed per CPU feature set rather than on every host.
+at zeta = 0, which reads the field maximum. It scales its float32 normals by
+a float32 copy of spectral_scale and transforms them in float32, with a
+float32 copy of the sine matrix (or dstn above the cut). Its float64 twin is
+the float64 transform of the same float32 normals; a hit or a count can
+differ from the twin's only where a value lies within FIELD_FLOAT32_DELTA,
+the float32 error of a field, of the threshold. For one field on one stream
+the twin is sample_fields' field: both read the same normals. Every route
+runs on the one BLAS thread mc pins numpy's and scipy's OpenBLAS to at
+import, so it gives the same bits at any thread count and on any host
+default. The float32 log, sin and cos of the Box-Muller step follow numpy's
+CPU dispatch, so the bits of every route but the dense one are fixed per
+CPU feature set rather than on every host.
 
 Code that reads only one box of each field takes sample_box, the box of the
 fields sample_fields draws from the same stream. Up to the cut it draws each
-field's noise in turn (the same normals as one batched draw) and transforms
-only the box's rows and columns, sine[rows] @ x @ sine[:, cols]; so it holds
-one field's noise at a time, and for the decomposition's centred N/4 root box
-it does about a sixth of the whole-field flops. Above the cut it slices whole
-dstn fields from sample_fields, under that route's budget check.
+field's noise in turn, as sample_fields does, and transforms only the box's
+rows and columns, sine[rows] @ x @ sine[:, cols]; so for the decomposition's
+centred N/4 root box it does about a sixth of the whole-field flops. Above
+the cut it slices whole dstn fields from sample_fields, under that route's
+budget check.
 
 Each route's working set is a pure function of its request (the *_bytes
 functions below). Before it allocates, the route refuses a request above
@@ -91,8 +100,10 @@ def spectral_scale(grid_n: int, dtype=np.float64) -> np.ndarray:
 
 
 def sample_fields_bytes(grid_n: int, count: int) -> int:
-    """Working set of sample_fields: the output, the noise and the
-    transformed noise."""
+    """Working-set bound of sample_fields: the output and two float64
+    copies of every field's interior. The fields draw one at a time, so they
+    hold far less than the two copies; the bound keeps refusing the
+    requests and sizing the threaded blocks it did when they drew at once."""
     n = grid_n - 2
     return 8 * count * (grid_n * grid_n + 2 * n * n)
 
@@ -114,8 +125,9 @@ def sample_box_bytes(grid_n: int, box: Box, count: int) -> int:
 
 
 def sample_interiors_float32_bytes(grid_n: int, count: int) -> int:
-    """Working set of sample_interiors_float32: the normals, their radius
-    words and angle uniforms (half a site each) and the product."""
+    """Working set of sample_interiors_float32, 12 B a site: the normals
+    (4), then either their raw draws and float32 angles while they are made
+    (4 + 2) or the product (4)."""
     n = grid_n - 2
     return (4 + 2 + 2 + 4) * count * n * n
 
@@ -137,13 +149,12 @@ def _check_request(grid_n: int, count: int, nbytes: int, what: str, stage: str) 
 
 
 def _sine_transform(grid_n: int, noise: np.ndarray) -> np.ndarray:
-    """The orthonormal DST-I of scaled (count, n, n) noise in both trailing
-    axes, in noise's dtype: the sine products in place up to the cut, dstn
-    above it."""
+    """The orthonormal DST-I of scaled noise in its two trailing axes, in
+    noise's dtype: the sine products in place up to the cut, dstn above it."""
     if grid_n <= tol.SINE_MATRIX_MAX_N:
         sine = _sine_matrix(grid_n, noise.dtype)
         return np.matmul(sine @ noise, sine, out=noise)
-    return scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
+    return scipy.fft.dstn(noise, type=1, norm="ortho", axes=(-2, -1))
 
 
 def _polar_draws(rng: Generator, pairs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,9 +162,18 @@ def _polar_draws(rng: Generator, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     the radii, then that many float32 uniforms in [0, 1) for the angles.
     The radii take whole words because log u is steep near 0: on the 2^-24
     lattice of float32 uniforms a normal errs by up to 5e-3 against the
-    exact pair, on the 2^-32 lattice by about 1e-5."""
-    words = rng.integers(2**32, size=pairs, dtype=np.uint32)
-    return words, rng.random(pairs, dtype=np.float32)
+    exact pair, on the 2^-32 lattice by about 1e-5.
+
+    Both come from `pairs` raw 64-bit outputs, read as 32-bit halves, low
+    half first: the first `pairs` halves are the words, and the top 24 bits
+    of the rest, times 2^-24, the uniforms. That is what
+    rng.integers(2**32, size=pairs, dtype=np.uint32) and then
+    rng.random(pairs, dtype=np.float32) draw from a stream with no 32-bit
+    half left over (every stream here), at a fraction of their call cost."""
+    halves = rng.bit_generator.random_raw(pairs).astype("<u8", copy=False).view("<u4")
+    angles = (halves[pairs:] >> 8).astype(np.float32)
+    angles *= np.float32(2.0**-24)
+    return halves[:pairs], angles
 
 
 def _standard_normal_float32(rng: Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -182,15 +202,21 @@ def _standard_normal_float32(rng: Generator, shape: tuple[int, ...]) -> np.ndarr
     return out[:size].reshape(shape)
 
 
-def sample_fields(grid_n: int, count: int, rng: Generator) -> np.ndarray:
-    """Draw `count` independent fields as a (count, N, N) array, zero frame."""
+def _scaled_noise(grid_n: int, rng: Generator) -> np.ndarray:
+    """One field's (n, n) float64 mode coefficients: float32 Box-Muller
+    normals times spectral_scale."""
     n = grid_n - 2
+    return _standard_normal_float32(rng, (n, n)) * spectral_scale(grid_n)
+
+
+def sample_fields(grid_n: int, count: int, rng: Generator) -> np.ndarray:
+    """Draw `count` independent fields as a (count, N, N) array, zero frame,
+    one field's noise at a time."""
     nbytes = sample_fields_bytes(grid_n, count)
     _check_request(grid_n, count, nbytes, "spectral", "gff.sample_fields")
     out = np.zeros((count, grid_n, grid_n))
-    noise = rng.standard_normal((count, n, n))
-    noise *= spectral_scale(grid_n)
-    out[:, 1:-1, 1:-1] = _sine_transform(grid_n, noise)
+    for field in out[:, 1:-1, 1:-1]:
+        field[...] = _sine_transform(grid_n, _scaled_noise(grid_n, rng))
     return out
 
 
@@ -216,7 +242,6 @@ def sample_box(grid_n: int, box: Box, count: int, rng: Generator) -> np.ndarray:
         raise ValueError(f"{box} does not lie in the {grid_n}x{grid_n} grid")
     if grid_n > tol.SINE_MATRIX_MAX_N:
         return sample_fields(grid_n, count, rng)[(slice(None), *box.slices())].copy()
-    n = grid_n - 2
     nbytes = sample_box_bytes(grid_n, box, count)
     _check_request(grid_n, count, nbytes, "box", "gff.sample_box")
     # the box's interior rows r0..r1-1 and columns c0..c1-1; interior site
@@ -225,13 +250,10 @@ def sample_box(grid_n: int, box: Box, count: int, rng: Generator) -> np.ndarray:
     c0, c1 = max(box.col0, 1), min(box.col_end, grid_n - 1)
     sine = _sine_matrix(grid_n)
     left, right = sine[r0 - 1 : r1 - 1], sine[:, c0 - 1 : c1 - 1]
-    scale = spectral_scale(grid_n)
     out = np.zeros((count, box.height, box.width))
     inner = out[:, r0 - box.row0 : r1 - box.row0, c0 - box.col0 : c1 - box.col0]
     for field in inner:
-        noise = rng.standard_normal((n, n))
-        noise *= scale
-        field[...] = left @ noise @ right
+        field[...] = left @ _scaled_noise(grid_n, rng) @ right
     return out
 
 
@@ -241,7 +263,9 @@ def sample_interiors_float32(grid_n: int, count: int, rng: Generator) -> np.ndar
     FIELD_FLOAT32_DELTA of the float64 transform of the same normals; for
     code that only compares values with a threshold (compare exactly: a
     float32 array against a float64 threshold rounds the threshold to
-    float32). The stream is not sample_fields': these are other fields."""
+    float32). One field is sample_fields' field on the same stream, within
+    FIELD_FLOAT32_DELTA; more are other fields, since sample_fields draws
+    one field at a time."""
     n = grid_n - 2
     nbytes = sample_interiors_float32_bytes(grid_n, count)
     _check_request(grid_n, count, nbytes, "float32", "gff.sample_interiors_float32")

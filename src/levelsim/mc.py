@@ -13,10 +13,11 @@ blocks' working set (``map_blocks(..., gil_free_bytes=...)``): the two
 float32 threshold field maps and decompose-var's box draws. They run on
 every CPU the process may use, but on no more threads than the field budget
 holds blocks; every other map runs serially. Importing this module sets
-numpy's OpenBLAS to one thread for the rest of the process, so every product
-gives the same bits at any thread count and on any host default; where that
-pin is unavailable, those three maps too run serially. The calling thread is
-one of a map's threads.
+numpy's OpenBLAS and scipy's (a separate copy, behind scipy.linalg) to one
+thread each for the rest of the process, so every product and every banded
+factorization gives the same bits at any thread count and on any host
+default; where numpy's pin is unavailable, those three maps too run
+serially. The calling thread is one of a map's threads.
 
 Vectorized tasks run in replica blocks (``map_blocks``): one stream per block
 of consecutive replicas, keyed like a replica's, as in the counter-based
@@ -156,7 +157,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# (getter, setter) symbol pairs of the OpenBLAS builds numpy ships or links
+# (getter, setter) symbol pairs of the OpenBLAS builds numpy and scipy ship
+# or link
 _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -164,18 +166,27 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
-def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The thread-count getter and setter of the OpenBLAS numpy's matmul
-    calls, or None. Looked up through numpy's extension module, whose handle
-    also resolves its dependencies' symbols."""
-    import ctypes
-
+def _blas_extensions() -> tuple[str, str]:
+    """Files of the extension modules through which numpy's matmul and
+    scipy.linalg's LAPACK calls reach their OpenBLAS: numpy's
+    _multiarray_umath and scipy.linalg's _flapack."""
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy 1
         from numpy.core import _multiarray_umath
+    from scipy.linalg import _flapack
+
+    return _multiarray_umath.__file__, _flapack.__file__
+
+
+def _openblas(extension: str) -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS the extension
+    module at path extension calls, or None. Looked up through the
+    extension's handle, which also resolves its dependencies' symbols."""
+    import ctypes
+
     try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        lib = ctypes.CDLL(extension)
     except OSError:
         return None
     for get, put in _OPENBLAS_SYMBOLS:
@@ -189,16 +200,20 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 
 
 def _pin_blas() -> bool:
-    """Set numpy's OpenBLAS to one thread; returns whether it could."""
-    blas = _openblas()
-    if blas is not None:
-        blas[1](1)
-    return blas is not None
+    """Set numpy's and scipy's OpenBLAS to one thread each; returns whether
+    numpy's could be set, the one the threaded maps' products run on."""
+    numpy_blas, scipy_blas = (_openblas(path) for path in _blas_extensions())
+    for blas in (numpy_blas, scipy_blas):
+        if blas is not None:
+            blas[1](1)
+    return numpy_blas is not None
 
 
 # Pinned once, at import, and never restored: every product, float32 or
-# float64, in a map or not, then runs on one BLAS thread, so a report is a
-# function of its seed alone and small products skip OpenBLAS's thread start.
+# float64, in a map or not, and every scipy.linalg factorization and banded
+# solve (the dense field route) then runs on one BLAS thread, so a report is
+# a function of its seed alone, and small products and the first factor of a
+# process skip OpenBLAS's thread start.
 _BLAS_PINNED = _pin_blas()
 
 

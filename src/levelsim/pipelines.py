@@ -787,15 +787,12 @@ def run_gff_cov(
     variances = np.maximum((prods * prods).mean(axis=0) - means * means, 0.0)
     stderrs = np.sqrt(variances / samples)
 
-    op = GreenOperator(grid_n)
-    oracle = np.array([op.entry(x, y) for x, y in zip(xs, ys)])
+    oracle = GreenOperator(grid_n).columns(ys)[np.arange(len(ys)), xr, xc]
     z = np.abs(means - oracle) / np.where(stderrs > 0, stderrs, np.inf)
     worst = int(np.argmax(z))
     _, ks_pvalue = mc.ks_two_sample(spectral_center, dense_center)
 
-    greens = [
-        float(GreenOperator(n).diagonal()[_center_site(n)]) for n in tol.GREEN_SIZES
-    ]
+    greens = [GreenOperator(n).diagonal_at(_center_site(n)) for n in tol.GREEN_SIZES]
     fit = mc.fit_exponent([math.log(n) for n in tol.GREEN_SIZES], greens)
 
     checks = (

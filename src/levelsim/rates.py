@@ -13,8 +13,9 @@ Each rate equals the value of a constrained supremum over Brownian / field
 profiles; `solve_bbm_variational` and `solve_gff_variational` return the
 closed-form maximizers. `certify_bbm` and `certify_gff` re-derive the suprema
 without the closed forms: each eliminates every variable but the time split
-s analytically and maximizes over s by a one-variable grid search with
-window refinement, so the closed forms never certify themselves.
+s analytically and maximizes over s (certify_bbm over the square root of s's
+distance to its window's edge) by a one-variable grid search with window
+refinement, so the closed forms never certify themselves.
 """
 
 from __future__ import annotations
@@ -208,22 +209,28 @@ def certify_bbm(a: float, x: float) -> VariationalSolution:
 
     The equality constraint (1-s) - (x-y)^2/(2(1-s)) = a pins y given s:
     y = x - sqrt(2(1-s)(1-s-a)) (the root with y <= x). One free variable s
-    remains, feasible iff 0 < s <= 1 - a; the window stops at 1 - a so the
-    grid resolves thin windows when a is close to 1.
+    remains, feasible iff 0 < s <= 1 - a. The maximizer sits within about
+    2(1-a)^2 a/x^2 of that window's edge, so the grid runs over the square
+    root u of the distance to the edge, s = (1 - a) - u^2 with 1 - a formed
+    once: y = x - u sqrt(2(1-s)) then involves no difference of numbers
+    near 1, and the objective is smooth in u where it is steep in s.
     """
     _i_lower(a, x)
+    one_a = 1.0 - a
 
-    def path_end(s):
-        one_s = 1.0 - s
-        return x - np.sqrt(np.maximum(2.0 * one_s * (one_s - a), 0.0))
+    def time_split(u):
+        return one_a - u * u
 
-    def objective(s):
-        y = path_end(s)
+    def path_end(u):
+        return x - u * np.sqrt(2.0 * (1.0 - time_split(u)))
+
+    def objective(u):
+        s, y = time_split(u), path_end(u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where((s > 0.0) & (1.0 - s >= a), s - y * y / (2.0 * s), -np.inf)
+            return np.where(s > 0.0, s - y * y / (2.0 * s), -np.inf)
 
-    s, value = _grid_max(objective, 0.0, 1.0 - a)
-    y = float(path_end(s))
+    u, value = _grid_max(objective, 0.0, math.sqrt(one_a))
+    s, y = float(time_split(u)), float(path_end(u))
     residual = abs((1.0 - s) - (x - y) ** 2 / (2.0 * (1.0 - s)) - a)
     return VariationalSolution(value, (s, y), residual)
 

@@ -32,14 +32,20 @@ RATE_QUERIES = 100
 RATE_VALUE_TOL = 1e-6
 RATE_RESIDUAL_TOL = 1e-9
 # Floor on 1 - a for rates point queries: the CLI refuses --a above 1 minus
-# it. Near a = 1 the certificate's maximizer sits within about
-# 2(1-a)^2/x^2 of its window's edge, and the grid objective forms that
-# distance as a difference of numbers near 1, so rounding swamps the gap.
-# Worst certification gap over x in [0.1, 3] and eta in [0.1, 0.999]: 1.3e-7
-# at 1 - a = 1e-4, 3.4e-7 at 5e-5, 7.6e-7 at 2e-5, then 3.4e-6 (x) and
-# 1.4e-6 (eta) at 1e-5, past RATE_VALUE_TOL, and 2e-4 at 1e-6. The sweep
-# keeps 1 - a >= 1e-4.
+# it. Near a = 1 the level family's grid objective forms the distance of its
+# maximizer from the window's edge as a difference of numbers near 1, so
+# rounding swamps the gap (the particle family's grid runs over the square
+# root of that distance and keeps it exact). Worst certification gap over
+# eta in [0.1, 0.999]: 1.8e-8 at 1 - a = 1e-4, 6.1e-8 at 5e-5, 4.3e-7 at
+# 2e-5, then 1.8e-6 at 1e-5, past RATE_VALUE_TOL, and 1.7e-4 at 1e-6. The
+# sweep keeps 1 - a >= 1e-4.
 RATE_MIN_ONE_MINUS_A = 1e-4
+# Largest speed x of a rates point query. The supremum's value is about
+# -x^2/(2(1-a)), so its rounding alone grows like x^2 against the absolute
+# RATE_VALUE_TOL: at 1 - a = 1e-4 the worst certification gap reads 1e-10
+# over x in [0.1, 3], 4.5e-8 over [3, 100] and up to 1.8e-7 at x = 300; it
+# passes the tolerance between x = 600 and 800.
+RATE_MAX_X = 100.0
 # rates: the two closed-form anchor points, and the identity
 # rate_j(a, eta) = 2 rate_i(a, sqrt(2) eta) over the sweep, both in floating
 # point arithmetic on closed forms

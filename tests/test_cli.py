@@ -119,6 +119,21 @@ class TestValidation:
         code, _, _ = run_cli(["rates", "--a", "0.9999", *query], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("query", [["0.999", "30"], ["0.9999", "100"], ["0.5", "100"]])
+    def test_rates_query_at_a_large_speed_is_certified(self, query, capsys):
+        # the supremum is about -x^2/(2(1-a)); the grid over the square root
+        # of the maximizer's distance to its edge still resolves it
+        a, x = query
+        code, _, _ = run_cli(["rates", "--a", a, "--x", x], capsys)
+        assert code == 0
+
+    def test_rates_speed_above_the_cap_exits_2(self, capsys):
+        code, out, err = run_cli(["rates", "--a", "0.5", "--x", "101"], capsys)
+        assert code == 2
+        assert out == ""
+        assert last_stderr_json(err)["field"] == "x"
+        assert f"(0, {tol.RATE_MAX_X:g}]" in err
+
     @pytest.mark.parametrize("sub", ["gff-cov", "decompose-var"])
     def test_one_sample_exits_2_before_sampling(self, sub, capsys, monkeypatch):
         # one sample has no spread: z-scores would read 0 and variances NaN
@@ -687,7 +702,10 @@ class TestStrictJson:
             ],
         ],
     )
-    def test_non_finite_values_render_as_null(self, argv, capsys):
+    def test_non_finite_values_render_as_null(self, argv, capsys, monkeypatch):
+        if argv[0] == "coarse-tail":
+            # every coarse value reads the zero frame, so no replica hits
+            monkeypatch.setattr(levels, "harmonic_at", lambda fields, box, site: fields[:, 0, 0])
         code, out, _ = run_cli(argv, capsys)
         assert code == 1
 

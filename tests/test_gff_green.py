@@ -1,5 +1,6 @@
-"""Killed-walk Green's function: LU route against the spectral route, and the
-banded Cholesky rows against dense algebra."""
+"""Killed-walk Green's function: LU route against the spectral route, box
+solves in the sine basis and the banded Cholesky rows against dense
+algebra."""
 
 import math
 
@@ -15,6 +16,7 @@ from levelsim.gff import (
     harmonic_at,
     harmonic_measure,
 )
+from levelsim.gff import green
 from levelsim.gff.green import interior_laplacian
 
 # rectangular boxes, including 3 x k and k x 3 boxes with a single interior line
@@ -61,6 +63,22 @@ class TestGreenOperator:
         rhs[(5 - 1) * 10 + (7 - 1)] = 4.0
         assert np.allclose(lap @ col, rhs, atol=1e-10)
 
+    def test_columns_are_solved_together(self):
+        # boundary sites, a repeated site and interior ones in one solve
+        g = GreenOperator(12)
+        sites = [(5, 7), (0, 3), (1, 1), (5, 7), (10, 10)]
+        cols = g.columns(sites)
+        assert cols.shape == (len(sites), 12, 12)
+        assert np.array_equal(cols[1], np.zeros((12, 12)))
+        assert np.array_equal(cols[0], cols[3])
+        lap = interior_laplacian(10, 10)
+        for site, col in zip(sites, cols):
+            rhs = np.zeros(100)
+            if not g.is_boundary(site):
+                rhs[(site[0] - 1) * 10 + (site[1] - 1)] = 4.0
+            assert np.allclose(lap @ col[1:-1, 1:-1].ravel(), rhs, atol=1e-10)
+            assert np.array_equal(col, g.column(site))
+
     def test_boundary_rows_are_zero(self):
         g = GreenOperator(10)
         assert g.entry((0, 4), (5, 5)) == 0.0
@@ -87,6 +105,14 @@ class TestGreenOperator:
         for _ in range(20):
             site = tuple(int(v) for v in rng.integers(1, 19, 2))
             assert diag[site] == pytest.approx(g.variance(site), abs=1e-10)
+
+    @pytest.mark.parametrize("grid_n", [3, 8, 33, 256])
+    def test_diagonal_at_one_site_matches_the_diagonal(self, grid_n):
+        g = GreenOperator(grid_n)
+        diag = g.diagonal()
+        sites = {((grid_n - 1) // 2, (grid_n - 1) // 2), (1, 1), (1, grid_n - 2), (0, 1)}
+        for site in sites:
+            assert g.diagonal_at(site) == pytest.approx(diag[site], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("grid_n", [3, 4, 5, 8, 13, 16])
     def test_cholesky_rows_match_dense_algebra(self, grid_n):
@@ -118,6 +144,10 @@ class TestGreenOperator:
         assert (err.stage, err.quantity) == ("gff.GreenOperator.diagonal", "bytes")
         assert (err.predicted, err.limit) == (40 * 199_998**2, tol.FIELD_BYTES_MAX)
         assert err.reached is None
+        with pytest.raises(tol.WorkRefusedError, match="field budget") as info:
+            GreenOperator(200_000).diagonal_at((5, 5))
+        assert info.value.stage == "gff.GreenOperator.diagonal_at"
+        assert info.value.predicted == 16 * 199_998**2
 
     def test_center_variance_growth_is_logarithmic(self):
         # slope of G(center) against log N approaches 2/pi
@@ -136,6 +166,35 @@ class TestGreenOperator:
             GreenOperator(2)
         with pytest.raises(ValueError):
             GreenOperator(10).is_boundary((10, 3))
+
+
+class TestBoxSolves:
+    """Solves of 4I - A on a box interior in the box's own sine basis against
+    one dense numpy solve per shape: single lines, odd shapes, and the
+    62 x 62 interior of a side-64 box."""
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(1, 1), (1, 9), (9, 1), (3, 5), (7, 4), (15, 11), (62, 62)]
+    )
+    def test_match_dense_solves(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols)
+        sites = sorted(
+            {(0, 0), (rows - 1, cols - 1), (rows // 2, cols // 2), (rows // 3, cols - 1)}
+        )
+        rhs = np.zeros((rows * cols, 1 + len(sites)))
+        rhs[:, 0] = rng.normal(size=rows * cols)
+        for k, (r, c) in enumerate(sites, start=1):
+            rhs[r * cols + c, k] = 1.0
+        dense = np.linalg.solve(interior_laplacian(rows, cols).toarray(), rhs)
+        solved = green._box_solve(rhs[:, 0].reshape(rows, cols))
+        assert np.max(np.abs(solved.ravel() - dense[:, 0])) <= 1e-12
+        outer = np.zeros((rows, cols), dtype=bool)
+        outer[[0, -1], :] = outer[:, [0, -1]] = True
+        for k, site in enumerate(sites, start=1):
+            g = green._box_frame_solve(rows, cols, site)
+            exact = dense[:, k].reshape(rows, cols)
+            assert np.max(np.abs(g[outer] - exact[outer])) <= 1e-12
+            assert np.all(g[~outer] == 0.0)
 
 
 class TestDirichletExtend:

@@ -88,8 +88,10 @@ class TestSpectralTransform:
         count = 2 if grid_n < 512 else 1
         fields = sample_fields(grid_n, count, mc.replica_rng(31, grid_n))
         n = grid_n - 2
-        noise = mc.replica_rng(31, grid_n).standard_normal((count, n, n))
-        noise *= spectral_scale(grid_n)
+        # each field's float32 Box-Muller normals in turn, scaled in float64
+        rng = mc.replica_rng(31, grid_n)
+        normals = [sample._standard_normal_float32(rng, (n, n)) for _ in range(count)]
+        noise = np.stack(normals) * spectral_scale(grid_n)
         expected = scipy.fft.dstn(noise, type=1, norm="ortho", axes=(1, 2))
         assert np.max(np.abs(fields[:, 1:-1, 1:-1] - expected)) <= 1e-12
 
@@ -241,6 +243,14 @@ class TestFloat32Route:
         error = np.max(np.abs(single.astype(np.float64) - double))
         assert error <= self.DELTA / 5
 
+    @pytest.mark.parametrize("grid_n", [16, 64, 128, 512])
+    def test_one_field_reads_the_normals_sample_fields_reads(self, grid_n):
+        # one field on one stream: both routes transform the same float32
+        # normals, sample_fields in float64
+        single = sample_interiors_float32(grid_n, 1, mc.replica_rng(38, grid_n))
+        double = sample_fields(grid_n, 1, mc.replica_rng(38, grid_n))[:, 1:-1, 1:-1]
+        assert np.max(np.abs(single.astype(np.float64) - double)) <= self.DELTA
+
     def test_hits_and_counts_differ_only_near_the_threshold(self):
         grid_n, count = 64, 64
         single = sample_interiors_float32(grid_n, count, mc.replica_rng(34, 0))
@@ -369,6 +379,14 @@ class TestFloat32StreamPins:
         digest_of = hashlib.sha256(words.tobytes())
         digest_of.update(angles.tobytes())
         assert digest_of.hexdigest() == digest
+
+
+    @pytest.mark.parametrize("pairs", [1, 113, 4096])
+    def test_raw_halves_are_the_streams_words_then_uniforms(self, pairs):
+        words, angles = sample._polar_draws(mc.replica_rng(39, pairs), pairs)
+        rng = mc.replica_rng(39, pairs)
+        assert words.tobytes() == rng.integers(2**32, size=pairs, dtype=np.uint32).tobytes()
+        assert angles.tobytes() == rng.random(pairs, dtype=np.float32).tobytes()
 
 
 class TestMarginals:

@@ -201,11 +201,18 @@ def run_fresh(args: list[str], blas_threads: int) -> str:
     return proc.stdout
 
 
-@pytest.mark.skipif(mc._openblas() is None, reason="no OpenBLAS thread control")
+@pytest.mark.skipif(
+    None in [mc._openblas(path) for path in mc._blas_extensions()],
+    reason="no OpenBLAS thread control",
+)
 class TestBlasPin:
     def test_import_pins_openblas_to_one_thread(self):
-        code = "import levelsim; print(levelsim.mc._openblas()[0]())"
-        assert run_fresh(["-c", code], 2).split() == ["1"]
+        # numpy's OpenBLAS and scipy's, each behind its own extension module
+        code = (
+            "from levelsim import mc; "
+            "print(*(mc._openblas(path)[0]() for path in mc._blas_extensions()))"
+        )
+        assert run_fresh(["-c", code], 2).split() == ["1", "1"]
 
     def test_report_does_not_depend_on_the_host_blas_threads(self):
         runs = (
