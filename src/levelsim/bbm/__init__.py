@@ -1,7 +1,6 @@
 """Branching Brownian motion: exact event-driven simulation, capped-system
 coupling, level counting with closed-form oracles, the exact finite-horizon
-laws of the maximum and the level counts from the Fisher-KPP equation, and
-the E1/E2 events on the coarse lattice of the path argument."""
+laws of the maximum and the level counts from the Fisher-KPP equation."""
 
 from .engine import (
     BbmPopulation,
@@ -26,28 +25,18 @@ from .estimators import (
     replica_counts,
 )
 from .kpp import log_count_rate, max_tail_probability, solve_kpp
-from .paths import (
-    DiscretizationPlan,
-    EventReport,
-    check_events,
-    e2_failure_bound,
-)
 
 __all__ = [
     "BbmPopulation",
     "BbmRunConfig",
-    "DiscretizationPlan",
     "DominanceSweep",
-    "EventReport",
     "LevelExponent",
     "MaxTail",
     "NbbmSnapshot",
     "NbbmTrajectory",
     "NoDataError",
-    "check_events",
     "check_nbbm_dominance",
     "count_at_or_above",
-    "e2_failure_bound",
     "estimate_level_exponent",
     "estimate_max_tail",
     "expected_count_oracle",

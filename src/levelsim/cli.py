@@ -133,10 +133,6 @@ PIPELINES = {
                   ends="[)", kwarg="biggins_t"),
             Param("x", float, "level slope for the exponent run", 0.0, math.sqrt(2),
                   kwarg="biggins_x"),
-            Param("delta", float, "mesh exponent: adds a path-discretization event "
-                  "diagnostic", 0.5, 1.0, kwarg="path_delta"),
-            Param("delta_prime", float, "spatial-box exponent for the diagnostic, "
-                  "below 2*delta - 1", 0.0, 1.0, kwarg="path_delta_prime"),
         )),
         Pipeline("nbbm", "pathwise dominance of the population-capped system",
                  _late("run_nbbm"), True,
@@ -243,8 +239,6 @@ def _validate(pipeline: Pipeline, p: dict[str, int | float | str]) -> None:
             raise UsageError(
                 f"{flag} must lie in {param.interval}, got {value}", field=param.key
             )
-    if "delta_prime" in p and "delta" not in p:
-        raise UsageError("delta-prime requires delta", field="delta_prime")
 
 
 def _dispatch(pipeline: Pipeline, p: dict[str, int | float | str]) -> Report:

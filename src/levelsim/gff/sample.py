@@ -99,13 +99,22 @@ def spectral_scale(grid_n: int, dtype=np.float64) -> np.ndarray:
     return scale
 
 
-def sample_fields_bytes(grid_n: int, count: int) -> int:
-    """Working-set bound of sample_fields: the output and two float64
-    copies of every field's interior. The fields draw one at a time, so they
-    hold far less than the two copies; the bound keeps refusing the
-    requests and sizing the threaded blocks it did when they drew at once."""
+def _field_in_progress_bytes(grid_n: int) -> int:
+    """Temporaries of the one field a spectral route draws at a time, at most
+    three float64 copies of its interior: while its noise is scaled, the
+    float32 normals (4 B a site), the float64 noise (8) and the float64 cast
+    buffer numpy multiplies them through (8, at most 8192 values); while it
+    is transformed, the noise and its sine product, or for a box the noise,
+    its product with the box's rows and the box (8 each). The cached sine
+    matrix and spectral_scale, shared by every call, and a few KiB of Python
+    objects are left out."""
     n = grid_n - 2
-    return 8 * count * (grid_n * grid_n + 2 * n * n)
+    return 24 * n * n
+
+
+def sample_fields_bytes(grid_n: int, count: int) -> int:
+    """Working set of sample_fields: the output and one field in progress."""
+    return 8 * count * grid_n * grid_n + _field_in_progress_bytes(grid_n)
 
 
 def sample_sites_bytes(grid_n: int, site_count: int, count: int) -> int:
@@ -116,12 +125,11 @@ def sample_sites_bytes(grid_n: int, site_count: int, count: int) -> int:
 
 
 def sample_box_bytes(grid_n: int, box: Box, count: int) -> int:
-    """Working set of sample_box: up to the cut the box, one field's noise
-    and its product with the box's sine rows; above it sample_fields'."""
+    """Working set of sample_box: up to the cut the boxes and one field in
+    progress; above it sample_fields'."""
     if grid_n > tol.SINE_MATRIX_MAX_N:
         return sample_fields_bytes(grid_n, count)
-    n = grid_n - 2
-    return 8 * (count * box.height * box.width + (n + box.height) * n)
+    return 8 * count * box.height * box.width + _field_in_progress_bytes(grid_n)
 
 
 def sample_interiors_float32_bytes(grid_n: int, count: int) -> int:

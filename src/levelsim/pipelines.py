@@ -16,11 +16,7 @@ import numpy as np
 
 from . import gw, mc, rates, tolerances as tol
 from .bbm import (
-    BbmRunConfig,
-    DiscretizationPlan,
-    check_events,
     check_nbbm_dominance,
-    e2_failure_bound,
     estimate_level_exponent,
     estimate_max_tail,
     expected_count_oracle,
@@ -29,7 +25,6 @@ from .bbm import (
     refuse_doomed_horizon,
     replica_counts,
     sample_positions,  # kept for perfbench/spans.py, which rebinds it here
-    simulate_bbm,
 )
 from .gff import (
     GAMMA,
@@ -414,8 +409,6 @@ def run_bbm_exponents(
     biggins_t: float | None = None,
     biggins_x: float | None = None,
     biggins_replicas: int | None = None,
-    path_delta: float | None = None,
-    path_delta_prime: float | None = None,
 ) -> Report:
     """First moments, the level-count growth exponent, and the max tail.
 
@@ -427,12 +420,7 @@ def run_bbm_exponents(
     correction has shrunk below half the band. Those rates carry a
     grid-convergence check: halving dy and dt must move them by less than
     KPP_GRID_TOL. A horizon t below KPP_MIN_T, which the grids cannot
-    resolve, is refused with ValueError before any draw.
-
-    Passing path_delta switches on a one-run path-discretization diagnostic:
-    one run is observed on the coarse time grid and the spatial-box (E1) and
-    descendant-count (E2) events are tallied against the analytic tail bound.
-    """
+    resolve, is refused with ValueError before any draw."""
     b_t = tol.BIGGINS_T if biggins_t is None else biggins_t
     b_x = tol.BIGGINS_X if biggins_x is None else biggins_x
     b_reps = tol.BIGGINS_REPLICAS if biggins_replicas is None else biggins_replicas
@@ -441,10 +429,6 @@ def run_bbm_exponents(
             f"t must be at least {tol.KPP_MIN_T:g}, the shortest horizon the exact "
             f"FKPP anchor resolves; got {b_t}"
         )
-    # Built before any sampling, so a bad diagnostic input fails at once.
-    dplan = None
-    if path_delta is not None:
-        dplan = DiscretizationPlan(b_t, path_delta, path_delta_prime)
     refuse_doomed_horizon(b_t, b_reps)
 
     estimates = []
@@ -638,24 +622,6 @@ def run_bbm_exponents(
         )
     )
 
-    if dplan is not None:
-        cfg = BbmRunConfig(b_t, snapshot_times=tuple(dplan.times()))
-        pops = simulate_bbm(cfg, mc.replica_rng(mc.derive_seed(seed, 8), 0))
-        events = check_events(pops, dplan)
-        estimates.append(
-            {
-                "name": "path_events",
-                "e1_violations": len(events.e1_violations),
-                "e2_violations": len(events.e2_violations),
-                "e2_bound": e2_failure_bound(dplan),
-                "threshold": events.threshold,
-                "steps": dplan.steps,
-                "mesh": dplan.mesh,
-                "delta": dplan.delta,
-                "delta_prime": dplan.delta_prime,
-            }
-        )
-
     return Report(
         subcommand="bbm-exponents",
         inputs={
@@ -675,8 +641,6 @@ def run_bbm_exponents(
             "exact_tail_t": tol.KPP_MAX_TAIL_T,
             "kpp_grids": [list(g) for g in tol.KPP_GRIDS],
             "kpp_truncation": tol.KPP_TRUNCATION,
-            "path_delta": path_delta,
-            "path_delta_prime": path_delta_prime,
         },
         estimates=tuple(estimates),
         checks=tuple(checks),

@@ -8,8 +8,6 @@ budget here is enforced by raising WorkRefusedError.
 
 from __future__ import annotations
 
-import math
-
 
 class WorkRefusedError(RuntimeError):
     """Work a budget below cannot afford: stage is the refusing function's
@@ -120,10 +118,6 @@ KPP_TRUNCATION = 1e-6
 # small-t limit of about 0.473, so the grid check cannot stand in for this
 # floor. KPP_TRUNCATION's error analysis also assumes t >= 1.
 KPP_MIN_T = 1.0
-# bbm-exponents' path diagnostic: the E1 event confines every particle to
-# [-C t, C t] with C = 2 sqrt(2) + 1, outside the front speed sqrt(2) and
-# every admissible --x, which stays below it.
-PATH_BOX_C = 2.0 * math.sqrt(2.0) + 1.0
 
 # C6: capped-system dominance
 NBBM_T = 6.0

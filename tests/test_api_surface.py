@@ -5,9 +5,10 @@ A deletion that leaves a name behind in an ``__all__`` list, or a re-export
 that hides a submodule behind a function of the same name, then fails here
 rather than at import time in a demo or a benchmark pass. An exported name
 that nothing under ``src/``, ``demos/`` or ``perfbench/`` references is dead
-surface. The code picks each map's thread count, and the population guards,
-the N-BBM caps and the path diagnostic's box are ``tolerances.py`` constants,
-so no exported callable takes any of them as a parameter.
+surface. The code picks each map's thread count, and the population guards
+and the N-BBM caps are ``tolerances.py`` constants, so no exported callable
+takes any of them as a parameter; nor does any take the deleted
+path-discretization diagnostic's exponents.
 The package's import graph leaves out scipy's heaviest subpackages, which
 once made up most of the command line's start-up time. Only ``mc`` sets
 numpy's BLAS thread count, so no other module reaches into its private names.
@@ -105,7 +106,16 @@ def parameters(obj):
 
 
 @pytest.mark.parametrize(
-    "keyword", ["max_concurrency", "particle_cap", "population_cap", "caps", "cutoff"]
+    "keyword",
+    [
+        "max_concurrency",
+        "particle_cap",
+        "population_cap",
+        "caps",
+        "cutoff",
+        "path_delta",
+        "path_delta_prime",
+    ],
 )
 def test_no_exported_callable_takes_a_removed_setting(keyword):
     takers = [

@@ -166,12 +166,12 @@ class TestValidation:
         assert code == 2
         assert last_stderr_json(err)["field"] == "delta"
 
-    def test_delta_prime_requires_delta(self, capsys):
-        code, _, err = run_cli(
-            ["bbm-exponents", "--seed", "1", "--delta-prime", "0.2"], capsys
-        )
-        assert code == 2
-        assert last_stderr_json(err)["field"] == "delta_prime"
+    def test_delta_is_a_partition_flag_only(self, calls, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bbm-exponents", "--seed", "1", "--delta", "0.75"])
+        assert info.value.code == 2
+        assert "--delta" in last_stderr_json(capsys.readouterr().err)["error"]
+        assert calls == []
 
     def test_nonpositive_t(self, capsys):
         code, _, err = run_cli(["nbbm", "--seed", "1", "--t", "-2"], capsys)
@@ -252,20 +252,6 @@ class TestRegistryBounds:
         assert last_stderr_json(err)["field"] == key
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "flags", [["--delta", "0.3"], ["--delta", "0.6", "--delta-prime", "0.5"]]
-    )
-    def test_bbm_path_diagnostic_input_checked_before_sampling(
-        self, flags, capsys, monkeypatch
-    ):
-        def never(*args, **kwargs):
-            raise AssertionError("sampling started on a bad diagnostic input")
-
-        monkeypatch.setattr(pipelines, "replica_counts", never)
-        monkeypatch.setattr(pipelines, "sample_positions", never)
-        code, _, _ = run_cli(["bbm-exponents", "--seed", "1", *flags], capsys)
-        assert code == 2
-
 
 # argv with every flag of a subcommand set, the run function it reaches and
 # the keyword arguments that function must receive
@@ -286,19 +272,9 @@ WIRING = [
         {"seed": 5, "replicas": 3},
     ),
     (
-        [
-            "bbm-exponents", "--seed", "5", "--replicas", "3", "--t", "4", "--x",
-            "0.5", "--delta", "0.75", "--delta-prime", "0.2",
-        ],
+        ["bbm-exponents", "--seed", "5", "--replicas", "3", "--t", "4", "--x", "0.5"],
         "run_bbm_exponents",
-        {
-            "seed": 5,
-            "biggins_replicas": 3,
-            "biggins_t": 4.0,
-            "biggins_x": 0.5,
-            "path_delta": 0.75,
-            "path_delta_prime": 0.2,
-        },
+        {"seed": 5, "biggins_replicas": 3, "biggins_t": 4.0, "biggins_x": 0.5},
     ),
     (
         ["nbbm", "--seed", "5", "--replicas", "3", "--t", "4"],
@@ -544,7 +520,7 @@ class TestRuntimeFailures:
     @pytest.mark.parametrize(
         "zeta, stage, predicted",
         [("0.0", "gff.GreenOperator.diagonal", "4.000000e+4401"),
-         ("0.5", "gff.sample_fields", "2.400000e+4401")],
+         ("0.5", "gff.sample_fields", "3.200000e+4401")],
     )
     def test_byte_count_past_the_int_digit_limit_prints(self, zeta, stage, predicted, capsys):
         # the byte count of N = 10**2200 has over 4300 digits, which str()
@@ -561,7 +537,7 @@ class TestRuntimeFailures:
 
     def test_oversized_decomposition_block_exits_3_before_sampling(self, capsys, monkeypatch):
         # above the sine-matrix cut the root window is sliced from whole fields,
-        # so a block of 50 at N=1024 is refused as 50 whole fields would be
+        # so a block of 50 at N=2048 is refused as 50 whole fields would be
         finished = []
         map_blocks = pipelines.mc.map_blocks
 
@@ -578,11 +554,11 @@ class TestRuntimeFailures:
 
         monkeypatch.setattr(pipelines.mc, "map_blocks", counted_map)
         monkeypatch.setattr(scipy.fft, "dstn", never)
-        code, out, err = run_cli(["decompose-var", "--grid-n", "1024", "--seed", "1"], capsys)
+        code, out, err = run_cli(["decompose-var", "--grid-n", "2048", "--seed", "1"], capsys)
         assert code == 3
         assert out == ""
         error = refusal(err, "gff.sample_fields")["error"]
-        assert "sampling 50 spectral field(s) at N=1024 needs about 1.17 GiB" in error
+        assert "sampling 50 spectral field(s) at N=2048 needs about 1.66 GiB" in error
         assert "field budget" in error
         assert finished == []
 

@@ -167,11 +167,42 @@ class TestBox:
                 sample_box(64, box, tol.FIELD_BYTES_MAX // (8 * 16 * 16) + 1, rng)
             # above the cut the request is the whole fields sample_fields draws
             with pytest.raises(tol.WorkRefusedError, match="50 spectral field"):
-                sample_box(1024, Box(384, 384, 256, 256), 50, rng)
+                sample_box(2048, Box(768, 768, 512, 512), 50, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestWorkingSet:
+    """Each spectral route's byte bound covers the peak tracemalloc measures
+    and stays within twice it: the fields draw one at a time, so a request
+    holds its output and one field in progress, however many it asks for."""
+
+    @staticmethod
+    def traced_peak(draw) -> int:
+        tracemalloc.start()
+        try:
+            draw()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("grid_n, count", [(64, 1), (64, 30), (200, 4), (520, 2)])
+    def test_sample_fields(self, grid_n, count):
+        sample_fields(grid_n, 1, mc.replica_rng(43, 0))  # fills the shared caches
+        rng = mc.replica_rng(43, 1)
+        peak = self.traced_peak(lambda: sample_fields(grid_n, count, rng))
+        assert peak <= sample.sample_fields_bytes(grid_n, count) < 2 * peak
+
+    @pytest.mark.parametrize("grid_n, count", [(64, 1), (64, 50), (256, 3)])
+    def test_sample_box(self, grid_n, count):
+        quarter = grid_n // 4
+        box = Box(3 * quarter // 2, 3 * quarter // 2, quarter, quarter)
+        sample_box(grid_n, box, 1, mc.replica_rng(44, 0))
+        rng = mc.replica_rng(44, 1)
+        peak = self.traced_peak(lambda: sample_box(grid_n, box, count, rng))
+        assert peak <= sample.sample_box_bytes(grid_n, box, count) < 2 * peak
 
 
 class TestSites:
