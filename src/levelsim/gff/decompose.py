@@ -13,18 +13,16 @@ variances grow linearly in the scale gap."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .green import _box_frame_solve, _lock
+from .green import _box_frame_solve
 # kept for perfbench/spans.py, whose SITES rebind dirichlet_extend here
 from .green import dirichlet_extend  # noqa: F401
 from .grid import Box
 
 __all__ = ["harmonic_measure", "harmonic_at"]
-
-# harmonic-measure rows in box-local coordinates, keyed by (height, width,
-# local site); translation invariance makes one row serve every such box
-_row_cache: dict[tuple[int, int, int, int], tuple[np.ndarray, ...]] = {}
 
 
 def _require_site(box: Box, site: tuple[int, int]) -> tuple[int, int]:
@@ -47,18 +45,14 @@ def harmonic_measure(
     height, width = box.height, box.width
     if height <= 2 or width <= 2 or lr in (0, height - 1) or lc in (0, width - 1):
         return np.array([site[0]]), np.array([site[1]]), np.ones(1)
-    key = (height, width, lr, lc)
-    with _lock:
-        row = _row_cache.get(key)
-    if row is None:
-        row = _solve_row(height, width, lr, lc)
-        with _lock:
-            row = _row_cache.setdefault(key, row)
-    rows, cols, weights = row
+    rows, cols, weights = _solve_row(height, width, lr, lc)
     return rows + box.row0, cols + box.col0, weights
 
 
+@functools.cache
 def _solve_row(height: int, width: int, lr: int, lc: int) -> tuple[np.ndarray, ...]:
+    """harmonic_measure's row in box-local coordinates, read-only: translation
+    invariance makes one memoised row serve every height x width box."""
     # The interior value at site is e_site' L^-1 b, where b adds each non-corner
     # frame value to its inward neighbour; L = 4I - A is symmetric, so one solve
     # g = L^-1 e_site weights frame site w by g at the inward neighbour of w,
@@ -72,7 +66,8 @@ def _solve_row(height: int, width: int, lr: int, lc: int) -> tuple[np.ndarray, .
     rows, cols = np.nonzero(edge_r | edge_c)
     weights = g[np.clip(rows, 1, nr) - 1, np.clip(cols, 1, nc) - 1]
     weights[(edge_r & edge_c)[rows, cols]] = 0.0
-    weights.setflags(write=False)  # callers share the cached row
+    for shared in (rows, cols, weights):
+        shared.setflags(write=False)
     return rows, cols, weights
 
 

@@ -15,13 +15,15 @@ independent routes are exposed, and tests play them against each other:
 - the banded Cholesky factor of 4I - A (LAPACK dpbtrf) gives rows of
   chol(G), the dense sampler's route.
 
-The spectral basis, the sine matrix (cached once per side) and the mode
-gaps, lives here and is shared with the field sampler.
+The spectral basis, the sine matrix and the mode gaps, lives here and is
+shared with the field sampler. Per-size arrays and SuperLU factors are
+memoised (functools.cache) for the life of the process and shared by every
+caller, so the arrays are read-only.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from collections.abc import Sequence
 from decimal import Decimal
 
@@ -39,20 +41,18 @@ __all__ = [
     "dirichlet_extend",
 ]
 
-_lock = threading.Lock()
-# keyed by n: the SuperLU factors of the n x n interior's 4I - A
-_lu_cache: dict[int, spla.SuperLU] = {}
-# keyed by N: the banded upper Cholesky factor of the interior 4I - A
-_band_cache: dict[int, np.ndarray] = {}
-# keyed by (N, dtype): the float32 copy serves the sampler's threshold route
-_sine_cache: dict[tuple[int, np.dtype], np.ndarray] = {}
-# keyed by (rows, cols): inverse eigenvalues of 4I - A on a box interior
-_inverse_eigen_cache: dict[tuple[int, int], np.ndarray] = {}
 
-
-def _gib(nbytes: int) -> str:
-    """nbytes in GiB to three figures, by Decimal past the float range."""
-    return f"{nbytes / 2**30 if nbytes < 2**1000 else Decimal(nbytes >> 30):.3g}"
+def _refuse_above_budget(nbytes: int, what: str, stage: str, use: str = "a smaller grid") -> None:
+    """Refuse a field computation with WorkRefusedError, before it allocates,
+    when its working set of nbytes exceeds FIELD_BYTES_MAX; the message gives
+    nbytes in GiB to three figures, by Decimal past the float range."""
+    if nbytes > tol.FIELD_BYTES_MAX:
+        gib = nbytes / 2**30 if nbytes < 2**1000 else Decimal(nbytes >> 30)
+        raise tol.WorkRefusedError(
+            f"{what} needs about {gib:.3g} GiB, above the "
+            f"{tol.FIELD_BYTES_MAX / 2**30:g} GiB field budget; use {use}",
+            stage, "bytes", nbytes, tol.FIELD_BYTES_MAX,
+        )
 
 
 def interior_laplacian(n_rows: int, n_cols: int) -> sp.csc_matrix:
@@ -68,51 +68,47 @@ def interior_laplacian(n_rows: int, n_cols: int) -> sp.csc_matrix:
 def _sine_matrix(grid_n: int, dtype=np.float64) -> np.ndarray:
     """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n,
     n = N - 2: the product-sine eigenbasis of the interior walk (symmetric).
-    Computed and cached in float64; another dtype casts the cached matrix."""
-    key = (grid_n, np.dtype(dtype))
-    with _lock:
-        sine = _sine_cache.get(key)
-        if sine is None:
-            exact = _sine_cache.get((grid_n, np.dtype(np.float64)))
-            if exact is None:
-                n = grid_n - 2
-                k = np.arange(1, n + 1)
-                exact = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-                _sine_cache[grid_n, np.dtype(np.float64)] = exact
-            sine = _sine_cache[key] = exact.astype(dtype, copy=False)
+    Read-only; memoised in float64 and once per other dtype, however spelt."""
+    return _sine_matrix_of(grid_n, np.dtype(dtype))
+
+
+@functools.cache
+def _sine_matrix_of(grid_n: int, dtype: np.dtype) -> np.ndarray:
+    if dtype == np.float64:
+        n = grid_n - 2
+        k = np.arange(1, n + 1)
+        sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    else:
+        sine = _sine_matrix(grid_n).astype(dtype)
+    sine.setflags(write=False)
     return sine
 
 
 def _mode_gaps(grid_n: int) -> np.ndarray:
     """Spectral gaps 1 - lam_{jk} of the interior walk on the mode grid,
     lam_{jk} = (cos(pi j/(N-1)) + cos(pi k/(N-1)))/2 for j, k = 1..N-2.
-    Not cached: the sampler caches its own scale (1 - lam)^{-1/2}."""
+    Not memoised: the sampler memoises its own scale (1 - lam)^{-1/2}, and
+    the Green diagonal reads the gaps once a call."""
     n = grid_n - 2
     theta = np.pi * np.arange(1, n + 1) / (n + 1)
     return 1.0 - 0.5 * (np.cos(theta)[:, None] + np.cos(theta)[None, :])
 
 
+@functools.cache
 def _lu(n: int) -> spla.SuperLU:
-    with _lock:
-        lu = _lu_cache.get(n)
-        if lu is None:
-            lu = _lu_cache[n] = spla.splu(interior_laplacian(n, n))
-    return lu
+    """SuperLU factors of 4I - A on the n x n interior."""
+    return spla.splu(interior_laplacian(n, n))
 
 
+@functools.cache
 def _inverse_eigenvalues(rows: int, cols: int) -> np.ndarray:
     """1 / (4 - 2cos(pi j/(rows+1)) - 2cos(pi k/(cols+1))), j = 1..rows,
     k = 1..cols: the inverse eigenvalues of 4I - A on a rows x cols box
     interior, on the mode grid of its product-sine basis. Read-only."""
-    key = (rows, cols)
-    with _lock:
-        inverse = _inverse_eigen_cache.get(key)
-        if inverse is None:
-            tr = 2.0 * np.cos(np.pi * np.arange(1, rows + 1) / (rows + 1))
-            tc = 2.0 * np.cos(np.pi * np.arange(1, cols + 1) / (cols + 1))
-            inverse = 1.0 / (4.0 - tr[:, None] - tc[None, :])
-            inverse.setflags(write=False)
-            _inverse_eigen_cache[key] = inverse
+    tr = 2.0 * np.cos(np.pi * np.arange(1, rows + 1) / (rows + 1))
+    tc = 2.0 * np.cos(np.pi * np.arange(1, cols + 1) / (cols + 1))
+    inverse = 1.0 / (4.0 - tr[:, None] - tc[None, :])
+    inverse.setflags(write=False)
     return inverse
 
 
@@ -139,22 +135,20 @@ def _box_frame_solve(rows: int, cols: int, site: tuple[int, int]) -> np.ndarray:
     return g
 
 
+@functools.cache
 def _band_factor(grid_n: int) -> np.ndarray:
     """U with U'U = 4I - A on the interior, in LAPACK's upper band storage
     (row n - d holds the d-th superdiagonal): a row site couples to the next
     site of its row (distance 1, none across a row end) and to the site
-    below (distance n), so the bandwidth is n = N - 2."""
-    with _lock:
-        u = _band_cache.get(grid_n)
-        if u is None:
-            n = grid_n - 2
-            ab = np.zeros((n + 1, n * n))
-            ab[0, n:] = -1.0
-            ab[n - 1, 1:] = -1.0
-            ab[n - 1, ::n] = 0.0
-            ab[n] = 4.0
-            u, _ = dpbtrf(ab)
-            _band_cache[grid_n] = u
+    below (distance n), so the bandwidth is n = N - 2. Read-only."""
+    n = grid_n - 2
+    ab = np.zeros((n + 1, n * n))
+    ab[0, n:] = -1.0
+    ab[n - 1, 1:] = -1.0
+    ab[n - 1, ::n] = 0.0
+    ab[n] = 4.0
+    u, _ = dpbtrf(ab)
+    u.setflags(write=False)
     return u
 
 
@@ -207,14 +201,6 @@ class GreenOperator:
     def variance(self, site: tuple[int, int]) -> float:
         return self.entry(site, site)
 
-    def _refuse_above_budget(self, nbytes: int, what: str, stage: str) -> None:
-        if nbytes > tol.FIELD_BYTES_MAX:
-            raise tol.WorkRefusedError(
-                f"{what} at N={self.grid_n} needs about {_gib(nbytes)} GiB, above "
-                f"the {tol.FIELD_BYTES_MAX / 2**30:g} GiB field budget; use a smaller grid",
-                stage, "bytes", nbytes, tol.FIELD_BYTES_MAX,
-            )
-
     def diagonal(self) -> np.ndarray:
         """All G(x, x) as a full (N, N) array, via the spectral closed form.
 
@@ -224,9 +210,10 @@ class GreenOperator:
         as T sigma T' with T = S*S elementwise. Refused with
         WorkRefusedError before allocation above the field budget.
         """
-        # the cached sine matrix, T, the inverse gaps, T sigma and the output
+        # the memoised sine matrix, T, the inverse gaps, T sigma and the output
         nbytes = 5 * 8 * self.n * self.n
-        self._refuse_above_budget(nbytes, "the Green diagonal", "gff.GreenOperator.diagonal")
+        what = f"the Green diagonal at N={self.grid_n}"
+        _refuse_above_budget(nbytes, what, "gff.GreenOperator.diagonal")
         sine = _sine_matrix(self.grid_n)
         t = sine * sine
         out = np.zeros((self.grid_n, self.grid_n))
@@ -239,11 +226,10 @@ class GreenOperator:
         Zero on the boundary; refused like diagonal() above the budget."""
         if self.is_boundary(site):
             return 0.0
-        # the cached sine matrix and the inverse gaps
+        # the memoised sine matrix and the inverse gaps
         nbytes = 2 * 8 * self.n * self.n
-        self._refuse_above_budget(
-            nbytes, "a Green diagonal entry", "gff.GreenOperator.diagonal_at"
-        )
+        what = f"a Green diagonal entry at N={self.grid_n}"
+        _refuse_above_budget(nbytes, what, "gff.GreenOperator.diagonal_at")
         sine = _sine_matrix(self.grid_n)
         row, col = sine[site[0] - 1], sine[site[1] - 1]
         return float((row * row) @ (1.0 / _mode_gaps(self.grid_n)) @ (col * col))

@@ -16,7 +16,7 @@ The spectral route, sample_fields, scales white noise by (1 - lam_{jk})^{-1/2}
 in the product-sine eigenbasis of the interior walk kernel and applies an
 orthonormal DST-I in both axes. Up to N = SINE_MATRIX_MAX_N the transform is
 the matrix product S @ x @ S with the n x n orthonormal DST-I matrix S
-(n = N - 2, S symmetric; green.py caches it and owns the mode gaps): two BLAS
+(n = N - 2, S symmetric; green.py memoises it and owns the mode gaps): two BLAS
 products per field, whose cost does not depend on how N - 1 factors, where
 FFT-based DST-I is slowest at prime N - 1 (N = 128).
 Above the cut the O(n^3) product loses to scipy.fft.dstn, which takes over;
@@ -57,8 +57,8 @@ once stay inside that budget too.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -66,7 +66,7 @@ import scipy.fft
 from numpy.random import Generator
 
 from .. import tolerances as tol
-from .green import GreenOperator, _gib, _mode_gaps, _sine_matrix
+from .green import GreenOperator, _mode_gaps, _refuse_above_budget, _sine_matrix
 from .grid import Box
 
 __all__ = [
@@ -81,21 +81,18 @@ __all__ = [
     "sample_interiors_float32_bytes",
 ]
 
-_lock = threading.Lock()
-_scale_cache: dict[tuple[int, np.dtype], np.ndarray] = {}
-
 
 def spectral_scale(grid_n: int, dtype=np.float64) -> np.ndarray:
     """Standard deviations (1 - lam_{jk})^{-1/2} on the interior mode grid,
     lam_{jk} = (cos(pi j/(N-1)) + cos(pi k/(N-1)))/2 for j, k = 1..N-2.
-    Computed in float64 and cast once to dtype."""
-    key = (grid_n, np.dtype(dtype))
-    with _lock:
-        scale = _scale_cache.get(key)
-        if scale is None:
-            scale = 1.0 / np.sqrt(_mode_gaps(grid_n))
-            scale = scale.astype(dtype, copy=False)
-            _scale_cache[key] = scale
+    Read-only; computed in float64 and cast once to dtype, however spelt."""
+    return _spectral_scale_of(grid_n, np.dtype(dtype))
+
+
+@functools.cache
+def _spectral_scale_of(grid_n: int, dtype: np.dtype) -> np.ndarray:
+    scale = (1.0 / np.sqrt(_mode_gaps(grid_n))).astype(dtype, copy=False)
+    scale.setflags(write=False)
     return scale
 
 
@@ -147,13 +144,10 @@ def _check_request(grid_n: int, count: int, nbytes: int, what: str, stage: str) 
         raise ValueError(f"grid must have an interior, got N={grid_n}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if nbytes > tol.FIELD_BYTES_MAX:
-        raise tol.WorkRefusedError(
-            f"sampling {count} {what} field(s) at N={grid_n} needs about "
-            f"{_gib(nbytes)} GiB, above the {tol.FIELD_BYTES_MAX / 2**30:g} GiB "
-            "field budget; use a smaller grid or fewer replicas",
-            stage, "bytes", nbytes, tol.FIELD_BYTES_MAX,
-        )
+    _refuse_above_budget(
+        nbytes, f"sampling {count} {what} field(s) at N={grid_n}", stage,
+        "a smaller grid or fewer replicas",
+    )
 
 
 def _sine_transform(grid_n: int, noise: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ takes any of them as a parameter; nor does any take the deleted
 path-discretization diagnostic's exponents.
 The package's import graph leaves out scipy's heaviest subpackages, which
 once made up most of the command line's start-up time. Only ``mc`` sets
-numpy's BLAS thread count, so no other module reaches into its private names.
+numpy's BLAS thread count, so no other module reaches into its private names,
+and only ``mc`` imports ``threading``: state shared between threads goes
+through ``mc``'s maps or ``functools.cache``, never a module's own lock.
 Every exception class the package defines is a ``ValueError``, which the
 command line maps to exit 2, or one ``cli.main`` catches by name for exit 3,
 so none can escape as a traceback with exit 1, the code of a failed check.
@@ -239,6 +241,24 @@ def test_only_mc_reads_its_private_names():
         if path.name != "mc.py" and (reads := private_mc_reads(path))
     }
     assert readers == {}
+
+
+def imports_threading(path: Path) -> bool:
+    """The module at path imports threading or a name from it."""
+    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    names = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level]
+    return any(name.partition(".")[0] == "threading" for name in names)
+
+
+def test_only_mc_imports_threading():
+    package = Path(levelsim.__file__).parent
+    importers = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "mc.py" and imports_threading(path)
+    ]
+    assert importers == []
 
 
 def caught_by_name(function) -> set[str]:

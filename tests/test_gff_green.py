@@ -15,6 +15,7 @@ from levelsim.gff import (
     dirichlet_extend,
     harmonic_at,
     harmonic_measure,
+    spectral_scale,
 )
 from levelsim.gff import green
 from levelsim.gff.green import interior_laplacian
@@ -273,13 +274,13 @@ class TestHarmonicAt:
                 assert abs(weights.sum() - 1.0) <= 1e-12
                 assert all(w == 0.0 for s, w in zip(frame, weights) if s in corners)
 
-    def test_cache_hit_matches_fresh_solve(self, monkeypatch):
+    def test_cache_hit_matches_fresh_solve(self):
         box, moved = Box(1, 2, 9, 6), Box(4, 0, 9, 6)
         site, moved_site = (2, 3), (5, 1)
         rows, cols, weights = harmonic_measure(box, site)
         hit = harmonic_measure(moved, moved_site)
         assert hit[2] is weights
-        monkeypatch.setattr(levelsim.gff.decompose, "_row_cache", {})
+        levelsim.gff.decompose._solve_row.cache_clear()
         fresh = harmonic_measure(moved, moved_site)
         assert fresh[2] is not weights
         for got in (hit, fresh):
@@ -291,3 +292,33 @@ class TestHarmonicAt:
         field = np.zeros((8, 8))
         with pytest.raises(ValueError, match="outside"):
             harmonic_at(field, Box(2, 2, 4, 4), (7, 7))
+
+
+class TestMemo:
+    """Memoised arrays are one object shared by every caller, so none of them
+    can be written in place, and both spellings of a dtype share one entry."""
+
+    SHARED = {
+        "sine-float64": lambda: green._sine_matrix(16),
+        "sine-float32": lambda: green._sine_matrix(16, np.float32),
+        "scale-float64": lambda: spectral_scale(16),
+        "scale-float32": lambda: spectral_scale(16, np.float32),
+        "band-factor": lambda: green._band_factor(8),
+        "inverse-eigenvalues": lambda: green._inverse_eigenvalues(5, 7),
+        "harmonic-weights": lambda: harmonic_measure(Box(0, 0, 9, 6), (4, 2))[2],
+    }
+
+    @pytest.mark.parametrize("name", SHARED)
+    def test_in_place_write_raises(self, name):
+        shared = self.SHARED[name]()
+        before = shared.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            shared[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared *= 2.0
+        assert np.array_equal(self.SHARED[name](), before)
+
+    @pytest.mark.parametrize("memo", [green._sine_matrix, spectral_scale])
+    def test_dtype_spellings_share_one_entry(self, memo):
+        assert memo(16, np.float32) is memo(16, np.dtype("float32"))
+        assert memo(16) is memo(16, np.float64) is memo(16, "float64")
