@@ -17,7 +17,7 @@ def main() -> None:
 
     check = gw.verify_mgf_condition(gw.OffspringLaw.poisson(1.5), 0.15, 1.1)
     print(f"MGF condition, poisson(1.5) at lambda=0.15: satisfied={check.satisfied}, "
-          f"margin={check.margin:.4f}")
+          f"margin={check.slack:.4f}")
 
     # bounded-support laws keep the exact convolution route open
     law = gw.OffspringLaw.table({0: 0.2, 1: 0.3, 2: 0.5})

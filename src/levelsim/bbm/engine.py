@@ -111,7 +111,6 @@ class NbbmSnapshot:
 
 @dataclass(frozen=True)
 class NbbmTrajectory:
-    cap_n: float
     snapshots: tuple[NbbmSnapshot, ...]
 
     @property
@@ -204,7 +203,7 @@ def simulate_nbbm(cfg: BbmRunConfig, cap_n: float, rng: Generator) -> NbbmTrajec
     if not (math.isinf(cap_n) or cap_n >= 1):
         raise ValueError(f"cap_n must be >= 1 or inf, got {cap_n}")
     _, culled = _run(cfg, rng, float(cap_n))
-    return NbbmTrajectory(float(cap_n), tuple(culled))
+    return NbbmTrajectory(tuple(culled))
 
 
 def refuse_doomed_horizon(t: float, replicas: int) -> None:

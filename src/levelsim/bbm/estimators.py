@@ -144,7 +144,6 @@ class DominanceSweep:
     """Pathwise check that the capped maximum never beats the free one."""
 
     t: float
-    cap_n: float
     replicas: int
     violations: tuple[tuple[int, float], ...]
 
@@ -160,11 +159,12 @@ def check_nbbm_dominance(
     seed: int,
     snapshot_times: tuple[float, ...] | None = None,
 ) -> DominanceSweep:
-    """Run coupled pairs over derived seeds; report (replica, time) breaches.
+    """Run coupled pairs over derived seeds; report (replica, time) breaches
+    in replica order, then time order.
 
-    The chronological engine runs one replica at a time, one stream each, and
-    a free replica expects e^t - 1 branch events. A sweep that expects more
-    than NBBM_EVENTS_MAX in all is refused before any draw.
+    The chronological engine runs one replica at a time, in blocks of one,
+    and a free replica expects e^t - 1 branch events. A sweep that expects
+    more than NBBM_EVENTS_MAX in all is refused before any draw.
     """
     cfg = BbmRunConfig(t, snapshot_times)
     refuse_doomed_horizon(t, replicas)
@@ -178,12 +178,13 @@ def check_nbbm_dominance(
             tol.NBBM_EVENTS_MAX,
         )
 
-    def task(rng) -> list[float]:
+    def task(rng, size) -> list[list[bool]]:
+        # one row of per-snapshot breach flags
         trajectory = simulate_nbbm(cfg, cap_n, rng)
-        return [s.time for s in trajectory.snapshots if not s.dominated]
+        return [[not s.dominated for s in trajectory.snapshots]]
 
-    plan = mc.ReplicaPlan(replicas, seed)
-    violations = []
-    for index, bad_times in enumerate(mc.parallel_map(plan, task)):
-        violations.extend((index, bt) for bt in bad_times)
-    return DominanceSweep(t, float(cap_n), replicas, tuple(violations))
+    breaches = mc.map_blocks(mc.ReplicaPlan(replicas, seed), 1, task)
+    violations = tuple(
+        (int(i), cfg.snapshot_times[j]) for i, j in zip(*np.nonzero(breaches))
+    )
+    return DominanceSweep(t, replicas, violations)

@@ -32,7 +32,6 @@ from .sample import (
     sample_box,
     sample_box_bytes,
     sample_fields,
-    sample_fields_bytes,
     sample_interiors_float32,
     sample_interiors_float32_bytes,
     sample_sites,
@@ -67,7 +66,6 @@ __all__ = [
     "sample_box",
     "sample_box_bytes",
     "sample_fields",
-    "sample_fields_bytes",
     "sample_interiors_float32",
     "sample_interiors_float32_bytes",
     "sample_sites",

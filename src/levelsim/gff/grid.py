@@ -6,17 +6,16 @@ distance >= 3N/8 from the frame (side N/4 when 8 divides N). The multiscale
 construction tiles the core with squares of side (N/4)^{s_i} along a strictly
 decreasing schedule 1 = s_0 > ... > s_L = 0 and keeps, at each level, only the
 children separated from their parent's boundary by a fixed fraction of the
-parent side. With the default margin 1/4 the kept children occupy the central
-half of each parent, four translates per level tile the parent exactly, and
-the final singleton level covers the core under 4^L composed shifts while
-numbering at least 4^{-L} of the flat singleton count.
+parent side, tolerances.PARTITION_MARGIN. At 1/4 the kept children occupy the
+central half of each parent, four translates per level tile the parent
+exactly, and the final singleton level covers the core under 4^L composed
+shifts while numbering at least 4^{-L} of the flat singleton count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,9 +34,6 @@ __all__ = [
     "CoverConstructionError",
     "shift_cover",
 ]
-
-DEFAULT_MARGIN = Fraction(1, 4)
-
 
 @dataclass(frozen=True, order=True)
 class Box:
@@ -189,13 +185,11 @@ class NestedPartitions:
 
     levels[i] holds the starred boxes at schedule exponent s_i (level 0 is the
     core region itself); children[i][j] indexes levels[i+1] entries descending
-    from levels[i][j]. margin is the kept-child separation as a fraction of
-    the parent side.
+    from levels[i][j].
     """
 
     grid_n: int
     schedule: Schedule
-    margin: Fraction
     levels: tuple[tuple[Box, ...], ...]
     children: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -205,20 +199,22 @@ class NestedPartitions:
 
     def margin_ok(self) -> bool:
         """Whether every parent's kept children are exactly its tiles at
-        least margin * side from its boundary, re-derived from scratch."""
+        least PARTITION_MARGIN * side from its boundary, re-derived from
+        scratch with the margin as it is now."""
         for lvl, kids in enumerate(self.children):
             side = _level_side(self.grid_n, self.schedule.exponents[lvl + 1])
             for parent, child_idx in zip(self.levels[lvl], kids):
                 kept = [self.levels[lvl + 1][k] for k in child_idx]
-                if kept != _margin_tiles(parent, side, self.margin):
+                if kept != _margin_tiles(parent, side):
                     return False
         return True
 
 
-def _margin_tiles(parent: Box, side: int, margin: Fraction) -> list[Box]:
+def _margin_tiles(parent: Box, side: int) -> list[Box]:
     """The side-`side` tiles of parent at least margin * parent side from its
     boundary, in flat_partition order: the rule tile by tile, compared
     exactly as gap * q >= p * parent side for margin = p / q."""
+    margin = tol.PARTITION_MARGIN
     need = margin.numerator * parent.side
     return [
         tile
@@ -227,13 +223,13 @@ def _margin_tiles(parent: Box, side: int, margin: Fraction) -> list[Box]:
     ]
 
 
-def _kept_spans(parent: Box, side: int, margin: Fraction) -> tuple[_Spans, _Spans]:
+def _kept_spans(parent: Box, side: int) -> tuple[_Spans, _Spans]:
     """The row spans and the column spans, relative to parent's corner, of
     its kept side-`side` tiles. A tile's boundary gap is the least of its row
     gap and its column gap, so the kept tiles are exactly the kept rows times
     the kept columns; a gap is an integer, so it meets margin * parent side
     exactly when it reaches the ceiling of that."""
-    need = math.ceil(margin * parent.side)
+    need = math.ceil(tol.PARTITION_MARGIN * parent.side)
     rows, cols = _axis_spans(parent.height, parent.width, side)
 
     def kept(spans: _Spans, extent: int) -> _Spans:
@@ -242,23 +238,15 @@ def _kept_spans(parent: Box, side: int, margin: Fraction) -> tuple[_Spans, _Span
     return kept(rows, parent.height), kept(cols, parent.width)
 
 
-def nested_partitions(
-    grid_n: int,
-    schedule: Schedule,
-    margin: Fraction | float = DEFAULT_MARGIN,
-) -> NestedPartitions:
+def nested_partitions(grid_n: int, schedule: Schedule) -> NestedPartitions:
     """Build the starred hierarchy for one grid.
 
     Children at level i tile their starred parent with squares of side
     (N/4)^{s_i}; a child is kept iff its distance to the parent's boundary is
-    at least margin * parent side. margin defaults to 1/4, the largest value
-    under which the four-translate cover and the 4^{-L} counting bound hold.
+    at least PARTITION_MARGIN * parent side, the margin read at call time.
     The kept tiles are worked out per axis (_kept_spans);
     NestedPartitions.margin_ok re-derives them tile by tile.
     """
-    margin = Fraction(margin)
-    if not 0 <= margin < Fraction(1, 2):
-        raise ValueError(f"margin fraction must lie in [0, 1/2), got {margin}")
     core = core_region(grid_n)
     levels: list[tuple[Box, ...]] = [(core,)]
     children: list[tuple[tuple[int, ...], ...]] = []
@@ -267,7 +255,7 @@ def nested_partitions(
         next_level: list[Box] = []
         level_children: list[tuple[int, ...]] = []
         for parent in levels[-1]:
-            rows, cols = _kept_spans(parent, side, margin)
+            rows, cols = _kept_spans(parent, side)
             first = len(next_level)
             next_level.extend(
                 Box(parent.row0 + r, parent.col0 + c, h, w)
@@ -277,14 +265,14 @@ def nested_partitions(
             level_children.append(tuple(range(first, len(next_level))))
         if not next_level:
             raise ValueError(
-                f"margin {margin} leaves no boxes at side {side} under N={grid_n}"
+                f"margin {tol.PARTITION_MARGIN} leaves no boxes at side {side} "
+                f"under N={grid_n}"
             )
         levels.append(tuple(next_level))
         children.append(tuple(level_children))
     return NestedPartitions(
         grid_n=grid_n,
         schedule=schedule,
-        margin=margin,
         levels=tuple(levels),
         children=tuple(children),
     )

@@ -222,7 +222,7 @@ def estimate_daviaud_exponent(
             [math.log(n) for n, _ in usable], [math.log(m) for _, m in usable]
         )
     else:
-        fit = mc.ExponentFit(float("nan"), float("nan"), float("nan"), ())
+        fit = mc.ExponentFit(float("nan"), float("nan"), float("nan"))
     limit = 2.0 * (1.0 - eta * eta)
     return DaviaudEstimate(eta, limit, tuple(points), fit)
 
@@ -234,8 +234,6 @@ class CoarseTailProbe:
     the float32 transform; at zeta > 0 the probe is float64 and it is None."""
 
     grid_n: int
-    zeta: float
-    b: float
     threshold: float
     estimate: mc.Estimate
     exponent: float | None
@@ -311,8 +309,6 @@ def coarse_exceedance_probe(
         exponent = -math.log(estimate.mean) / math.log(grid_n)
     return CoarseTailProbe(
         grid_n,
-        zeta,
-        b,
         thr,
         estimate,
         exponent,

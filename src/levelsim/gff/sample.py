@@ -2,27 +2,32 @@
 
 Which normals each route draws:
 
-- the spectral routes, sample_fields and sample_box, and the threshold
-  route, sample_interiors_float32, draw float32 Box-Muller normals on the
-  counter-keyed Philox streams (_standard_normal_float32: a 32-bit word for
-  each radius, a float32 uniform for each angle, both halves of raw 64-bit
-  outputs). The spectral routes draw one field's normals at a time and
-  scale and transform them in float64; the threshold route draws its whole
-  request at once and stays in float32;
+- the spectral route, sample_box (sample_fields is sample_box on the whole
+  grid), and the threshold route, sample_interiors_float32, draw float32
+  Box-Muller normals on the counter-keyed Philox streams
+  (_standard_normal_float32: a 32-bit word for each radius, a float32 uniform
+  for each angle, both halves of raw 64-bit outputs). The spectral route
+  draws one field's normals at a time and scales and transforms them in
+  float64; the threshold route draws its whole request at once and stays in
+  float32;
 - the dense route, sample_sites, draws float64 ziggurat normals, another
   transform of the Philox bits, so it stays the others' independent check.
 
-The spectral route, sample_fields, scales white noise by (1 - lam_{jk})^{-1/2}
-in the product-sine eigenbasis of the interior walk kernel and applies an
-orthonormal DST-I in both axes. Up to N = SINE_MATRIX_MAX_N the transform is
-the matrix product S @ x @ S with the n x n orthonormal DST-I matrix S
-(n = N - 2, S symmetric; green.py memoises it and owns the mode gaps): two BLAS
-products per field, whose cost does not depend on how N - 1 factors, where
-FFT-based DST-I is slowest at prime N - 1 (N = 128).
-Above the cut the O(n^3) product loses to scipy.fft.dstn, which takes over;
-the route depends on N alone. The dense route, sample_sites, validates it:
-white noise times rows of chol(G), each one banded solve against the banded
-Cholesky factor of 4I - A (green.py), with no Green matrix assembled.
+The spectral route scales white noise by (1 - lam_{jk})^{-1/2} in the
+product-sine eigenbasis of the interior walk kernel and applies an
+orthonormal DST-I in both axes, keeping one box of each field. Up to N =
+SINE_MATRIX_MAX_N the transform is the matrix product S @ x @ S with the
+n x n orthonormal DST-I matrix S (n = N - 2, S symmetric; green.py memoises
+it and owns the mode gaps), of which the route forms only the box's rows and
+columns, S[rows] @ x @ S[:, cols]: two BLAS products per field, whose cost
+does not depend on how N - 1 factors, where FFT-based DST-I is slowest at
+prime N - 1 (N = 128), and for the decomposition's centred N/4 root box
+about a sixth of the whole-field flops. Above the cut the O(n^3) product
+loses to scipy.fft.dstn, which takes over, and each field's dstn is sliced
+to the box; the route depends on N alone. The dense route, sample_sites,
+validates it: white noise times rows of chol(G), each one banded solve
+against the banded Cholesky factor of 4I - A (green.py), with no Green
+matrix assembled.
 
 Code that only asks whether a site is at or above a threshold takes
 sample_interiors_float32: the daviaud level counts and the coarse-tail probe
@@ -38,14 +43,6 @@ import, so it gives the same bits at any thread count and on any host
 default. The float32 log, sin and cos of the Box-Muller step follow numpy's
 CPU dispatch, so the bits of every route but the dense one are fixed per
 CPU feature set rather than on every host.
-
-Code that reads only one box of each field takes sample_box, the box of the
-fields sample_fields draws from the same stream. Up to the cut it draws each
-field's noise in turn, as sample_fields does, and transforms only the box's
-rows and columns, sine[rows] @ x @ sine[:, cols]; so for the decomposition's
-centred N/4 root box it does about a sixth of the whole-field flops. Above
-the cut it slices whole dstn fields from sample_fields, under that route's
-budget check.
 
 Each route's working set is a pure function of its request (the *_bytes
 functions below). Before it allocates, the route refuses a request above
@@ -72,7 +69,6 @@ from .grid import Box
 __all__ = [
     "spectral_scale",
     "sample_fields",
-    "sample_fields_bytes",
     "sample_sites",
     "sample_sites_bytes",
     "sample_box",
@@ -96,24 +92,6 @@ def _spectral_scale_of(grid_n: int, dtype: np.dtype) -> np.ndarray:
     return scale
 
 
-def _field_in_progress_bytes(grid_n: int) -> int:
-    """Temporaries of the one field a spectral route draws at a time, at most
-    three float64 copies of its interior: while its noise is scaled, the
-    float32 normals (4 B a site), the float64 noise (8) and the float64 cast
-    buffer numpy multiplies them through (8, at most 8192 values); while it
-    is transformed, the noise and its sine product, or for a box the noise,
-    its product with the box's rows and the box (8 each). The cached sine
-    matrix and spectral_scale, shared by every call, and a few KiB of Python
-    objects are left out."""
-    n = grid_n - 2
-    return 24 * n * n
-
-
-def sample_fields_bytes(grid_n: int, count: int) -> int:
-    """Working set of sample_fields: the output and one field in progress."""
-    return 8 * count * grid_n * grid_n + _field_in_progress_bytes(grid_n)
-
-
 def sample_sites_bytes(grid_n: int, site_count: int, count: int) -> int:
     """Working set of sample_sites at site_count sites: the noise and the
     product, then the unit vectors, the solves and the rows."""
@@ -122,11 +100,18 @@ def sample_sites_bytes(grid_n: int, site_count: int, count: int) -> int:
 
 
 def sample_box_bytes(grid_n: int, box: Box, count: int) -> int:
-    """Working set of sample_box: up to the cut the boxes and one field in
-    progress; above it sample_fields'."""
-    if grid_n > tol.SINE_MATRIX_MAX_N:
-        return sample_fields_bytes(grid_n, count)
-    return 8 * count * box.height * box.width + _field_in_progress_bytes(grid_n)
+    """Working set of sample_box: the boxes, and the one field it draws at a
+    time, at most three float64 copies of its interior. While its noise is
+    scaled that is the float32 normals (4 B a site), the float64 noise (8)
+    and the float64 cast buffer numpy multiplies them through (8, at most
+    8192 values); while it is transformed, the noise, its product with the
+    box's rows and the box (8 each, all three whole at the whole grid), or
+    above the cut the noise and its dstn. Plus 4 KiB for the arrays' and
+    views' Python objects, which at the whole grid top the three copies; the
+    cached sine matrix and spectral_scale, shared by every call, are left
+    out."""
+    n = grid_n - 2
+    return 8 * count * box.height * box.width + 24 * n * n + 4096
 
 
 def sample_interiors_float32_bytes(grid_n: int, count: int) -> int:
@@ -212,14 +197,9 @@ def _scaled_noise(grid_n: int, rng: Generator) -> np.ndarray:
 
 
 def sample_fields(grid_n: int, count: int, rng: Generator) -> np.ndarray:
-    """Draw `count` independent fields as a (count, N, N) array, zero frame,
-    one field's noise at a time."""
-    nbytes = sample_fields_bytes(grid_n, count)
-    _check_request(grid_n, count, nbytes, "spectral", "gff.sample_fields")
-    out = np.zeros((count, grid_n, grid_n))
-    for field in out[:, 1:-1, 1:-1]:
-        field[...] = _sine_transform(grid_n, _scaled_noise(grid_n, rng))
-    return out
+    """Draw `count` independent fields as a (count, N, N) array, zero frame:
+    sample_box on the whole grid."""
+    return sample_box(grid_n, Box(0, 0, grid_n, grid_n), count, rng)
 
 
 def sample_sites(
@@ -237,25 +217,29 @@ def sample_sites(
 
 
 def sample_box(grid_n: int, box: Box, count: int, rng: Generator) -> np.ndarray:
-    """The (count, height, width) box of the fields sample_fields draws from
-    the same stream, sample_fields(grid_n, count, rng)[:, box.slices()], with
-    rng left where sample_fields leaves it; sites on the frame read 0."""
+    """The (count, height, width) box of `count` independent fields, one
+    field's noise at a time; sites on the frame read 0. On one stream any box
+    is that box of the fields sample_fields draws, and rng is left where
+    sample_fields leaves it."""
     if box.row0 < 0 or box.col0 < 0 or max(box.row_end, box.col_end) > grid_n:
         raise ValueError(f"{box} does not lie in the {grid_n}x{grid_n} grid")
-    if grid_n > tol.SINE_MATRIX_MAX_N:
-        return sample_fields(grid_n, count, rng)[(slice(None), *box.slices())].copy()
     nbytes = sample_box_bytes(grid_n, box, count)
-    _check_request(grid_n, count, nbytes, "box", "gff.sample_box")
+    _check_request(grid_n, count, nbytes, "spectral", "gff.sample_box")
     # the box's interior rows r0..r1-1 and columns c0..c1-1; interior site
-    # (r, c) is sine-matrix index (r - 1, c - 1)
+    # (r, c) is mode-grid index (r - 1, c - 1)
     r0, r1 = max(box.row0, 1), min(box.row_end, grid_n - 1)
     c0, c1 = max(box.col0, 1), min(box.col_end, grid_n - 1)
-    sine = _sine_matrix(grid_n)
-    left, right = sine[r0 - 1 : r1 - 1], sine[:, c0 - 1 : c1 - 1]
+    rows, cols = slice(r0 - 1, r1 - 1), slice(c0 - 1, c1 - 1)
+    if grid_n <= tol.SINE_MATRIX_MAX_N:
+        sine = _sine_matrix(grid_n)
+        left, right = sine[rows], sine[:, cols]
+        transform = lambda noise: left @ noise @ right
+    else:
+        transform = lambda noise: _sine_transform(grid_n, noise)[rows, cols]
     out = np.zeros((count, box.height, box.width))
     inner = out[:, r0 - box.row0 : r1 - box.row0, c0 - box.col0 : c1 - box.col0]
     for field in inner:
-        field[...] = left @ _scaled_noise(grid_n, rng) @ right
+        field[...] = transform(_scaled_noise(grid_n, rng))
     return out
 
 

@@ -166,11 +166,11 @@ class OffspringLaw:
 class MgfCheck:
     """Outcome of the per-generation moment condition.
 
-    margin = alpha*lam*mean - log mgf(lam); satisfied iff margin >= 0.
+    slack = alpha*lam*mean - log mgf(lam); satisfied iff slack >= 0.
     """
 
     satisfied: bool
-    margin: float
+    slack: float
     log_mgf: float
     log_bound: float
 

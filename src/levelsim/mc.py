@@ -19,14 +19,13 @@ factorization gives the same bits at any thread count and on any host
 default; where numpy's pin is unavailable, those three maps too run
 serially. The calling thread is one of a map's threads.
 
-Vectorized tasks run in replica blocks (``map_blocks``): one stream per block
-of consecutive replicas, keyed like a replica's, as in the counter-based
-design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
-(SC'11). Results then depend on the plan and the block size, never on the
-threads. The field samplers, the Galton-Watson sweep and the branching
-Brownian motion counting estimators run in blocks; ``parallel_map``, one
-stream per replica, now serves only the N-BBM dominance sweep, whose
-chronological engine runs one replica at a time, and ``run_replicas``.
+Every map runs in replica blocks (``map_blocks``): one stream per block of
+consecutive replicas, keyed like a replica's, as in the counter-based design
+of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+Results then depend on the plan and the block size, never on the threads.
+The N-BBM dominance sweep, whose chronological engine runs one replica at a
+time, maps blocks of one. ``parallel_map`` is ``map_blocks`` at a block of
+one for a scalar task; only ``run_replicas`` calls it.
 
 Two exact routines sit beside the estimators: ``clopper_pearson``, the exact
 binomial interval, and ``ks_two_sample``, the exact two-sample
@@ -39,8 +38,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -217,71 +215,10 @@ def _pin_blas() -> bool:
 _BLAS_PINNED = _pin_blas()
 
 
-def _map_indices(
-    count: int,
-    stream: Callable[[int], Generator],
-    call: Callable[[int, Generator], object],
-    threads: int = 1,
-) -> list:
-    """call(i, stream(i)) for i in range(count), returned in index order.
-
-    Runs on `threads` threads (at most one per index), the calling thread one
-    of them; indices go out one at a time, each with its stream, under the
-    map's lock, so the streams are made one at a time and in index order.
-    After a failure no further index goes out, and the exception of the
-    lowest failed index propagates once every thread has stopped.
-    """
-    n = min(threads, count)
-    if n <= 1:
-        return [call(i, stream(i)) for i in range(count)]
-    results: list = [None] * count
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    cursor = 0
-
-    # a thread records what it raised and stops; the caller re-raises it
-    # once the others have stopped too
-    def work() -> None:
-        nonlocal cursor
-        while True:
-            with lock:
-                if cursor == count or errors:
-                    return
-                i = cursor
-                cursor += 1
-                try:
-                    rng = stream(i)
-                except BaseException as exc:
-                    errors[i] = exc
-                    return
-            try:
-                results[i] = call(i, rng)
-            except BaseException as exc:
-                with lock:
-                    errors[i] = exc
-                return
-
-    with ThreadPoolExecutor(max_workers=n - 1) as pool:
-        futures = [pool.submit(work) for _ in range(n - 1)]
-        work()
-        for future in futures:
-            future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def parallel_map(plan: ReplicaPlan, task: Callable[[Generator], object]) -> list:
-    """Run task once per replica, each with its own derived stream.
-
-    Runs serially and returns results in replica-index order. Exceptions
-    in the task propagate.
-    """
-    return _map_indices(
-        plan.replicas,
-        lambda i: replica_rng(plan.master_seed, i),
-        lambda i, rng: task(rng),
-    )
+def parallel_map(plan: ReplicaPlan, task: Callable[[Generator], float]) -> list:
+    """task(rng) once per replica, each on its own stream, in replica order:
+    map_blocks at a block of one, for a task that returns a scalar."""
+    return map_blocks(plan, 1, lambda rng, size: [task(rng)]).tolist()
 
 
 def map_blocks(
@@ -295,9 +232,9 @@ def map_blocks(
 
     Block b holds replicas b*block onward, `size` of them (the last block may
     be short), and draws from its own stream replica_rng(master_seed, b), so
-    block=1 reproduces parallel_map's streams. The task returns one value per
-    replica along its first axis; the blocks' values are concatenated in
-    replica order. The exception of the lowest failed block propagates.
+    block=1 gives replica i the stream replica_rng(master_seed, i). The task
+    returns one value per replica along its first axis; the blocks' values
+    are concatenated in replica order.
 
     gil_free_bytes marks blocks whose time goes to GIL-free numpy kernels
     (Philox fills, one-thread BLAS products) and gives one full block's
@@ -305,9 +242,25 @@ def map_blocks(
     than FIELD_BYTES_MAX // gil_free_bytes (one at least), and serially if
     the import-time pin did not take. Every other map runs serially, as
     threads only slowed the maps whose time goes to the interpreter.
+
+    The calling thread is one of the map's threads. Blocks go out one at a
+    time, each with its stream, under the map's lock, so the streams are made
+    one at a time and in block order. After a failure no further block goes
+    out, and the exception of the lowest failed block propagates once every
+    thread has stopped.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
+    blocks = -(-plan.replicas // block)
+    threads = 1
+    if gil_free_bytes is not None and _BLAS_PINNED:
+        # as many blocks at once as the field budget holds
+        fit = tol.FIELD_BYTES_MAX // gil_free_bytes
+        threads = max(1, min(_usable_cpus(), fit, blocks))
+    results: list = [None] * blocks
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    cursor = 0
 
     def run(b: int, rng: Generator) -> np.ndarray:
         size = min(block, plan.replicas - b * block)
@@ -318,16 +271,37 @@ def map_blocks(
             )
         return values
 
-    def stream(b: int) -> Generator:
-        return replica_rng(plan.master_seed, b)
+    # a thread records what it raised and stops; the caller re-raises it
+    # once the others have stopped too
+    def work() -> None:
+        nonlocal cursor
+        while True:
+            with lock:
+                if cursor == blocks or errors:
+                    return
+                b = cursor
+                cursor += 1
+                try:
+                    rng = replica_rng(plan.master_seed, b)
+                except BaseException as exc:
+                    errors[b] = exc
+                    return
+            try:
+                results[b] = run(b, rng)
+            except BaseException as exc:
+                with lock:
+                    errors[b] = exc
+                return
 
-    blocks = -(-plan.replicas // block)
-    threads = 1
-    if gil_free_bytes is not None and _BLAS_PINNED:
-        # as many blocks at once as the field budget holds
-        fit = tol.FIELD_BYTES_MAX // gil_free_bytes
-        threads = max(1, min(_usable_cpus(), fit))
-    return np.concatenate(_map_indices(blocks, stream, run, threads))
+    pool = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for thread in pool:
+        thread.start()
+    work()
+    for thread in pool:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return np.concatenate(results)
 
 
 def _normal_ci(mean: float, stderr: float) -> tuple[float, float]:
@@ -335,8 +309,9 @@ def _normal_ci(mean: float, stderr: float) -> tuple[float, float]:
     return mean - half, mean + half
 
 
-def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact binomial CI; used when the normal approximation is untrustworthy.
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact 95% binomial CI; used when the normal approximation is
+    untrustworthy.
 
     The bounds are beta quantiles, taken as betaincinv(a, b, q), which is
     how scipy's beta.ppf evaluates them.
@@ -345,9 +320,7 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[f
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level {level} outside (0, 1)")
-    alpha = 1.0 - level
+    alpha = 1.0 - 0.95
     if successes == 0:
         lo = 0.0
     else:
@@ -434,7 +407,6 @@ class ExponentFit:
     slope: float
     intercept: float
     slope_stderr: float
-    residuals: tuple[float, ...] = field(default_factory=tuple)
 
 
 def fit_exponent(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
@@ -458,4 +430,4 @@ def fit_exponent(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
         slope_stderr = math.sqrt(sigma2 / sxx)
     else:
         slope_stderr = float("nan")
-    return ExponentFit(slope, intercept, slope_stderr, tuple(float(r) for r in resid))
+    return ExponentFit(slope, intercept, slope_stderr)

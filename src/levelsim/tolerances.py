@@ -8,6 +8,8 @@ budget here is enforced by raising WorkRefusedError.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class WorkRefusedError(RuntimeError):
     """Work a budget below cannot afford: stage is the refusing function's
@@ -166,13 +168,17 @@ DECOMP_BLOCK = 50
 DECOMP_SIGMA = 4.0
 MEAN_VALUE_TOL = 1e-10
 
+# C10, C11: a partition keeps the children at least this fraction of their
+# parent's side from its boundary, the largest under which the four-translate
+# cover and the 4^-L counting bound hold
+PARTITION_MARGIN = Fraction(1, 4)
 # C10, C11: depth delta of the multiscale schedule, which has
 # L = ceil((log N)^(1 - delta)) levels
 SCHEDULE_DELTA = 0.9
 # Largest grid side cover-check and decompose-var accept. Building the nested
 # partitions grows steeply with N: on a 2-vCPU host run_cover_check took 3.7 s
-# at N = 2048 and 22 s at 4096, and decompose-var at 2048 with 2 samples
-# 24 s and 625 MB.
+# at N = 2048 and 22 s at 4096, and decompose-var at 2048 with its default
+# 800 samples 115 s and 611 MB.
 PARTITION_GRID_N_MAX = 2048
 
 # C12: coarse exceedance tail

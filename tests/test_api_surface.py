@@ -8,7 +8,8 @@ that nothing under ``src/``, ``demos/`` or ``perfbench/`` references is dead
 surface. The code picks each map's thread count, and the population guards
 and the N-BBM caps are ``tolerances.py`` constants, so no exported callable
 takes any of them as a parameter; nor does any take the deleted
-path-discretization diagnostic's exponents.
+path-discretization diagnostic's exponents, or the partition margin, which
+is ``tolerances.PARTITION_MARGIN``.
 The package's import graph leaves out scipy's heaviest subpackages, which
 once made up most of the command line's start-up time. Only ``mc`` sets
 numpy's BLAS thread count, so no other module reaches into its private names,
@@ -117,6 +118,7 @@ def parameters(obj):
         "cutoff",
         "path_delta",
         "path_delta_prime",
+        "margin",
     ],
 )
 def test_no_exported_callable_takes_a_removed_setting(keyword):

@@ -420,6 +420,28 @@ class TestCappedSystem:
         assert sweep.all_dominated
         assert sweep.replicas == 50
 
+    def test_planted_breaches_come_back_in_replica_then_time_order(self, monkeypatch):
+        # a stand-in engine whose capped max beats the free one at chosen
+        # snapshots of chosen replicas, each replica read off its stream's key
+        planted = {3: (2, 0), 7: (1,), 12: (0, 1, 2)}
+        replica_of = {mc.derive_seed(5, i): i for i in range(20)}
+
+        def breaching(cfg, cap_n, rng):
+            replica = replica_of[int(rng.bit_generator.state["state"]["key"][0])]
+            return engine.NbbmTrajectory(tuple(
+                engine.NbbmSnapshot(s, np.array([1.0 if j in planted.get(replica, ()) else -1.0]),
+                                    0.0, 1)
+                for j, s in enumerate(cfg.snapshot_times)
+            ))
+
+        monkeypatch.setattr(estimators, "simulate_nbbm", breaching)
+        sweep = check_nbbm_dominance(2.0, 5, replicas=20, seed=5, snapshot_times=(0.5, 1, 2))
+        assert sweep.violations == (
+            (3, 0.5), (3, 2.0), (7, 1.0), (12, 0.5), (12, 1.0), (12, 2.0)
+        )
+        assert all(type(i) is int and type(s) is float for i, s in sweep.violations)
+        assert not sweep.all_dominated
+
 
 class TestLevelCounting:
     def test_oracle_values(self):

@@ -4,8 +4,11 @@ import importlib.resources
 import inspect
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -512,7 +515,7 @@ class TestRuntimeFailures:
         code, out, err = run_cli(argv, capsys)
         assert code == 3
         assert out == ""
-        stage = "gff.GreenOperator.diagonal" if zeta == "0.0" else "gff.sample_fields"
+        stage = "gff.GreenOperator.diagonal" if zeta == "0.0" else "gff.sample_box"
         diag = refusal(err, stage)
         assert diag["predicted"] > 10 ** (2 * exponent)
         assert "field budget" in diag["error"]
@@ -520,7 +523,7 @@ class TestRuntimeFailures:
     @pytest.mark.parametrize(
         "zeta, stage, predicted",
         [("0.0", "gff.GreenOperator.diagonal", "4.000000e+4401"),
-         ("0.5", "gff.sample_fields", "3.200000e+4401")],
+         ("0.5", "gff.sample_box", "3.200000e+4401")],
     )
     def test_byte_count_past_the_int_digit_limit_prints(self, zeta, stage, predicted, capsys):
         # the byte count of N = 10**2200 has over 4300 digits, which str()
@@ -536,8 +539,10 @@ class TestRuntimeFailures:
         assert "field budget" in diag["error"]
 
     def test_oversized_decomposition_block_exits_3_before_sampling(self, capsys, monkeypatch):
-        # above the sine-matrix cut the root window is sliced from whole fields,
-        # so a block of 50 at N=2048 is refused as 50 whole fields would be
+        # above the sine-matrix cut a block of 50 root boxes at N=1024 holds
+        # about 51 MB, the boxes and one whole field in progress: under a
+        # 32 MiB budget it is refused before any field is transformed
+        monkeypatch.setattr(tol, "FIELD_BYTES_MAX", 2**25)
         finished = []
         map_blocks = pipelines.mc.map_blocks
 
@@ -554,11 +559,11 @@ class TestRuntimeFailures:
 
         monkeypatch.setattr(pipelines.mc, "map_blocks", counted_map)
         monkeypatch.setattr(scipy.fft, "dstn", never)
-        code, out, err = run_cli(["decompose-var", "--grid-n", "2048", "--seed", "1"], capsys)
+        code, out, err = run_cli(["decompose-var", "--grid-n", "1024", "--seed", "1"], capsys)
         assert code == 3
         assert out == ""
-        error = refusal(err, "gff.sample_fields")["error"]
-        assert "sampling 50 spectral field(s) at N=2048 needs about 1.66 GiB" in error
+        error = refusal(err, "gff.sample_box")["error"]
+        assert "sampling 50 spectral field(s) at N=1024 needs about 0.0478 GiB" in error
         assert "field budget" in error
         assert finished == []
 
@@ -618,6 +623,36 @@ class TestRuntimeFailures:
         assert diag["predicted"] == pytest.approx(1000 * math.expm1(14))
         assert diag["limit"] == tol.NBBM_EVENTS_MAX
         assert "refused before sampling" in diag["error"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def refusal_examples() -> list:
+    """Each backticked command of README's refusal table, one that starts
+    with a subcommand, with the stages of its row."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| `stage` | `quantity` | refused when | example that exits 3 |")
+    examples = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")[1:-1]
+        stages = set(re.findall(r"`([^`]+)`", cells[0]))
+        examples += [
+            pytest.param(command, stages, id=command)
+            for command in re.findall(r"`([^`]+)`", cells[-1])
+            if command.split()[0] in PIPELINES
+        ]
+    return examples
+
+
+@pytest.mark.parametrize("command, stages", refusal_examples())
+def test_readme_refusal_example_exits_3_at_its_stage(command, stages, capsys):
+    code, out, err = run_cli(shlex.split(command), capsys)
+    assert code == 3
+    assert out == ""
+    assert last_stderr_json(err)["stage"] in stages
 
 
 class TestSampleCounts:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from levelsim import tolerances as tol
 from levelsim.gff import (
     Box,
     CoverConstructionError,
@@ -171,16 +172,11 @@ class TestNestedPartitions:
         moved = (edge,) + parts.levels[2][1:]
         assert not replace(parts, levels=parts.levels[:2] + (moved,)).margin_ok()
 
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            nested_partitions(64, uniform_schedule(64, levels=1), margin=0.5)
-        with pytest.raises(ValueError):
-            nested_partitions(64, uniform_schedule(64, levels=1), margin=-0.1)
-
-    def test_overtight_margin_rejected(self):
+    def test_overtight_margin_rejected(self, monkeypatch):
         # margin just under 1/2 keeps no singleton of the side-2 core at N=8
+        monkeypatch.setattr(tol, "PARTITION_MARGIN", Fraction(49, 100))
         with pytest.raises(ValueError, match="no boxes"):
-            nested_partitions(8, uniform_schedule(8, levels=1), margin=Fraction(49, 100))
+            nested_partitions(8, uniform_schedule(8, levels=1))
 
 
 class TestShiftCover:
@@ -211,14 +207,17 @@ class TestShiftCover:
         assert cover.max_shift * 4 <= 256
         self._recheck_cover(parts, cover)
 
-    def test_zero_margin_needs_single_shift(self):
-        parts = nested_partitions(64, uniform_schedule(64, levels=1), margin=0)
+    def test_zero_margin_needs_single_shift(self, monkeypatch):
+        monkeypatch.setattr(tol, "PARTITION_MARGIN", Fraction(0))
+        parts = nested_partitions(64, uniform_schedule(64, levels=1))
+        assert parts.margin_ok()
         cover = shift_cover(parts)
         assert cover.shifts == ((0, 0),)
 
-    def test_rejects_oversized_children(self):
+    def test_rejects_oversized_children(self, monkeypatch):
         # a schedule step that barely shrinks leaves children wider than half
-        parts = nested_partitions(64, Schedule((1.0, 0.9, 0.0)), margin=0)
+        monkeypatch.setattr(tol, "PARTITION_MARGIN", Fraction(0))
+        parts = nested_partitions(64, Schedule((1.0, 0.9, 0.0)))
         with pytest.raises(CoverConstructionError, match="half"):
             shift_cover(parts)
 

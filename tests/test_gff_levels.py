@@ -134,7 +134,6 @@ class TestCoarseTailProbe:
 
     def test_box_scale_route(self):
         probe = coarse_exceedance_probe(32, 0.5, 0.3, replicas=40, seed=77)
-        assert probe.zeta == 0.5
         assert probe.threshold == pytest.approx(level_threshold(32, 0.3))
         assert 0.0 <= probe.estimate.mean <= 1.0
         assert probe.estimate.replicas == 40

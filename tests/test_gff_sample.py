@@ -68,7 +68,7 @@ class TestShapes:
         rng = mc.replica_rng(4, 0)
         with pytest.raises(tol.WorkRefusedError, match="GiB") as info:
             sample_fields(200_000, 1, rng)
-        assert (info.value.stage, info.value.quantity) == ("gff.sample_fields", "bytes")
+        assert (info.value.stage, info.value.quantity) == ("gff.sample_box", "bytes")
         assert info.value.limit == tol.FIELD_BYTES_MAX
         with pytest.raises(tol.WorkRefusedError):
             sample_fields(64, tol.FIELD_BYTES_MAX // (8 * 64 * 64), rng)
@@ -115,7 +115,8 @@ class TestSpectralTransform:
 
 class TestBox:
     """sample_box is the box of the fields sample_fields draws from the same
-    stream, transformed one field at a time on the box's rows and columns."""
+    stream, transformed one field at a time on the box's rows and columns up
+    to the cut, and sliced from each field's dstn above it."""
 
     @staticmethod
     def boxes(grid_n):
@@ -149,11 +150,19 @@ class TestBox:
         assert np.array_equal(box_rng.standard_normal(8), fields_rng.standard_normal(8))
 
     def test_above_the_cut_slices_the_dstn_field(self):
-        grid_n = tol.SINE_MATRIX_MAX_N + 8
+        # the reference is scipy's dstn of the same stream's scaled noise,
+        # one field at a time, sliced to the box
+        grid_n, count = tol.SINE_MATRIX_MAX_N + 8, 2
         box = Box(200, 190, 130, 140)
-        got = sample_box(grid_n, box, 1, mc.replica_rng(37, 0))
-        field = sample_fields(grid_n, 1, mc.replica_rng(37, 0))
-        assert np.max(np.abs(got - field[(slice(None), *box.slices())])) <= 1e-12
+        rng = mc.replica_rng(37, 0)
+        got = sample_box(grid_n, box, count, rng)
+        reference = mc.replica_rng(37, 0)
+        fields = np.zeros((count, grid_n, grid_n))
+        for field in fields:
+            noise = sample._scaled_noise(grid_n, reference)
+            field[1:-1, 1:-1] = scipy.fft.dstn(noise, type=1, norm="ortho")
+        assert np.max(np.abs(got - fields[(slice(None), *box.slices())])) <= 1e-12
+        assert np.array_equal(rng.standard_normal(8), reference.standard_normal(8))
 
     def test_validation(self):
         rng = mc.replica_rng(38, 0)
@@ -162,14 +171,17 @@ class TestBox:
         with pytest.raises(ValueError):
             sample_box(16, Box(0, 0, 4, 4), 0, rng)
 
-    def test_oversized_request_is_refused_before_allocation(self):
+    def test_oversized_request_is_refused_before_allocation(self, monkeypatch):
         rng = mc.replica_rng(39, 0)
         box = Box(24, 24, 16, 16)
         tracemalloc.start()
         try:
-            with pytest.raises(tol.WorkRefusedError, match="box"):
+            with pytest.raises(tol.WorkRefusedError, match="spectral") as info:
                 sample_box(64, box, tol.FIELD_BYTES_MAX // (8 * 16 * 16) + 1, rng)
-            # above the cut the request is the whole fields sample_fields draws
+            assert info.value.stage == "gff.sample_box"
+            # above the cut: 50 boxes of 512^2 sites and one field in progress
+            # need about 0.19 GiB
+            monkeypatch.setattr(tol, "FIELD_BYTES_MAX", 2**27)
             with pytest.raises(tol.WorkRefusedError, match="50 spectral field"):
                 sample_box(2048, Box(768, 768, 512, 512), 50, rng)
             peak = tracemalloc.get_traced_memory()[1]
@@ -181,7 +193,9 @@ class TestBox:
 class TestWorkingSet:
     """Each spectral route's byte bound covers the peak tracemalloc measures
     and stays within twice it: the fields draw one at a time, so a request
-    holds its output and one field in progress, however many it asks for."""
+    holds its output and one field in progress, however many it asks for.
+    At the whole grid the field in progress holds three float64 copies of the
+    interior plus the arrays' Python objects, which the bound charges too."""
 
     @staticmethod
     def traced_peak(draw) -> int:
@@ -197,9 +211,10 @@ class TestWorkingSet:
         sample_fields(grid_n, 1, mc.replica_rng(43, 0))  # fills the shared caches
         rng = mc.replica_rng(43, 1)
         peak = self.traced_peak(lambda: sample_fields(grid_n, count, rng))
-        assert peak <= sample.sample_fields_bytes(grid_n, count) < 2 * peak
+        bound = sample.sample_box_bytes(grid_n, Box(0, 0, grid_n, grid_n), count)
+        assert peak <= bound < 2 * peak
 
-    @pytest.mark.parametrize("grid_n, count", [(64, 1), (64, 50), (256, 3)])
+    @pytest.mark.parametrize("grid_n, count", [(64, 1), (64, 50), (256, 3), (520, 3)])
     def test_sample_box(self, grid_n, count):
         quarter = grid_n // 4
         box = Box(3 * quarter // 2, 3 * quarter // 2, quarter, quarter)

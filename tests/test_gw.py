@@ -94,7 +94,7 @@ class TestMgfCondition:
         rhs = alpha * lam * 1.0
         check = gw.verify_mgf_condition(law, lam, alpha)
         assert check.log_mgf == pytest.approx(lhs, rel=1e-12)
-        assert check.margin == pytest.approx(rhs - lhs, rel=1e-9)
+        assert check.slack == pytest.approx(rhs - lhs, rel=1e-9)
         assert check.satisfied == (lhs <= rhs)
 
     def test_rejects_bad_arguments(self):
