@@ -113,10 +113,6 @@ class NbbmSnapshot:
 class NbbmTrajectory:
     snapshots: tuple[NbbmSnapshot, ...]
 
-    @property
-    def dominated(self) -> bool:
-        return all(s.dominated for s in self.snapshots)
-
 
 def _cap_error(stage: str, reached: float, population: int, cap: int) -> tol.WorkRefusedError:
     """The guard's refusal of the next step, which would hold population

@@ -73,10 +73,7 @@ class NoDataError(RuntimeError):
 class LevelExponent:
     """Average of per-replica log N(t,x)/t with zero counts set aside."""
 
-    t: float
-    x: float
     exponent: mc.Estimate
-    counts: mc.Estimate
     dropped: int
     limit: float
 
@@ -97,22 +94,13 @@ def estimate_level_exponent(
             "increase t*(1 - x^2/2) or replicas"
         )
     exponent = mc.summarize(np.log(nonzero) / t)
-    return LevelExponent(
-        t,
-        x,
-        exponent,
-        mc.summarize(counts),
-        int((counts == 0).sum()),
-        1.0 - 0.5 * x * x,
-    )
+    return LevelExponent(exponent, int((counts == 0).sum()), 1.0 - 0.5 * x * x)
 
 
 @dataclass(frozen=True)
 class MaxTail:
     """Binomial estimate of P(max position >= x*t) with its decay rate."""
 
-    t: float
-    x: float
     estimate: mc.Estimate
     decay: float | None
     decay_upper: float
@@ -136,15 +124,13 @@ def estimate_max_tail(
     estimate = mc.binomial_estimate(hits, replicas)
     decay = None if estimate.mean == 0 else -math.log(estimate.mean) / t
     decay_upper = -math.log(estimate.ci_high) / t
-    return MaxTail(t, x, estimate, decay, decay_upper, psi(x))
+    return MaxTail(estimate, decay, decay_upper, psi(x))
 
 
 @dataclass(frozen=True)
 class DominanceSweep:
     """Pathwise check that the capped maximum never beats the free one."""
 
-    t: float
-    replicas: int
     violations: tuple[tuple[int, float], ...]
 
     @property
@@ -187,4 +173,4 @@ def check_nbbm_dominance(
     violations = tuple(
         (int(i), cfg.snapshot_times[j]) for i, j in zip(*np.nonzero(breaches))
     )
-    return DominanceSweep(t, replicas, violations)
+    return DominanceSweep(violations)

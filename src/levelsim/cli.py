@@ -26,7 +26,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,8 +48,9 @@ class Param:
 
     Values must lie in the interval from ``lo`` to ``hi``, closed on the
     sides that ``ends`` marks with a bracket; infinite ends are open, so
-    every accepted value is finite. ``kwarg`` is the run function's keyword
-    when it differs from ``key``.
+    every accepted value is finite. Every integer but the seed has a finite
+    ``hi``, so no run meets a number past the float range. ``kwarg`` is the
+    run function's keyword when it differs from ``key``.
     """
 
     key: str
@@ -98,15 +98,8 @@ def _rates(**kw) -> Report:
     return pipelines.run_rates(**kw)
 
 
-def _coarse_tail(grid_n: int | None = None, **kw) -> Report:
-    """A single grid side replaces the default size ladder."""
-    if grid_n is not None:
-        kw["sizes"] = (grid_n,)
-    return pipelines.run_coarse_tail(**kw)
-
-
 _SEED = Param("seed", int, "master seed (required when sampling)")
-_REPLICAS = Param("replicas", int, "sampling effort override", 1, math.inf, "[)")
+_REPLICAS = Param("replicas", int, "sampling effort override", 1, tol.REPLICAS_MAX, "[]")
 _DEPTH = Param("delta", float, "schedule depth parameter", 0.0, 0.95)
 
 PIPELINES = {
@@ -150,12 +143,13 @@ PIPELINES = {
             Param("eta", float, "level height fraction", 0.0, 1.0),
         )),
         Pipeline("coarse-tail", "coarse-field exceedance probability probe",
-                 _coarse_tail, True, (
+                 _late("run_coarse_tail"), True, (
             _SEED,
             _REPLICAS,
             Param("zeta", float, "coarsening exponent", 0.0, 1.0, "[)"),
             Param("b", float, "height multiplier", 0.0),
-            Param("grid_n", int, "probe a single grid side", 16, math.inf, "[)"),
+            Param("grid_n", int, "probe a single grid side", 16, tol.COARSE_GRID_N_MAX,
+                  "[]"),
         )),
         Pipeline("cover-check", "deterministic partition counting and shift covers",
                  _late("run_cover_check"), False, (
@@ -246,24 +240,12 @@ def _dispatch(pipeline: Pipeline, p: dict[str, int | float | str]) -> Report:
     return pipeline.run(**{param.kwarg or param.key: p[param.key] for param in chosen})
 
 
-def _json_value(value: object) -> str:
-    try:
-        return json.dumps(value, sort_keys=True)
-    except ValueError:
-        # an int past Python's int-to-string digit limit, such as the byte
-        # count of a field at a --grid-n of thousands of digits: exponent
-        # form, a JSON number
-        return f"{Decimal(value):.6e}"
-
-
 def _diagnostic(message: str, field: str | None = None, **extra) -> None:
     payload: dict[str, object] = {"error": message}
     if field is not None:
         payload["field"] = field
     payload.update(extra)
-    # json.dumps(payload, sort_keys=True), value by value
-    items = (f"{json.dumps(key)}: {_json_value(payload[key])}" for key in sorted(payload))
-    print("{" + ", ".join(items) + "}", file=sys.stderr)
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from decimal import Decimal
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,11 +44,10 @@ __all__ = [
 def _refuse_above_budget(nbytes: int, what: str, stage: str, use: str = "a smaller grid") -> None:
     """Refuse a field computation with WorkRefusedError, before it allocates,
     when its working set of nbytes exceeds FIELD_BYTES_MAX; the message gives
-    nbytes in GiB to three figures, by Decimal past the float range."""
+    nbytes in GiB to three figures."""
     if nbytes > tol.FIELD_BYTES_MAX:
-        gib = nbytes / 2**30 if nbytes < 2**1000 else Decimal(nbytes >> 30)
         raise tol.WorkRefusedError(
-            f"{what} needs about {gib:.3g} GiB, above the "
+            f"{what} needs about {nbytes / 2**30:.3g} GiB, above the "
             f"{tol.FIELD_BYTES_MAX / 2**30:g} GiB field budget; use {use}",
             stage, "bytes", nbytes, tol.FIELD_BYTES_MAX,
         )

@@ -151,10 +151,6 @@ class Schedule:
         if any(a <= b for a, b in zip(s, s[1:])):
             raise ValueError(f"schedule must be strictly decreasing, got {s}")
 
-    @property
-    def depth(self) -> int:
-        return len(self.exponents) - 1
-
 
 def uniform_schedule(
     grid_n: int,

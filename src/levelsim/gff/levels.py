@@ -46,7 +46,12 @@ from .. import tolerances as tol
 from .decompose import harmonic_at
 from .green import GreenOperator
 from .grid import Box, flat_partition
-from .sample import sample_fields, sample_interiors_float32, sample_interiors_float32_bytes
+from .sample import (
+    _fill_memo,
+    sample_fields,
+    sample_interiors_float32,
+    sample_interiors_float32_bytes,
+)
 
 __all__ = [
     "GAMMA",
@@ -127,7 +132,6 @@ class DaviaudPoint:
 class DaviaudEstimate:
     """Per-size exponents plus the cross-size regression."""
 
-    eta: float
     limit: float
     points: tuple[DaviaudPoint, ...]
     fit: mc.ExponentFit
@@ -158,6 +162,7 @@ def _threshold_map(
 
     # the bound's Green diagonal refuses an oversized N before any block runs
     flip_bound = rounding_flip_bound(grid_n, threshold)
+    _fill_memo(grid_n, np.float32)
     block = _field_block(grid_n)
     block_bytes = sample_interiors_float32_bytes(grid_n, block)
     return mc.map_blocks(plan, block, task, gil_free_bytes=block_bytes), flip_bound
@@ -224,7 +229,7 @@ def estimate_daviaud_exponent(
     else:
         fit = mc.ExponentFit(float("nan"), float("nan"), float("nan"))
     limit = 2.0 * (1.0 - eta * eta)
-    return DaviaudEstimate(eta, limit, tuple(points), fit)
+    return DaviaudEstimate(limit, tuple(points), fit)
 
 
 @dataclass(frozen=True)
@@ -263,14 +268,8 @@ def coarse_exceedance_probe(
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     predicted_exponent = 2.0 * (b * b / (1.0 - zeta) - (1.0 - zeta))
-    # N**(-e) is at least 1 for e <= 0; past the float range, where N**(-e)
-    # overflows converting N, it comes from log N, which takes any int
-    if predicted_exponent <= 0.0:
-        predicted_probability = 1.0
-    elif grid_n < 2**1000:
-        predicted_probability = grid_n ** (-predicted_exponent)
-    else:
-        predicted_probability = math.exp(-predicted_exponent * math.log(grid_n))
+    # N**(-e) is at least 1 for e <= 0, where the probability reads 1
+    predicted_probability = min(1.0, grid_n ** (-predicted_exponent))
     if predicted_probability < 10.0 / replicas:
         raise tol.WorkRefusedError(
             f"predicted exceedance probability {predicted_probability:.3g} is below "

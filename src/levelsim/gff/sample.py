@@ -122,6 +122,16 @@ def sample_interiors_float32_bytes(grid_n: int, count: int) -> int:
     return (4 + 2 + 2 + 4) * count * n * n
 
 
+def _fill_memo(grid_n: int, dtype) -> None:
+    """Compute the memoised scale and sine matrix a spectral route reads at
+    side N in dtype (float64: sample_box; float32: sample_interiors_float32),
+    so that the threads of a map over that route never compute one entry at
+    once."""
+    spectral_scale(grid_n, dtype)
+    if grid_n <= tol.SINE_MATRIX_MAX_N:
+        _sine_matrix(grid_n, dtype)
+
+
 def _check_request(grid_n: int, count: int, nbytes: int, what: str, stage: str) -> None:
     """Validate a field request and refuse it, before any allocation, when its
     working set of nbytes exceeds the field budget."""

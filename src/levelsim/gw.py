@@ -247,13 +247,11 @@ class PropBound:
     """Growth threshold and the probability bound that goes with it.
 
     threshold is real-valued; counting uses ceil(threshold). probability is
-    clamped to [0, 1]; raw keeps the unclamped exponential value.
+    clamped to [0, 1].
     """
 
     threshold: float
-    count_threshold: int
     probability: float
-    raw: float
 
 
 def prop_bound(
@@ -287,13 +285,7 @@ def prop_bound(
     exponent = (
         -delta * plan.initial * min(lambdas) / (alpha + delta) + max(lambdas)
     )
-    raw = n * math.exp(exponent)
-    return PropBound(
-        threshold=threshold,
-        count_threshold=math.ceil(threshold),
-        probability=min(1.0, raw),
-        raw=raw,
-    )
+    return PropBound(threshold, min(1.0, n * math.exp(exponent)))
 
 
 def simulate_gw(

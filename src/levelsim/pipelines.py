@@ -10,7 +10,6 @@ a map runs on never enters the document.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .gff import (
     shift_cover,
     uniform_schedule,
 )
+from .gff.sample import _fill_memo
 from .reports import (
     Check,
     Report,
@@ -827,12 +827,14 @@ def run_gff_cov(
 def run_daviaud(
     seed: int,
     eta: float = tol.DAVIAUD_ETA,
-    sizes: Sequence[int] = tol.DAVIAUD_SIZES,
-    replicas: int | Mapping[int, int] | None = None,
+    replicas: int | None = None,
 ) -> Report:
+    """Level-set exponents at DAVIAUD_SIZES, read at call time; replicas
+    defaults to DAVIAUD_REPLICAS' count per size."""
+    sizes = tol.DAVIAUD_SIZES
     if replicas is None:
         replicas = dict(tol.DAVIAUD_REPLICAS)
-    est = estimate_daviaud_exponent(tuple(sizes), eta, replicas, seed)
+    est = estimate_daviaud_exponent(sizes, eta, replicas, seed)
 
     estimates = []
     for point in est.points:
@@ -858,7 +860,7 @@ def run_daviaud(
 
     checks = []
     if tol.DAVIAUD_MEAN_N in sizes:
-        point = est.points[list(sizes).index(tol.DAVIAUD_MEAN_N)]
+        point = est.points[sizes.index(tol.DAVIAUD_MEAN_N)]
         oracle = expected_level_count(tol.DAVIAUD_MEAN_N, eta)
         checks.append(
             sigma_check(
@@ -898,7 +900,7 @@ def run_daviaud(
             "seed": seed,
             "eta": eta,
             "grid_sizes": list(sizes),
-            "replicas": replicas if isinstance(replicas, int) else dict(replicas),
+            "replicas": replicas,
         },
         estimates=tuple(estimates),
         checks=tuple(checks),
@@ -1052,6 +1054,7 @@ def run_decompose_var(
 
     # a block's time goes to Philox normal fills and one-thread products,
     # both GIL-free, so the blocks run on every usable CPU
+    _fill_memo(grid_n, np.float64)
     plan = mc.ReplicaPlan(samples, mc.derive_seed(seed, 1))
     block_bytes = sample_box_bytes(grid_n, root, tol.DECOMP_BLOCK)
     values = mc.map_blocks(plan, tol.DECOMP_BLOCK, task, gil_free_bytes=block_bytes)
@@ -1154,9 +1157,11 @@ def run_coarse_tail(
     seed: int,
     zeta: float = tol.COARSE_ZETA,
     b: float = tol.COARSE_B,
-    sizes: Sequence[int] = tol.COARSE_SIZES,
+    grid_n: int | None = None,
     replicas: int = tol.COARSE_REPLICAS,
 ) -> Report:
+    """Probes at COARSE_SIZES, read at call time, or at grid_n alone."""
+    sizes = tol.COARSE_SIZES if grid_n is None else (grid_n,)
     probes = []
     for index, n in enumerate(sizes):
         probes.append(

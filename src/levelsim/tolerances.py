@@ -187,6 +187,17 @@ COARSE_B = 1.05
 COARSE_SIZES = (64, 128)
 COARSE_REPLICAS = 100_000
 COARSE_TOL = 0.15
+# Largest coarse-tail --grid-n. At the default FIELD_BYTES_MAX the Green
+# diagonal behind the rounding bound already refuses every N >= 5184 at
+# zeta = 0, and one float64 field every N >= 5795 at zeta > 0, so the cap
+# loses no run; below it every byte count and N^(-e) is a float.
+COARSE_GRID_N_MAX = 8192
+
+# Largest --replicas of every subcommand, 10x COARSE_REPLICAS, the largest
+# acceptance count. At one replica a block mc.map_blocks keeps about 190 B a
+# block: its peak RSS rose 187 B a block over 2e5 blocks and 198 B over 1e6,
+# so about 200 MB at the cap.
+REPLICAS_MAX = 10**6
 
 # Field sampling (C7, C9, C11, C12). The spectral sampler takes the sine-matrix
 # product route up to this N (the largest shipped size; its measured crossover

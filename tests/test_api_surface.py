@@ -119,6 +119,7 @@ def parameters(obj):
         "path_delta",
         "path_delta_prime",
         "margin",
+        "sizes",
     ],
 )
 def test_no_exported_callable_takes_a_removed_setting(keyword):

@@ -255,6 +255,48 @@ class TestRegistryBounds:
         assert last_stderr_json(err)["field"] == key
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "sub", [p.name for p in PIPELINES.values() if any(q.key == "replicas" for q in p.params)]
+    )
+    def test_replicas_past_the_cap_exits_2(self, sub, calls, capsys):
+        argv = [sub, "--seed", "1", "--replicas", str(tol.REPLICAS_MAX + 1)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        diag = last_stderr_json(err)
+        assert diag["field"] == "replicas"
+        assert f"{tol.REPLICAS_MAX:g}]" in diag["error"]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "grid_n", [tol.COARSE_GRID_N_MAX + 1, 10**400], ids=["max+1", "10**400"]
+    )
+    def test_huge_grid_side_exits_2(self, grid_n, calls, capsys):
+        argv = ["coarse-tail", "--seed", "1", "--grid-n", str(grid_n), "--b", "0.1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        diag = last_stderr_json(err)
+        assert diag["field"] == "grid_n"
+        assert f"{tol.COARSE_GRID_N_MAX}]" in diag["error"]
+        assert calls == []
+
+    def test_every_integer_but_the_seed_is_bounded(self):
+        unbounded = [
+            (p.name, q.key)
+            for p in PIPELINES.values()
+            for q in p.params
+            if q.type is int and q.key != "seed" and not math.isfinite(q.hi)
+        ]
+        assert unbounded == []
+
+    @pytest.mark.parametrize("name", RUN_FUNCTIONS)
+    def test_every_run_keyword_is_a_registry_param(self, name):
+        sub = "rates" if name == "run_rate_point" else name[4:].replace("_", "-")
+        settable = {q.kwarg or q.key for q in PIPELINES[sub].params}
+        keywords = set(inspect.signature(getattr(pipelines, name)).parameters)
+        assert keywords <= settable
+
 
 # argv with every flag of a subcommand set, the run function it reaches and
 # the keyword arguments that function must receive
@@ -300,7 +342,7 @@ WIRING = [
             "0.9", "--grid-n", "32",
         ],
         "run_coarse_tail",
-        {"seed": 5, "replicas": 3, "zeta": 0.5, "b": 0.9, "sizes": (32,)},
+        {"seed": 5, "replicas": 3, "zeta": 0.5, "b": 0.9, "grid_n": 32},
     ),
     (
         ["cover-check", "--grid-n", "32", "--delta", "0.8"],
@@ -484,59 +526,40 @@ class TestRuntimeFailures:
         assert "increase replicas" in diag["error"]
 
     def test_oversized_field_request_exits_3(self, capsys, monkeypatch):
-        # about 900 GiB for one field: refused before anything is allocated
+        # the Green diagonal behind the rounding bound needs about 1.34 GiB at
+        # N = 6000: refused before anything is allocated
         def never(*args, **kwargs):
             raise AssertionError("field blocks ran before the budget check")
 
         monkeypatch.setattr(pipelines.mc, "map_blocks", never)
         code, out, err = run_cli(
-            ["coarse-tail", "--seed", "1", "--grid-n", "200000", "--replicas", "1000"],
+            ["coarse-tail", "--seed", "1", "--grid-n", "6000", "--replicas", "1000"],
             capsys,
         )
         assert code == 3
         assert out == ""
         diag = refusal(err, "gff.GreenOperator.diagonal")
         assert (diag["quantity"], diag["limit"]) == ("bytes", tol.FIELD_BYTES_MAX)
+        assert "needs about 1.34 GiB" in diag["error"]
         assert "field budget" in diag["error"]
 
-    @pytest.mark.parametrize("zeta", ["0.0", "0.5"])
-    @pytest.mark.parametrize("exponent", [200, 400])
-    def test_huge_grid_side_exits_3(self, exponent, zeta, capsys, monkeypatch):
-        # at b = 0.1, e < 0 and the predicted probability is 1 without forming
-        # N**(-e), which overflows; the field budget refuses before any tile
-        # or draw
+    @pytest.mark.parametrize(
+        "zeta, stage", [("0.0", "gff.GreenOperator.diagonal"), ("0.5", "gff.sample_box")]
+    )
+    def test_largest_grid_side_is_refused_before_any_tile(self, zeta, stage, capsys, monkeypatch):
+        # at b = 0.1, e < 0 and the predicted probability is 1; at the largest
+        # admitted side the field budget refuses before any tile or draw
         def never(*args, **kwargs):
             raise AssertionError("the probe ran past the field budget")
 
         monkeypatch.setattr(levels, "flat_partition", never)
         monkeypatch.setattr(levels, "harmonic_at", never)
-        argv = ["coarse-tail", "--seed", "1", "--grid-n", str(10**exponent), "--b", "0.1",
-                "--zeta", zeta, "--replicas", "10"]
+        argv = ["coarse-tail", "--seed", "1", "--grid-n", str(tol.COARSE_GRID_N_MAX), "--b",
+                "0.1", "--zeta", zeta, "--replicas", "10"]
         code, out, err = run_cli(argv, capsys)
         assert code == 3
         assert out == ""
-        stage = "gff.GreenOperator.diagonal" if zeta == "0.0" else "gff.sample_box"
-        diag = refusal(err, stage)
-        assert diag["predicted"] > 10 ** (2 * exponent)
-        assert "field budget" in diag["error"]
-
-    @pytest.mark.parametrize(
-        "zeta, stage, predicted",
-        [("0.0", "gff.GreenOperator.diagonal", "4.000000e+4401"),
-         ("0.5", "gff.sample_box", "3.200000e+4401")],
-    )
-    def test_byte_count_past_the_int_digit_limit_prints(self, zeta, stage, predicted, capsys):
-        # the byte count of N = 10**2200 has over 4300 digits, which str()
-        # refuses; the diagnostic prints it in exponent form
-        argv = ["coarse-tail", "--seed", "1", "--grid-n", str(10**2200), "--b", "0.1",
-                "--zeta", zeta, "--replicas", "10"]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 3
-        assert out == ""
-        assert f'"predicted": {predicted},' in err
-        diag = refusal(err, stage)
-        assert diag["predicted"] == math.inf
-        assert "field budget" in diag["error"]
+        assert "field budget" in refusal(err, stage)["error"]
 
     def test_oversized_decomposition_block_exits_3_before_sampling(self, capsys, monkeypatch):
         # above the sine-matrix cut a block of 50 root boxes at N=1024 holds

@@ -112,12 +112,11 @@ class TestSchedule:
     def test_uniform_values(self):
         sched = uniform_schedule(64, levels=2)
         assert sched.exponents == (1.0, 0.5, 0.0)
-        assert sched.depth == 2
         assert uniform_schedule(64, levels=1).exponents == (1.0, 0.0)
 
     def test_default_depth_is_small(self):
-        assert uniform_schedule(64).depth in (1, 2)
-        assert uniform_schedule(512).depth in (1, 2)
+        assert len(uniform_schedule(64).exponents) - 1 in (1, 2)
+        assert len(uniform_schedule(512).exponents) - 1 in (1, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -112,7 +112,6 @@ class TestPropBound:
         bound = gw.prop_bound(plan, alpha=1.1, delta=0.1, lambdas=(0.15,))
         expected = min(1.0, math.exp(-0.1 * 100 * 0.15 / 1.2 + 0.15))
         assert bound.probability == pytest.approx(expected, rel=1e-12)
-        assert bound.count_threshold == math.ceil(bound.threshold)
 
     def test_deterministic_growth_stays_under_threshold(self):
         laws = [gw.OffspringLaw.deterministic(2)] * 5

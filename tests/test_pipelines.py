@@ -116,7 +116,7 @@ class TestGffCov:
 class TestCoarseTail:
     def test_single_size_uses_abs_check(self):
         report = pipelines.run_coarse_tail(
-            seed=41, zeta=0.0, b=0.9, sizes=(32,), replicas=4000
+            seed=41, zeta=0.0, b=0.9, grid_n=32, replicas=4000
         )
         assert len(report.checks) == 1
         check = report.checks[0]
@@ -124,28 +124,26 @@ class TestCoarseTail:
         assert check.kind == "abs"
         assert check.target == pytest.approx(2.0 * (0.81 - 1.0))
 
-    def test_two_sizes_use_trend_gate(self):
-        report = pipelines.run_coarse_tail(
-            seed=41, zeta=0.0, b=0.9, sizes=(16, 32), replicas=2000
-        )
+    def test_two_sizes_use_trend_gate(self, monkeypatch):
+        monkeypatch.setattr(tol, "COARSE_SIZES", (16, 32))
+        report = pipelines.run_coarse_tail(seed=41, zeta=0.0, b=0.9, replicas=2000)
         assert [c.name for c in report.checks] == ["proximity_or_trend"]
 
     def test_rounding_flip_bound_only_on_the_float32_route(self):
         flat = pipelines.run_coarse_tail(
-            seed=41, zeta=0.0, b=0.9, sizes=(32,), replicas=100
+            seed=41, zeta=0.0, b=0.9, grid_n=32, replicas=100
         )
         assert all(e["rounding_flip_bound"] > 0.0 for e in flat.estimates)
         boxes = pipelines.run_coarse_tail(
-            seed=41, zeta=0.5, b=0.3, sizes=(32,), replicas=40
+            seed=41, zeta=0.5, b=0.3, grid_n=32, replicas=40
         )
         assert all("rounding_flip_bound" not in e for e in boxes.estimates)
 
 
 class TestDaviaud:
-    def test_tiny_run_structure(self):
-        report = pipelines.run_daviaud(
-            seed=61, eta=0.3, sizes=(32, 64), replicas=30
-        )
+    def test_tiny_run_structure(self, monkeypatch):
+        monkeypatch.setattr(tol, "DAVIAUD_SIZES", (32, 64))
+        report = pipelines.run_daviaud(seed=61, eta=0.3, replicas=30)
         names = [c.name for c in report.checks]
         assert "exponent_increasing" in names
         assert "exponent_n64" in names
@@ -155,10 +153,9 @@ class TestDaviaud:
         counts = [e for e in report.estimates if e["name"].startswith("count_n")]
         assert all(e["rounding_flip_bound"] > 0.0 for e in counts)
 
-    def test_mean_check_appears_when_reference_size_run(self):
-        report = pipelines.run_daviaud(
-            seed=61, eta=0.3, sizes=(64, tol.DAVIAUD_MEAN_N), replicas=40
-        )
+    def test_mean_check_appears_when_reference_size_run(self, monkeypatch):
+        monkeypatch.setattr(tol, "DAVIAUD_SIZES", (64, tol.DAVIAUD_MEAN_N))
+        report = pipelines.run_daviaud(seed=61, eta=0.3, replicas=40)
         mean_check = check_by_name(report, f"mean_count_n{tol.DAVIAUD_MEAN_N}")
         assert mean_check.kind == "sigma"
         assert mean_check.passed
