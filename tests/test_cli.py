@@ -268,11 +268,14 @@ class TestRegistryBounds:
         assert f"{tol.REPLICAS_MAX:g}]" in diag["error"]
         assert calls == []
 
+    # either zeta once reached its own field-budget stage; now both stop here
+    @pytest.mark.parametrize("zeta", ["0.0", "0.5"])
     @pytest.mark.parametrize(
-        "grid_n", [tol.COARSE_GRID_N_MAX + 1, 10**400], ids=["max+1", "10**400"]
+        "grid_n", [tol.COARSE_GRID_N_MAX + 1, 10**400], ids=["max_plus_1", "ten_to_400"]
     )
-    def test_huge_grid_side_exits_2(self, grid_n, calls, capsys):
-        argv = ["coarse-tail", "--seed", "1", "--grid-n", str(grid_n), "--b", "0.1"]
+    def test_huge_grid_side_exits_2(self, grid_n, zeta, calls, capsys):
+        argv = ["coarse-tail", "--seed", "1", "--grid-n", str(grid_n), "--b", "0.1",
+                "--zeta", zeta]
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
